@@ -87,9 +87,11 @@ optimize:
 	$(GO) test -race -count=1 -run 'DegradedRoutingOptimized' ./internal/faults/
 	$(GO) test -race -count=1 -run 'TableFingerprint' ./internal/routes/
 
-# Figure-7 suite wall-clock, sequential vs parallel=NumCPU.
+# The performance benchmark (cmd/simbench, its own module; see
+# cmd/simbench/README.md): every workload once at seed 1. It exits 1 when
+# a table fingerprint or point digest differs from testdata/reference.json.
 bench:
-	$(GO) test -bench RunnerParallelFigure7 -benchtime=1x -run '^$$' .
+	bash cmd/simbench/run.sh -workload all -seed 1
 
 # Active-set scheduler vs the legacy dense scan, at low load (the regime
 # the scheduler exists for; must be >=2x) and at saturation (bookkeeping

@@ -18,7 +18,6 @@ package itbroute
 import (
 	"fmt"
 
-	"itbsim/internal/topology"
 	"itbsim/internal/updown"
 )
 
@@ -56,9 +55,9 @@ func (s Split) Segments() [][]int {
 // input-order prefix of the full enumeration: which paths a cap keeps is a
 // pure function of the network's link insertion (port) order, never of
 // traversal accidents (pinned by TestEnumerationIsInputOrderPrefix).
-func MinimalPaths(net *topology.Network, src, dst, limit int) [][]int {
+func MinimalPaths(a *updown.Assignment, src, dst, limit int) [][]int {
 	var out [][]int
-	walkMinimalPaths(net, src, dst, func(path []int) bool {
+	walkMinimalPaths(a, src, dst, func(path []int) bool {
 		cp := make([]int, len(path))
 		copy(cp, path)
 		out = append(out, cp)
@@ -71,16 +70,16 @@ func MinimalPaths(net *topology.Network, src, dst, limit int) [][]int {
 // fn for every shortest raw-graph path from src to dst until fn returns
 // false. The callback borrows the path slice; callers keeping it must copy.
 // Streaming lets MinimalSplits apply its candidate cap after split
-// feasibility is known instead of truncating the raw enumeration.
-func walkMinimalPaths(net *topology.Network, src, dst int, fn func(path []int) bool) {
+// feasibility is known instead of truncating the raw enumeration. The
+// remaining distances come from the Assignment's raw distance table, built
+// once per Assignment rather than by one BFS per pair.
+func walkMinimalPaths(a *updown.Assignment, src, dst int, fn func(path []int) bool) {
 	if src == dst {
 		fn([]int{src})
 		return
 	}
-	rem := net.Distances(dst)
-	if rem[src] < 0 {
-		return
-	}
+	net := a.Net
+	rem := a.RawDistances(dst)
 	path := make([]int, 0, rem[src]+1)
 	path = append(path, src)
 	more := true
@@ -184,7 +183,7 @@ func SplitPath(a *updown.Assignment, path []int) (Split, error) {
 func MinimalSplits(a *updown.Assignment, src, dst, limit int) ([]Split, error) {
 	any := false
 	out := make([]Split, 0, limit)
-	walkMinimalPaths(a.Net, src, dst, func(path []int) bool {
+	walkMinimalPaths(a, src, dst, func(path []int) bool {
 		any = true
 		cp := make([]int, len(path))
 		copy(cp, path)
@@ -228,21 +227,18 @@ func BestSplit(splits []Split) Split {
 	return best
 }
 
-const infBreaks = int(^uint(0) >> 1) // unreachable marker for the break DP
-
 // OptimalSplit returns a minimal path from src to dst split with the fewest
-// in-transit buffers achievable over ALL minimal paths, computed by dynamic
-// programming on the minimal-path DAG (edges along which the remaining raw
-// distance decreases) crossed with the up*/down* phase. Unlike
-// BestSplit(MinimalSplits(...)) it is independent of any enumeration cap:
-// the capped DFS enumeration keeps a recursion-order prefix of the
+// in-transit buffers achievable over ALL minimal paths: the route kernel's
+// dynamic program over the minimal-path DAG crossed with the up*/down*
+// phase (updown.Workspace.MinimalSplit) with hop cost 0 and break cost 1.
+// Unlike BestSplit(MinimalSplits(...)) it is independent of any enumeration
+// cap: the capped DFS enumeration keeps a recursion-order prefix of the
 // equal-length path set, so with many minimal alternatives the fewest-ITB
 // path can sit past the cap and the selection silently degrades by
-// enumeration order. The DP is deterministic and input-order driven — DAG
-// edges are relaxed in the network's port order, and reconstruction
-// prefers continuing the current segment, then the lowest-port neighbour —
-// so equal-cost ties resolve by the caller's link insertion order, never by
-// traversal accidents.
+// enumeration order. The DP is deterministic and input-order driven — each
+// state keeps its first port-order move of strictly least cost, and a break
+// only when strictly cheaper — so equal-cost ties resolve by the caller's
+// link insertion order, never by traversal accidents.
 //
 // It returns an error only when no minimal path can be split at all (a
 // needed break switch has no host anywhere in its segment), matching
@@ -251,114 +247,9 @@ func OptimalSplit(a *updown.Assignment, src, dst int) (Split, error) {
 	if src == dst {
 		return Split{Path: []int{src}}, nil
 	}
-	net := a.Net
-	rem := net.Distances(dst)
-	if rem[src] < 0 {
-		return Split{}, fmt.Errorf("itbroute: no path %d -> %d", src, dst)
-	}
-
-	// costTo[sw][ph] = fewest breaks of a minimal-path continuation from
-	// (sw, phase) to dst; phase 0 = up (no down hop in the current segment
-	// yet), phase 1 = down. Breaking (down -> up at the same switch) costs 1
-	// and needs a host at the switch. States are processed level by level in
-	// increasing remaining distance: every hop edge points one level down,
-	// and the only intra-level edge is the break, relaxed after both hop
-	// values of the switch are known (a break from the up phase is never
-	// useful, so costTo[sw][up] is final before the break relaxation).
-	const up, down = 0, 1
-	n := net.Switches
-	costTo := make([][2]int, n)
-	for i := range costTo {
-		costTo[i] = [2]int{infBreaks, infBreaks}
-	}
-	costTo[dst] = [2]int{0, 0}
-	// Group switches by remaining distance once; levels are dense in
-	// [0, rem[src]] along minimal paths.
-	levels := make([][]int, rem[src]+1)
-	for sw := 0; sw < n; sw++ {
-		if r := rem[sw]; r >= 0 && r <= rem[src] {
-			levels[r] = append(levels[r], sw)
-		}
-	}
-	for r := 1; r <= rem[src]; r++ {
-		for _, sw := range levels[r] {
-			best := [2]int{infBreaks, infBreaks}
-			for _, nb := range net.Neighbors(sw) {
-				if rem[nb.Switch] != r-1 {
-					continue
-				}
-				if a.IsUpHop(nb.Link, sw) {
-					// An up hop is only legal from the up phase and keeps it.
-					if c := costTo[nb.Switch][up]; c < best[up] {
-						best[up] = c
-					}
-				} else {
-					// A down hop is legal from either phase and lands down.
-					if c := costTo[nb.Switch][down]; c < best[up] {
-						best[up] = c
-					}
-					if c := costTo[nb.Switch][down]; c < best[down] {
-						best[down] = c
-					}
-				}
-			}
-			// Break edge: eject into a host here, restart in the up phase.
-			if len(net.HostsAt(sw)) > 0 && best[up] < infBreaks && best[up]+1 < best[down] {
-				best[down] = best[up] + 1
-			}
-			costTo[sw] = best
-		}
-	}
-	if costTo[src][up] == infBreaks {
+	path, breaks, ok := updown.NewWorkspace(a).MinimalSplit(src, dst, updown.Cost{}, 1, true)
+	if !ok {
 		return Split{}, fmt.Errorf("itbroute: no splittable minimal path %d -> %d", src, dst)
 	}
-
-	// Forward reconstruction: greedily extend the current segment (no
-	// break) through the first port-order neighbour that preserves the
-	// remaining break budget; break only when every hop would overspend.
-	s := Split{Path: make([]int, 0, rem[src]+1)}
-	s.Path = append(s.Path, src)
-	sw, ph := src, up
-	for sw != dst {
-		budget := costTo[sw][ph]
-		advanced := false
-		for _, nb := range net.Neighbors(sw) {
-			if rem[nb.Switch] != rem[sw]-1 {
-				continue
-			}
-			if a.IsUpHop(nb.Link, sw) {
-				if ph == down || costTo[nb.Switch][up] != budget {
-					continue
-				}
-				s.Path = append(s.Path, nb.Switch)
-				sw = nb.Switch
-				advanced = true
-				break
-			}
-			if costTo[nb.Switch][down] != budget {
-				continue
-			}
-			s.Path = append(s.Path, nb.Switch)
-			sw, ph = nb.Switch, down
-			advanced = true
-			break
-		}
-		if advanced {
-			continue
-		}
-		// No hop preserves the budget, so the optimum spends a break here.
-		if ph != down || costTo[sw][up]+1 != budget || len(net.HostsAt(sw)) == 0 {
-			return Split{}, fmt.Errorf("itbroute: internal error: stuck reconstructing optimal split %d -> %d at %d", src, dst, sw)
-		}
-		s.Breaks = append(s.Breaks, len(s.Path)-1)
-		ph = up
-	}
-	// Sanity: each segment must be a legal up*/down* path, exactly as
-	// SplitPath guarantees for enumerated splits.
-	for _, seg := range s.Segments() {
-		if !a.LegalSwitchPath(seg) {
-			return Split{}, fmt.Errorf("itbroute: internal error: segment %v of optimal split %v is illegal", seg, s.Path)
-		}
-	}
-	return s, nil
+	return Split{Path: path, Breaks: breaks}, nil
 }

@@ -22,11 +22,11 @@ func torus(t *testing.T, rows, cols, hosts int) (*topology.Network, *updown.Assi
 }
 
 func TestMinimalPathsAreMinimal(t *testing.T) {
-	net, _ := torus(t, 4, 4, 1)
+	net, a := torus(t, 4, 4, 1)
 	for src := 0; src < net.Switches; src++ {
 		d := net.Distances(src)
 		for dst := 0; dst < net.Switches; dst++ {
-			paths := MinimalPaths(net, src, dst, 10)
+			paths := MinimalPaths(a, src, dst, 10)
 			if len(paths) == 0 {
 				t.Fatalf("no minimal paths %d -> %d", src, dst)
 			}
@@ -48,9 +48,9 @@ func TestMinimalPathsAreMinimal(t *testing.T) {
 }
 
 func TestMinimalPathsLimit(t *testing.T) {
-	net, _ := torus(t, 8, 8, 1)
+	_, a := torus(t, 8, 8, 1)
 	// Opposite corner has many shortest paths; the limit must cap them.
-	paths := MinimalPaths(net, 0, topology.TorusID(4, 4, 8), 10)
+	paths := MinimalPaths(a, 0, topology.TorusID(4, 4, 8), 10)
 	if len(paths) != 10 {
 		t.Errorf("got %d paths, want exactly 10 (limit)", len(paths))
 	}
@@ -60,7 +60,7 @@ func TestSplitPathLegalSegments(t *testing.T) {
 	net, a := torus(t, 4, 4, 1)
 	for src := 0; src < net.Switches; src++ {
 		for dst := 0; dst < net.Switches; dst++ {
-			for _, p := range MinimalPaths(net, src, dst, 10) {
+			for _, p := range MinimalPaths(a, src, dst, 10) {
 				sp, err := SplitPath(a, p)
 				if err != nil {
 					t.Fatalf("split %v: %v", p, err)
@@ -89,7 +89,7 @@ func TestSplitLegalPathNeedsNoITB(t *testing.T) {
 	net, a := torus(t, 4, 4, 1)
 	for src := 0; src < net.Switches; src++ {
 		for dst := 0; dst < net.Switches; dst++ {
-			for _, p := range MinimalPaths(net, src, dst, 10) {
+			for _, p := range MinimalPaths(a, src, dst, 10) {
 				if !a.LegalSwitchPath(p) {
 					continue
 				}
@@ -110,7 +110,7 @@ func TestSplitIllegalPathUsesITB(t *testing.T) {
 	found := false
 	for src := 0; src < net.Switches && !found; src++ {
 		for dst := 0; dst < net.Switches && !found; dst++ {
-			for _, p := range MinimalPaths(net, src, dst, 10) {
+			for _, p := range MinimalPaths(a, src, dst, 10) {
 				if a.LegalSwitchPath(p) {
 					continue
 				}
@@ -218,11 +218,11 @@ func TestCDGOfUnsplitMinimalRoutesCyclic(t *testing.T) {
 	// in a torus must create cyclic channel dependencies (that is why
 	// up*/down* forbids them).
 	net, a := torus(t, 4, 4, 1)
-	_ = a
+
 	g := updown.NewDependencyGraph(net)
 	for src := 0; src < net.Switches; src++ {
 		for dst := 0; dst < net.Switches; dst++ {
-			for _, p := range MinimalPaths(net, src, dst, 10) {
+			for _, p := range MinimalPaths(a, src, dst, 10) {
 				g.AddRoute(updown.ChannelSeq(net, p))
 			}
 		}

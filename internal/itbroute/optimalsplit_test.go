@@ -223,9 +223,9 @@ func TestEnumerationIsInputOrderPrefix(t *testing.T) {
 			if src == dst {
 				continue
 			}
-			full := MinimalPaths(net, src, dst, uncapped)
+			full := MinimalPaths(a, src, dst, uncapped)
 			for _, limit := range []int{1, 3, 10} {
-				capped := MinimalPaths(net, src, dst, limit)
+				capped := MinimalPaths(a, src, dst, limit)
 				wantLen := limit
 				if wantLen > len(full) {
 					wantLen = len(full)
@@ -234,9 +234,9 @@ func TestEnumerationIsInputOrderPrefix(t *testing.T) {
 					t.Fatalf("MinimalPaths(%d->%d, limit=%d) is not the prefix of the full enumeration", src, dst, limit)
 				}
 			}
-			fullLegal := a.ShortestLegalPaths(src, dst, uncapped)
+			fullLegal := updown.NewWorkspace(a).ShortestLegalPaths(src, dst, uncapped)
 			for _, limit := range []int{1, 3, 10} {
-				capped := a.ShortestLegalPaths(src, dst, limit)
+				capped := updown.NewWorkspace(a).ShortestLegalPaths(src, dst, limit)
 				wantLen := limit
 				if wantLen > len(fullLegal) {
 					wantLen = len(fullLegal)

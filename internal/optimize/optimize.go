@@ -224,11 +224,13 @@ type state struct {
 	a      *updown.Assignment
 	scheme routes.Scheme
 	alts   [][][]*routes.Route
-	load   []float64 // expected route-share per channel
-	crit   []float64 // the caller's criticality, as given
-	boost  []float64 // 1 + LoadFactor*crit
-	boost2 []float64 // boost^2, the add-cost weight
-	layers []*refCDG // per-VC-layer dependency graphs (one layer if NumVCs==0)
+	load   []float64                 // expected route-share per channel
+	crit   []float64                 // the caller's criticality, as given
+	boost  []float64                 // 1 + LoadFactor*crit
+	boost2 []float64                 // boost^2, the add-cost weight
+	layers []*updown.DependencyGraph // per-VC-layer dependency graphs (one layer if NumVCs==0)
+	ws     *updown.Workspace         // the pass's route-kernel workspace
+	addw   []float64                 // per-channel add cost of the route being proposed
 	cfg    Config
 }
 
@@ -260,7 +262,7 @@ func Optimize(tab *routes.Table, rcfg routes.Config, crit []float64, cfg Config)
 		return nil, nil, err
 	}
 
-	st := &state{net: net, a: a, scheme: tab.Scheme, cfg: cfg, crit: crit}
+	st := &state{net: net, a: a, ws: updown.NewWorkspace(a), scheme: tab.Scheme, cfg: cfg, crit: crit}
 	st.alts = make([][][]*routes.Route, len(tab.Alts))
 	for s := range tab.Alts {
 		st.alts[s] = make([][]*routes.Route, len(tab.Alts[s]))
@@ -276,13 +278,14 @@ func Optimize(tab *routes.Table, rcfg routes.Config, crit []float64, cfg Config)
 		st.boost2[c] = b * b
 	}
 	st.load = make([]float64, net.NumChannels())
+	st.addw = make([]float64, net.NumChannels())
 	k := tab.NumVCs
 	if k == 0 {
 		k = 1
 	}
-	st.layers = make([]*refCDG, k)
+	st.layers = make([]*updown.DependencyGraph, k)
 	for i := range st.layers {
-		st.layers[i] = newRefCDG(net.NumChannels())
+		st.layers[i] = updown.NewDependencyGraph(net)
 	}
 	for s := range st.alts {
 		for d := range st.alts[s] {
@@ -293,7 +296,7 @@ func Optimize(tab *routes.Table, rcfg routes.Config, crit []float64, cfg Config)
 			for _, r := range st.alts[s][d] {
 				for _, seg := range r.Segs {
 					st.addLoad(seg.Channels, w)
-					st.layers[r.VC].add(seg.Channels)
+					st.layers[r.VC].AddRoute(seg.Channels)
 				}
 			}
 		}
@@ -467,12 +470,12 @@ func (st *state) tryMove(ref routeRef) bool {
 	// Rip up: subtract the old route from the load and the deadlock proof.
 	for _, seg := range old.Segs {
 		st.addLoad(seg.Channels, -w)
-		st.layers[old.VC].remove(seg.Channels)
+		st.layers[old.VC].RemoveRoute(seg.Channels)
 	}
 	restore := func() {
 		for _, seg := range old.Segs {
 			st.addLoad(seg.Channels, w)
-			st.layers[old.VC].add(seg.Channels)
+			st.layers[old.VC].AddRoute(seg.Channels)
 		}
 	}
 
@@ -509,11 +512,11 @@ func (st *state) routeAddCost(r *routes.Route, w float64) float64 {
 
 // admit adds every segment of a route to a layer CDG, keeping it acyclic;
 // on failure the segments already added are removed again.
-func (st *state) admit(g *refCDG, r *routes.Route) bool {
+func (st *state) admit(g *updown.DependencyGraph, r *routes.Route) bool {
 	for i, seg := range r.Segs {
-		if !g.tryAdd(seg.Channels) {
+		if !g.TryAddRoute(seg.Channels) {
 			for j := 0; j < i; j++ {
-				g.remove(r.Segs[j].Channels)
+				g.RemoveRoute(r.Segs[j].Channels)
 			}
 			return false
 		}

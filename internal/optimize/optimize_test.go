@@ -336,35 +336,40 @@ func TestOptimizeRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestRefCDG exercises the refcounted dependency graph directly: shared
-// edges survive one route's removal, cycles are refused with exact
-// rollback, and removal of the last reference reopens the edge.
+// TestRefCDG exercises the refcounted dependency graph the optimizer keeps
+// per layer: shared edges survive one route's removal, cycles are refused
+// with exact rollback, and removal of the last reference reopens the edge.
+// The channel sequences are abstract; only the IDs matter.
 func TestRefCDG(t *testing.T) {
-	g := newRefCDG(4)
-	if !g.tryAdd([]int{0, 1, 2}) {
+	net, err := topology.NewTorus(2, 2, 1, 16) // 4 links, channels 0..7
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := updown.NewDependencyGraph(net)
+	if !g.TryAddRoute([]int{0, 1, 2}) {
 		t.Fatal("acyclic chain refused")
 	}
-	if !g.tryAdd([]int{0, 1, 3}) {
+	if !g.TryAddRoute([]int{0, 1, 3}) {
 		t.Fatal("second route sharing edge 0->1 refused")
 	}
-	if g.tryAdd([]int{2, 0}) {
+	if g.TryAddRoute([]int{2, 0}) {
 		t.Fatal("cycle 0->1->2->0 admitted")
 	}
-	if !g.acyclic() {
+	if !g.Acyclic() {
 		t.Fatal("graph not acyclic after rejected admission")
 	}
-	g.remove([]int{0, 1, 2})
+	g.RemoveRoute([]int{0, 1, 2})
 	// Edge 0->1 must survive (still referenced by the second route), edge
 	// 1->2 must be gone, so 2->0 no longer closes a cycle... it still
 	// would via 0->1->3? No: 3 has no outgoing edges, and 1->2 is gone, so
 	// 2 is unreachable from 0 and 2->0 is safe.
-	if !g.tryAdd([]int{2, 0}) {
+	if !g.TryAddRoute([]int{2, 0}) {
 		t.Fatal("edge 2->0 refused after the blocking route was removed")
 	}
-	if !g.tryAdd([]int{0, 1}) {
+	if !g.TryAddRoute([]int{0, 1}) {
 		t.Fatal("shared edge lost its surviving reference")
 	}
-	if !g.acyclic() {
+	if !g.Acyclic() {
 		t.Fatal("final graph not acyclic")
 	}
 }

@@ -42,7 +42,7 @@ func (st *state) escapePrune(stats *Stats) {
 					stats.Pruned++
 					for _, seg := range r.Segs {
 						st.addLoad(seg.Channels, -w)
-						st.layers[r.VC].remove(seg.Channels)
+						st.layers[r.VC].RemoveRoute(seg.Channels)
 					}
 					continue
 				}

@@ -1,48 +1,53 @@
 package optimize
 
 import (
-	"math"
-
 	"itbsim/internal/itbroute"
 	"itbsim/internal/routes"
 	"itbsim/internal/updown"
-)
-
-// Up*/down* phase of a partially built path, mirroring internal/updown.
-const (
-	phUp   = 0
-	phDown = 1
 )
 
 // propose asks the scheme-specific search for a replacement route. Every
 // proposer minimizes the exact add-cost of the new route on the ripped
 // load, restricted to the scheme's legal path shape, and resolves ties by
 // the network's port order; acceptance (cost strictly below the old
-// route's, CDG admission) stays with the caller.
+// route's, CDG admission) stays with the caller. The searches are the
+// route kernel's (internal/updown), pricing every channel at its add cost:
+// the hop-layered DP for up*/down* paths within MaxStretch, the
+// minimal-DAG DP with breaks at ITBPenalty for ITB re-splits, and the same
+// DP with the phase rule off for VC's raw minimal paths.
 func (st *state) propose(ref routeRef, old *routes.Route, w float64) (*routes.Route, bool) {
+	for c := range st.addw {
+		st.addw[c] = st.chanAddCost(c, w)
+	}
+	cost := updown.Cost{Factor: 1, Weight: st.addw}
+	maxHops := old.Hops + st.cfg.MaxStretch
 	switch st.scheme {
 	case routes.UpDown, routes.UpDownMin:
-		path, ok := st.legalPath(ref.s, ref.d, w, old.Hops+st.cfg.MaxStretch)
+		path, ok := st.ws.BoundedPath(ref.s, ref.d, maxHops, cost)
 		if !ok {
 			return nil, false
 		}
 		return st.buildRoute(ref, itbroute.Split{Path: path}, 0)
 	case routes.ITBSP, routes.ITBRR:
-		sp, ok := st.minimalSplit(ref.s, ref.d, w)
-		if !ok || sp.NumITBs() > old.NumITBs()+st.cfg.MaxExtraITBs {
+		pen := st.cfg.ITBPenalty
+		if pen == 0 {
+			pen = st.meanAddCost()
+		}
+		path, breaks, ok := st.ws.MinimalSplit(ref.s, ref.d, cost, pen, true)
+		if !ok || len(breaks) > old.NumITBs()+st.cfg.MaxExtraITBs {
 			return nil, false
 		}
-		return st.buildRoute(ref, sp, 0)
+		return st.buildRoute(ref, itbroute.Split{Path: path, Breaks: breaks}, 0)
 	case routes.VC:
 		// Prefer a minimal path on whatever layer admits it; fall back to a
 		// bounded-stretch legal path on the escape layer, which always
 		// admits (any set of legal paths is jointly acyclic).
-		if p, ok := st.minimalRaw(ref.s, ref.d, w); ok {
+		if p, _, ok := st.ws.MinimalSplit(ref.s, ref.d, cost, 0, false); ok {
 			if layer, fits := st.vcLayerFor(p); fits {
 				return st.buildRoute(ref, itbroute.Split{Path: p}, layer)
 			}
 		}
-		path, ok := st.legalPath(ref.s, ref.d, w, old.Hops+st.cfg.MaxStretch)
+		path, ok := st.ws.BoundedPath(ref.s, ref.d, maxHops, cost)
 		if !ok {
 			return nil, false
 		}
@@ -74,238 +79,23 @@ func (st *state) vcLayerFor(p []int) (int, bool) {
 	}
 	chans := updown.ChannelSeq(st.net, p)
 	for l := 1; l < len(st.layers); l++ {
-		if st.layers[l].tryAdd(chans) {
-			st.layers[l].remove(chans)
+		if st.layers[l].TryAddRoute(chans) {
+			st.layers[l].RemoveRoute(chans)
 			return l, true
 		}
 	}
 	return 0, false
 }
 
-// legalPath finds the cheapest legal up*/down* path from src to dst of at
-// most maxHops hops under the current add-cost, via a hop-layered DP over
-// (switch, phase) states. Relaxations run in (hop, switch, phase, port)
-// order with strict-< improvement, so equal-cost ties go to the earliest
-// state in that order and the result is a pure function of the inputs. Ties
-// across hop counts prefer the shorter path.
-func (st *state) legalPath(src, dst int, w float64, maxHops int) ([]int, bool) {
-	if maxHops < 1 || src == dst {
-		return nil, false
-	}
-	n := st.net.Switches
-	inf := math.Inf(1)
-	size := (maxHops + 1) * n * 2
-	cost := make([]float64, size)
-	for i := range cost {
-		cost[i] = inf
-	}
-	type prevT struct{ sw, ph int }
-	prev := make([]prevT, size)
-	idx := func(h, sw, ph int) int { return (h*n+sw)*2 + ph }
-	cost[idx(0, src, phUp)] = 0
-	for h := 0; h < maxHops; h++ {
-		for sw := 0; sw < n; sw++ {
-			for ph := phUp; ph <= phDown; ph++ {
-				c := cost[idx(h, sw, ph)]
-				if math.IsInf(c, 1) {
-					continue
-				}
-				for _, nb := range st.net.Neighbors(sw) {
-					up := st.a.IsUpHop(nb.Link, sw)
-					nph := phDown
-					if up {
-						if ph == phDown {
-							continue
-						}
-						nph = phUp
-					}
-					nc := c + st.chanAddCost(st.net.Channel(nb.Link, sw), w)
-					j := idx(h+1, nb.Switch, nph)
-					if nc < cost[j] {
-						cost[j] = nc
-						prev[j] = prevT{sw, ph}
-					}
-				}
-			}
-		}
-	}
-	best := inf
-	bestH, bestPh := -1, 0
-	for h := 1; h <= maxHops; h++ {
-		for ph := phUp; ph <= phDown; ph++ {
-			if c := cost[idx(h, dst, ph)]; c < best {
-				best = c
-				bestH, bestPh = h, ph
-			}
-		}
-	}
-	if bestH < 0 {
-		return nil, false
-	}
-	path := make([]int, bestH+1)
-	sw, ph := dst, bestPh
-	for h := bestH; h > 0; h-- {
-		path[h] = sw
-		p := prev[idx(h, sw, ph)]
-		sw, ph = p.sw, p.ph
-	}
-	path[0] = sw
-	return path, true
-}
-
-// minimalSplit finds the minimal path from src to dst (with its ITB
-// placements) minimizing add-cost plus ITBPenalty per break, via the same
-// level-ordered DP over the minimal-path DAG as itbroute.OptimalSplit —
-// but cost-weighted, and with explicit choice recording so reconstruction
-// never compares floating-point costs. Ties resolve by port order.
-func (st *state) minimalSplit(src, dst int, w float64) (itbroute.Split, bool) {
-	net := st.net
-	rem := net.Distances(dst)
-	if src == dst || rem[src] < 0 {
-		return itbroute.Split{}, false
-	}
-	itbPenalty := st.cfg.ITBPenalty
-	if itbPenalty == 0 {
-		itbPenalty = st.meanChanAddCost(w)
-	}
-	inf := math.Inf(1)
-	n := net.Switches
-	// choiceT records the decision at a (switch, phase) state: hop to
-	// (next, nph), or break (eject here, restart in the up phase).
-	type choiceT struct {
-		next, nph int
-		brk, ok   bool
-	}
-	costTo := make([][2]float64, n)
-	choice := make([][2]choiceT, n)
-	for i := range costTo {
-		costTo[i] = [2]float64{inf, inf}
-	}
-	costTo[dst] = [2]float64{0, 0}
-	levels := make([][]int, rem[src]+1)
-	for sw := 0; sw < n; sw++ {
-		if r := rem[sw]; r >= 0 && r <= rem[src] {
-			levels[r] = append(levels[r], sw)
-		}
-	}
-	for r := 1; r <= rem[src]; r++ {
-		for _, sw := range levels[r] {
-			best := [2]float64{inf, inf}
-			var ch [2]choiceT
-			for _, nb := range net.Neighbors(sw) {
-				if rem[nb.Switch] != r-1 {
-					continue
-				}
-				ac := st.chanAddCost(net.Channel(nb.Link, sw), w)
-				if st.a.IsUpHop(nb.Link, sw) {
-					if c := costTo[nb.Switch][phUp] + ac; c < best[phUp] {
-						best[phUp] = c
-						ch[phUp] = choiceT{next: nb.Switch, nph: phUp, ok: true}
-					}
-				} else {
-					c := costTo[nb.Switch][phDown] + ac
-					if c < best[phUp] {
-						best[phUp] = c
-						ch[phUp] = choiceT{next: nb.Switch, nph: phDown, ok: true}
-					}
-					if c < best[phDown] {
-						best[phDown] = c
-						ch[phDown] = choiceT{next: nb.Switch, nph: phDown, ok: true}
-					}
-				}
-			}
-			// Break edge: best[phUp] is final here (a break is never useful
-			// from the up phase), so relaxing the intra-level edge last is
-			// safe, exactly as in OptimalSplit.
-			if len(net.HostsAt(sw)) > 0 && !math.IsInf(best[phUp], 1) && best[phUp]+itbPenalty < best[phDown] {
-				best[phDown] = best[phUp] + itbPenalty
-				ch[phDown] = choiceT{brk: true, ok: true}
-			}
-			costTo[sw] = best
-			choice[sw] = ch
-		}
-	}
-	if math.IsInf(costTo[src][phUp], 1) {
-		return itbroute.Split{}, false
-	}
-	sp := itbroute.Split{Path: make([]int, 0, rem[src]+1)}
-	sp.Path = append(sp.Path, src)
-	sw, ph := src, phUp
-	for sw != dst {
-		c := choice[sw][ph]
-		if !c.ok {
-			return itbroute.Split{}, false
-		}
-		if c.brk {
-			sp.Breaks = append(sp.Breaks, len(sp.Path)-1)
-			ph = phUp
-			continue
-		}
-		sp.Path = append(sp.Path, c.next)
-		sw, ph = c.next, c.nph
-	}
-	return sp, true
-}
-
-// minimalRaw finds the cheapest minimal path in the raw graph (no phase
-// constraint — VC layers absorb the deadlock question), by the same
-// level-ordered DP with recorded choices.
-func (st *state) minimalRaw(src, dst int, w float64) ([]int, bool) {
-	net := st.net
-	rem := net.Distances(dst)
-	if src == dst || rem[src] < 0 {
-		return nil, false
-	}
-	inf := math.Inf(1)
-	n := net.Switches
-	costTo := make([]float64, n)
-	next := make([]int, n)
-	for i := range costTo {
-		costTo[i] = inf
-		next[i] = -1
-	}
-	costTo[dst] = 0
-	levels := make([][]int, rem[src]+1)
-	for sw := 0; sw < n; sw++ {
-		if r := rem[sw]; r >= 0 && r <= rem[src] {
-			levels[r] = append(levels[r], sw)
-		}
-	}
-	for r := 1; r <= rem[src]; r++ {
-		for _, sw := range levels[r] {
-			for _, nb := range net.Neighbors(sw) {
-				if rem[nb.Switch] != r-1 {
-					continue
-				}
-				c := costTo[nb.Switch] + st.chanAddCost(net.Channel(nb.Link, sw), w)
-				if c < costTo[sw] {
-					costTo[sw] = c
-					next[sw] = nb.Switch
-				}
-			}
-		}
-	}
-	if next[src] < 0 {
-		return nil, false
-	}
-	path := make([]int, 0, rem[src]+1)
-	for sw := src; sw != dst; sw = next[sw] {
-		path = append(path, sw)
-	}
-	path = append(path, dst)
-	return path, true
-}
-
-// meanChanAddCost is the average per-channel add cost at weight w over the
-// current load — the auto ITBPenalty: spending an ejection must save more
-// than one average hop.
-func (st *state) meanChanAddCost(w float64) float64 {
-	if len(st.load) == 0 {
+// meanAddCost is the mean of st.addw, the auto ITBPenalty: spending an
+// ejection must save more than one average hop.
+func (st *state) meanAddCost() float64 {
+	if len(st.addw) == 0 {
 		return 0
 	}
 	var sum float64
-	for c := range st.load {
-		sum += st.chanAddCost(c, w)
+	for _, v := range st.addw {
+		sum += v
 	}
-	return sum / float64(len(st.load))
+	return sum / float64(len(st.addw))
 }

@@ -53,7 +53,7 @@ func buildVC(net *topology.Network, a *updown.Assignment, cfg Config, t *Table) 
 				continue
 			}
 			var alts []*Route
-			for _, p := range itbroute.MinimalPaths(net, s, d, cfg.MaxAlternatives) {
+			for _, p := range itbroute.MinimalPaths(a, s, d, cfg.MaxAlternatives) {
 				layer := assignLayer(a, layers, p)
 				if layer < 0 {
 					continue

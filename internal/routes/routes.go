@@ -232,9 +232,10 @@ func Build(net *topology.Network, cfg Config) (*Table, error) {
 			}
 		}
 	case UpDownMin:
+		w := updown.NewWorkspace(a)
 		for s := 0; s < n; s++ {
 			for d := 0; d < n; d++ {
-				paths := a.ShortestLegalPaths(s, d, cfg.MaxAlternatives)
+				paths := w.ShortestLegalPaths(s, d, cfg.MaxAlternatives)
 				if len(paths) == 0 {
 					return nil, fmt.Errorf("routes: no legal path %d -> %d", s, d)
 				}

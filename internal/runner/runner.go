@@ -554,8 +554,11 @@ func (s *Spec) optimizeTable(j Job, table *routes.Table, dest netsim.DestFn) (*r
 // simulation periodically snapshots into <dir>/job-<index>.ckpt alongside
 // the finished points, and on Resume the walk reuses finished points and
 // restarts the interrupted point from its snapshot mid-simulation.
-func (s *Spec) runJob(j Job, reporter *lockedReporter, jl *journal) CurveResult {
-	cr := CurveResult{Job: j}
+//
+// The result is named so that the deferred Sim timer writes the value the
+// caller receives.
+func (s *Spec) runJob(j Job, reporter *lockedReporter, jl *journal) (cr CurveResult) {
+	cr = CurveResult{Job: j}
 	cr.Curve.Label = j.Label
 	reporter.jobStarted(j)
 	defer func() { reporter.jobDone(&cr) }()

@@ -90,6 +90,27 @@ func TestDeterminismAcrossParallelism(t *testing.T) {
 	}
 }
 
+// TestCurveSimTimeRecorded: every curve of a finished Run reports the wall
+// time of its load walk. Sim is set by a deferred timer, so it reaches the
+// Report only through runJob's named result.
+func TestCurveSimTimeRecorded(t *testing.T) {
+	spec := testSpec(t, testNet(t))
+	spec.Schemes = []routes.Scheme{routes.UpDown, routes.ITBRR}
+	spec.Patterns = spec.Patterns[:1]
+	rep, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cr := range rep.Curves {
+		if cr.Err != nil {
+			t.Fatalf("%s: %v", cr.Job.Label, cr.Err)
+		}
+		if cr.Sim <= 0 {
+			t.Errorf("%s: Sim = %v, want > 0", cr.Job.Label, cr.Sim)
+		}
+	}
+}
+
 // TestTableCacheOneBuildPerScheme: a multi-curve spec (schemes × patterns
 // × replicas) must build each scheme's table exactly once.
 func TestTableCacheOneBuildPerScheme(t *testing.T) {

@@ -1,10 +1,6 @@
 package updown
 
-import (
-	"sort"
-
-	"itbsim/internal/topology"
-)
+import "itbsim/internal/topology"
 
 // ChannelSeq converts a switch path to the sequence of directed channels it
 // traverses. A zero- or one-switch path yields nil.
@@ -29,86 +25,125 @@ func ChannelSeq(net *topology.Network, path []int) []int {
 // must be split into their segments before being added — ejection removes
 // the dependency, which is exactly how the ITB mechanism restores deadlock
 // freedom.
+//
+// Edges are reference-counted: several routes typically share one, and it
+// leaves the graph only with the last route using it. That lets the route
+// optimizer rip routes out of a live table and put others back; LASH layer
+// assignment only adds. Each channel's edges are a slice in insertion order
+// (a removal moves the last edge into the gap), so every walk is
+// deterministic, and no verdict depends on that order.
 type DependencyGraph struct {
-	n   int
-	adj []map[int]struct{}
+	adj [][]dep // adj[c]: the dependencies out of channel c
+
+	// Scratch of the reachability walk, reused across calls: channel c is
+	// seen in the current walk when seen[c] == epoch.
+	epoch uint32
+	seen  []uint32
+	stack []int32
 }
+
+// dep is one dependency edge and the number of route hops inducing it.
+type dep struct{ to, refs int32 }
 
 // NewDependencyGraph creates an empty dependency graph over the network's
 // directed channels.
 func NewDependencyGraph(net *topology.Network) *DependencyGraph {
 	n := net.NumChannels()
-	g := &DependencyGraph{n: n, adj: make([]map[int]struct{}, n)}
-	for i := range g.adj {
-		g.adj[i] = make(map[int]struct{})
-	}
-	return g
+	return &DependencyGraph{adj: make([][]dep, n), seen: make([]uint32, n)}
 }
 
-// AddRoute adds the pairwise dependencies of a channel sequence.
+// find returns the position of edge u -> v in adj[u], or -1.
+func (g *DependencyGraph) find(u, v int) int {
+	for i, e := range g.adj[u] {
+		if int(e.to) == v {
+			return i
+		}
+	}
+	return -1
+}
+
+// AddRoute adds one reference to each pairwise dependency of a channel
+// sequence, without checking for cycles: use it for sequences known to be
+// safe (legal up*/down* paths, a route being restored) or before Acyclic.
 func (g *DependencyGraph) AddRoute(channels []int) {
 	for i := 0; i+1 < len(channels); i++ {
-		g.adj[channels[i]][channels[i+1]] = struct{}{}
+		u, v := channels[i], channels[i+1]
+		if j := g.find(u, v); j >= 0 {
+			g.adj[u][j].refs++
+		} else {
+			g.adj[u] = append(g.adj[u], dep{to: int32(v), refs: 1})
+		}
+	}
+}
+
+// RemoveRoute drops one reference from each pairwise dependency of a
+// channel sequence added before; an edge leaves with its last reference.
+func (g *DependencyGraph) RemoveRoute(channels []int) {
+	for i := 0; i+1 < len(channels); i++ {
+		u := channels[i]
+		j := g.find(u, channels[i+1])
+		if j < 0 {
+			continue
+		}
+		if e := g.adj[u]; e[j].refs > 1 {
+			e[j].refs--
+		} else {
+			e[j] = e[len(e)-1]
+			g.adj[u] = e[:len(e)-1]
+		}
 	}
 }
 
 // TryAddRoute adds the pairwise dependencies of a channel sequence only if
 // the graph stays acyclic, reporting whether it did. On failure the graph is
 // left exactly as it was. This is the admission test of layered (LASH-style)
-// route assignment: a path joins a virtual-channel layer only when its
-// dependencies keep that layer's CDG cycle-free.
+// route assignment and of the route optimizer's moves: a path joins a
+// layer only when its dependencies keep that layer's CDG cycle-free.
 //
 // The check is incremental: a new edge u -> v creates a cycle iff u is
-// already reachable from v, so each genuinely new edge costs one DFS over
-// the current graph instead of a full-graph recheck.
+// already reachable from v, so each genuinely new edge costs one walk over
+// the current graph; an edge already present only gains a reference.
 func (g *DependencyGraph) TryAddRoute(channels []int) bool {
-	type edge struct{ u, v int }
-	var added []edge
-	rollback := func() {
-		for _, e := range added {
-			delete(g.adj[e.u], e.v)
-		}
-	}
 	for i := 0; i+1 < len(channels); i++ {
 		u, v := channels[i], channels[i+1]
-		if _, ok := g.adj[u][v]; ok {
-			continue
-		}
-		if u == v || g.reaches(v, u) {
-			rollback()
+		if g.find(u, v) < 0 && (u == v || g.reaches(v, u)) {
+			g.RemoveRoute(channels[:i+1])
 			return false
 		}
-		g.adj[u][v] = struct{}{}
-		added = append(added, edge{u, v})
+		g.AddRoute(channels[i : i+2])
 	}
 	return true
 }
 
-// reaches reports whether dst is reachable from src over current edges.
+// reaches reports whether dst is reachable from src (src != dst) over the
+// current edges.
+//
+//sim:hotpath
 func (g *DependencyGraph) reaches(src, dst int) bool {
-	if src == dst {
-		return true
+	g.epoch++
+	if g.epoch == 0 {
+		clear(g.seen)
+		g.epoch = 1
 	}
-	seen := make([]bool, g.n)
-	seen[src] = true
-	stack := []int{src}
-	for len(stack) > 0 {
+	g.seen[src] = g.epoch
+	stack := append(g.stack[:0], int32(src))
+	found := false
+	for len(stack) > 0 && !found {
 		c := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		// The verdict (reachable or not) is independent of visit order,
-		// so ranging the adjacency map directly is safe here.
-		//lint:ignore detrange reachability verdict is order-independent
-		for d := range g.adj[c] {
-			if d == dst {
-				return true
+		for _, e := range g.adj[c] {
+			if int(e.to) == dst {
+				found = true
+				break
 			}
-			if !seen[d] {
-				seen[d] = true
-				stack = append(stack, d)
+			if g.seen[e.to] != g.epoch {
+				g.seen[e.to] = g.epoch
+				stack = append(stack, e.to)
 			}
 		}
 	}
-	return false
+	g.stack = stack
+	return found
 }
 
 // Acyclic reports whether the dependency graph has no cycles. An acyclic
@@ -120,46 +155,31 @@ func (g *DependencyGraph) Acyclic() bool {
 		grey  = 1
 		black = 2
 	)
-	color := make([]byte, g.n)
-	// Iterative DFS with explicit stack to survive large graphs.
-	type frame struct {
-		node int
-		next []int
-	}
-	// Neighbours are sorted so the DFS visits them in a fixed order; the
-	// acyclicity verdict does not depend on it, but a deterministic walk
-	// keeps the whole pipeline reproducible under the byte-identical
-	// results contract.
-	neighbours := func(c int) []int {
-		out := make([]int, 0, len(g.adj[c]))
-		//lint:ignore detrange keys are collected then sorted below before any use
-		for d := range g.adj[c] {
-			out = append(out, d)
-		}
-		sort.Ints(out)
-		return out
-	}
-	for start := 0; start < g.n; start++ {
+	color := make([]byte, len(g.adj))
+	// Iterative DFS with an explicit stack to survive large graphs.
+	type frame struct{ node, next int }
+	var stack []frame
+	for start := range g.adj {
 		if color[start] != white {
 			continue
 		}
-		stack := []frame{{node: start, next: neighbours(start)}}
 		color[start] = grey
+		stack = append(stack[:0], frame{node: start})
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
-			if len(f.next) == 0 {
+			if f.next == len(g.adj[f.node]) {
 				color[f.node] = black
 				stack = stack[:len(stack)-1]
 				continue
 			}
-			c := f.next[0]
-			f.next = f.next[1:]
+			c := int(g.adj[f.node][f.next].to)
+			f.next++
 			switch color[c] {
 			case grey:
 				return false
 			case white:
 				color[c] = grey
-				stack = append(stack, frame{node: c, next: neighbours(c)})
+				stack = append(stack, frame{node: c})
 			}
 		}
 	}

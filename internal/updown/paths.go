@@ -1,113 +1,6 @@
 package updown
 
-import (
-	"container/heap"
-	"fmt"
-	"math"
-)
-
-// remDistances returns, for every (switch, phase) state, the minimal number
-// of hops of a legal continuation from that state to dst (or -1 if dst is
-// unreachable from the state). Phase phaseUp means no "down" hop has been
-// taken yet.
-func (a *Assignment) remDistances(dst int) [][2]int {
-	n := a.Net.Switches
-	rem := make([][2]int, n)
-	for i := range rem {
-		rem[i] = [2]int{-1, -1}
-	}
-	rem[dst][phaseUp] = 0
-	rem[dst][phaseDown] = 0
-	type state struct{ sw, ph int }
-	queue := []state{{dst, phaseUp}, {dst, phaseDown}}
-	// BFS over reversed state-graph edges. A forward move (sw, ph) ->
-	// (nb, nph) exists when the hop is legal from phase ph; here we relax
-	// predecessors of the dequeued state.
-	for len(queue) > 0 {
-		st := queue[0]
-		queue = queue[1:]
-		d := rem[st.sw][st.ph]
-		for _, nb := range a.Net.Neighbors(st.sw) {
-			// Predecessor hop: nb.Switch -> st.sw across nb.Link.
-			up := a.IsUpHop(nb.Link, nb.Switch)
-			if up {
-				// An up hop keeps phase up, so it can only have produced
-				// st.ph == phaseUp, and the predecessor phase is phaseUp.
-				if st.ph == phaseUp && rem[nb.Switch][phaseUp] < 0 {
-					rem[nb.Switch][phaseUp] = d + 1
-					queue = append(queue, state{nb.Switch, phaseUp})
-				}
-			} else {
-				// A down hop lands in phaseDown from either phase.
-				if st.ph == phaseDown {
-					for _, pph := range [2]int{phaseUp, phaseDown} {
-						if rem[nb.Switch][pph] < 0 {
-							rem[nb.Switch][pph] = d + 1
-							queue = append(queue, state{nb.Switch, pph})
-						}
-					}
-				}
-			}
-		}
-	}
-	return rem
-}
-
-// ShortestLegalPaths enumerates up to limit shortest legal up*/down* switch
-// paths from src to dst, in deterministic (port-order) DFS order. It
-// returns nil if dst is unreachable (cannot happen in a connected network:
-// the spanning tree itself is legal). src == dst yields a single
-// zero-length path.
-func (a *Assignment) ShortestLegalPaths(src, dst, limit int) [][]int {
-	if src == dst {
-		return [][]int{{src}}
-	}
-	rem := a.remDistances(dst)
-	total := rem[src][phaseUp]
-	if total < 0 {
-		return nil
-	}
-	var out [][]int
-	path := make([]int, 0, total+1)
-	path = append(path, src)
-	var dfs func(sw, ph int)
-	dfs = func(sw, ph int) {
-		if len(out) >= limit {
-			return
-		}
-		if sw == dst {
-			cp := make([]int, len(path))
-			copy(cp, path)
-			out = append(out, cp)
-			return
-		}
-		for _, nb := range a.Net.Neighbors(sw) {
-			up := a.IsUpHop(nb.Link, sw)
-			var nph int
-			if up {
-				if ph == phaseDown {
-					continue
-				}
-				nph = phaseUp
-			} else {
-				nph = phaseDown
-			}
-			if rem[nb.Switch][nph] != rem[sw][ph]-1 {
-				continue
-			}
-			path = append(path, nb.Switch)
-			dfs(nb.Switch, nph)
-			path = path[:len(path)-1]
-			if len(out) >= limit {
-				return
-			}
-		}
-	}
-	// rem[src][phaseUp] is the true shortest because every path starts in
-	// the up phase.
-	dfs(src, phaseUp)
-	return out
-}
+import "fmt"
 
 // BalancedConfig tunes the simple_routes emulation.
 type BalancedConfig struct {
@@ -127,11 +20,14 @@ func DefaultBalancedConfig() BalancedConfig { return BalancedConfig{LoadFactor: 
 // interleaved deterministic order; each selected path increments the weight
 // of the directed channels it uses, and subsequent selections minimise
 // (hops + LoadFactor * accumulated weight) over the legal-path state graph
-// via Dijkstra. The result is indexed [src][dst] and contains switch paths
-// (src == dst maps to the single-switch path).
+// via the kernel's Dijkstra search. The result is indexed [src][dst] and
+// contains switch paths (src == dst maps to the single-switch path).
 func (a *Assignment) BalancedRoutes(cfg BalancedConfig) [][][]int {
-	n := a.Net.Switches
-	weight := make([]float64, a.Net.NumChannels())
+	net := a.Net
+	n := net.Switches
+	w := NewWorkspace(a)
+	weight := make([]float64, net.NumChannels())
+	k := Cost{Hop: 1, Factor: cfg.LoadFactor, Weight: weight}
 	routes := make([][][]int, n)
 	for s := range routes {
 		routes[s] = make([][]int, n)
@@ -140,100 +36,17 @@ func (a *Assignment) BalancedRoutes(cfg BalancedConfig) [][][]int {
 	for offset := 1; offset < n; offset++ {
 		for src := 0; src < n; src++ {
 			dst := (src + offset) % n
-			p := a.minWeightLegalPath(src, dst, weight, cfg.LoadFactor)
-			if p == nil {
+			t := w.search(src, dst, k)
+			if t < 0 {
 				// Unreachable pairs cannot occur in a connected network.
 				panic(fmt.Sprintf("updown: no legal path %d -> %d", src, dst))
 			}
+			p := w.trace(t)
 			routes[src][dst] = p
 			for i := 0; i+1 < len(p); i++ {
-				l := a.Net.LinkBetween(p[i], p[i+1])
-				weight[a.Net.Channel(l, p[i])]++
+				weight[net.Channel(net.LinkBetween(p[i], p[i+1]), p[i])]++
 			}
 		}
 	}
 	return routes
-}
-
-type pqItem struct {
-	cost   float64
-	hops   int
-	sw, ph int
-}
-
-type pq []pqItem
-
-func (q pq) Len() int { return len(q) }
-func (q pq) Less(i, j int) bool {
-	if q[i].cost != q[j].cost {
-		return q[i].cost < q[j].cost
-	}
-	if q[i].hops != q[j].hops {
-		return q[i].hops < q[j].hops
-	}
-	if q[i].sw != q[j].sw {
-		return q[i].sw < q[j].sw
-	}
-	return q[i].ph < q[j].ph
-}
-func (q pq) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x any)   { *q = append(*q, x.(pqItem)) }
-func (q *pq) Pop() any     { old := *q; x := old[len(old)-1]; *q = old[:len(old)-1]; return x }
-
-// minWeightLegalPath runs Dijkstra over the (switch, phase) legal-path state
-// graph with edge cost 1 + loadFactor*weight[channel], returning the
-// cheapest legal switch path src -> dst.
-func (a *Assignment) minWeightLegalPath(src, dst int, weight []float64, loadFactor float64) []int {
-	n := a.Net.Switches
-	dist := make([][2]float64, n)
-	prev := make([][2][2]int, n) // prev[sw][ph] = {prevSwitch, prevPhase}
-	for i := range dist {
-		dist[i] = [2]float64{math.Inf(1), math.Inf(1)}
-		prev[i] = [2][2]int{{-1, -1}, {-1, -1}}
-	}
-	dist[src][phaseUp] = 0
-	q := &pq{{cost: 0, hops: 0, sw: src, ph: phaseUp}}
-	for q.Len() > 0 {
-		it := heap.Pop(q).(pqItem)
-		if it.cost > dist[it.sw][it.ph] {
-			continue
-		}
-		if it.sw == dst {
-			// Reconstruct.
-			path := []int{dst}
-			sw, ph := it.sw, it.ph
-			for sw != src || ph != phaseUp {
-				p := prev[sw][ph]
-				if p[0] < 0 {
-					break
-				}
-				sw, ph = p[0], p[1]
-				path = append(path, sw)
-			}
-			for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-				path[i], path[j] = path[j], path[i]
-			}
-			return path
-		}
-		for _, nb := range a.Net.Neighbors(it.sw) {
-			up := a.IsUpHop(nb.Link, it.sw)
-			var nph int
-			if up {
-				if it.ph == phaseDown {
-					continue
-				}
-				nph = phaseUp
-			} else {
-				nph = phaseDown
-			}
-			c := a.Net.Channel(nb.Link, it.sw)
-			nc := it.cost + 1 + loadFactor*weight[c]
-			if nc < dist[nb.Switch][nph] {
-				dist[nb.Switch][nph] = nc
-				prev[nb.Switch][nph] = [2]int{it.sw, it.ph}
-				heap.Push(q, pqItem{cost: nc, hops: it.hops + 1, sw: nb.Switch, ph: nph})
-			}
-		}
-	}
-	return nil
 }

@@ -86,7 +86,7 @@ func TestReversedPathLegality(t *testing.T) {
 	}
 	for src := 0; src < net.Switches; src += 5 {
 		for dst := 0; dst < net.Switches; dst += 7 {
-			for _, p := range a.ShortestLegalPaths(src, dst, 5) {
+			for _, p := range NewWorkspace(a).ShortestLegalPaths(src, dst, 5) {
 				rev := make([]int, len(p))
 				for i := range p {
 					rev[i] = p[len(p)-1-i]

@@ -4,8 +4,9 @@
 // "up" direction followed by zero or more links in the "down" direction.
 // The package provides the direction assignment, path legality checks,
 // shortest-legal-path search, a re-implementation of Myricom's
-// simple_routes balanced path selection, and a channel-dependency-graph
-// deadlock checker used by tests.
+// simple_routes balanced path selection, the channel dependency graph used
+// for deadlock checks and layer admission, and the legal-path search kernel
+// every route builder shares (kernel.go).
 package updown
 
 import (
@@ -24,6 +25,13 @@ type Assignment struct {
 	// upEnd[l] is the switch at the "up" end of link l: the end closer to
 	// the root, ties broken by lower switch ID (§2 of the paper).
 	upEnd []int
+
+	// The search kernel's state graph and raw distance tables (kernel.go),
+	// built by NewAssignment and read-only afterwards.
+	off   []int32 // the moves of state s are moves[off[s]:off[s+1]]
+	moves []move
+	raw   []int32 // raw[s*n+t]: hop distance between switches s and t
+	order []int32 // order[s*n:(s+1)*n]: the switches in BFS order from s
 }
 
 // NewAssignment computes the up*/down* direction assignment rooted at the
@@ -48,6 +56,7 @@ func NewAssignment(net *topology.Network, root int) (*Assignment, error) {
 			a.upEnd[i] = sb
 		}
 	}
+	a.buildKernel()
 	return a, nil
 }
 
@@ -112,52 +121,9 @@ const (
 )
 
 // LegalDistances returns, for a source switch, the minimal number of links
-// of any legal up*/down* path to every switch. The search runs over
-// (switch, phase) states: from phaseUp an "up" hop keeps phaseUp and a
-// "down" hop moves to phaseDown; from phaseDown only "down" hops are legal.
-func (a *Assignment) LegalDistances(src int) []int {
-	const inf = int(^uint(0) >> 1)
-	dist := make([][2]int, a.Net.Switches)
-	for i := range dist {
-		dist[i] = [2]int{inf, inf}
-	}
-	dist[src][phaseUp] = 0
-	type state struct{ sw, ph int }
-	queue := []state{{src, phaseUp}}
-	for len(queue) > 0 {
-		st := queue[0]
-		queue = queue[1:]
-		d := dist[st.sw][st.ph]
-		for _, nb := range a.Net.Neighbors(st.sw) {
-			up := a.IsUpHop(nb.Link, st.sw)
-			var nph int
-			if up {
-				if st.ph == phaseDown {
-					continue
-				}
-				nph = phaseUp
-			} else {
-				nph = phaseDown
-			}
-			if dist[nb.Switch][nph] > d+1 {
-				dist[nb.Switch][nph] = d + 1
-				queue = append(queue, state{nb.Switch, nph})
-			}
-		}
-	}
-	out := make([]int, a.Net.Switches)
-	for s := range out {
-		m := dist[s][phaseUp]
-		if dist[s][phaseDown] < m {
-			m = dist[s][phaseDown]
-		}
-		if m == inf {
-			m = -1
-		}
-		out[s] = m
-	}
-	return out
-}
+// of any legal up*/down* path to every switch, searched on a fresh
+// Workspace (see Workspace.LegalDistances).
+func (a *Assignment) LegalDistances(src int) []int { return NewWorkspace(a).LegalDistances(src) }
 
 // MinimalLegalFraction returns the fraction of ordered switch pairs
 // (src != dst) whose shortest legal up*/down* path is also a shortest path
@@ -166,19 +132,20 @@ func (a *Assignment) LegalDistances(src int) []int {
 // CPLANT.
 func (a *Assignment) MinimalLegalFraction() (fraction, avgLegal, avgRaw float64) {
 	n := a.Net.Switches
+	w := NewWorkspace(a)
 	minimal, pairs := 0, 0
 	var sumLegal, sumRaw int
 	for s := 0; s < n; s++ {
-		raw := a.Net.Distances(s)
-		legal := a.LegalDistances(s)
+		raw := a.RawDistances(s)
+		legal := w.LegalDistances(s)
 		for d := 0; d < n; d++ {
 			if d == s {
 				continue
 			}
 			pairs++
-			sumRaw += raw[d]
+			sumRaw += int(raw[d])
 			sumLegal += legal[d]
-			if legal[d] == raw[d] {
+			if legal[d] == int(raw[d]) {
 				minimal++
 			}
 		}

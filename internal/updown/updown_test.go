@@ -155,7 +155,7 @@ func TestShortestLegalPathsProperties(t *testing.T) {
 	for src := 0; src < net.Switches; src++ {
 		legal := a.LegalDistances(src)
 		for dst := 0; dst < net.Switches; dst++ {
-			paths := a.ShortestLegalPaths(src, dst, 10)
+			paths := NewWorkspace(a).ShortestLegalPaths(src, dst, 10)
 			if len(paths) == 0 {
 				t.Fatalf("no paths %d -> %d", src, dst)
 			}
@@ -180,8 +180,8 @@ func TestShortestLegalPathsProperties(t *testing.T) {
 func TestShortestLegalPathsDeterministic(t *testing.T) {
 	net := torus(t, 4, 4)
 	a := assign(t, net, 0)
-	p1 := a.ShortestLegalPaths(3, 12, 10)
-	p2 := a.ShortestLegalPaths(3, 12, 10)
+	p1 := NewWorkspace(a).ShortestLegalPaths(3, 12, 10)
+	p2 := NewWorkspace(a).ShortestLegalPaths(3, 12, 10)
 	if len(p1) != len(p2) {
 		t.Fatal("non-deterministic path count")
 	}
@@ -197,7 +197,7 @@ func TestShortestLegalPathsDeterministic(t *testing.T) {
 func TestSameSwitchPath(t *testing.T) {
 	net := torus(t, 4, 4)
 	a := assign(t, net, 0)
-	p := a.ShortestLegalPaths(5, 5, 10)
+	p := NewWorkspace(a).ShortestLegalPaths(5, 5, 10)
 	if len(p) != 1 || len(p[0]) != 1 || p[0][0] != 5 {
 		t.Errorf("same-switch paths = %v, want [[5]]", p)
 	}
