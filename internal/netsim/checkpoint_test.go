@@ -87,19 +87,19 @@ func TestResumeEquivalence(t *testing.T) {
 					name += "/faulted"
 				}
 				t.Run(name, func(t *testing.T) {
-					base := shardConfig(t, net, sch, faulted)
+					base := matrixConfig(t, net, sch, faulted)
 					mech.apply(&base)
 					want, err := Run(base)
 					if err != nil {
 						t.Fatal(err)
 					}
-					ckpt := shardConfig(t, net, sch, faulted)
+					ckpt := matrixConfig(t, net, sch, faulted)
 					mech.apply(&ckpt)
 					res, snaps := runCheckpointed(t, ckpt, 10_000)
 					if !reflect.DeepEqual(want, res) {
 						t.Fatal("taking checkpoints perturbed the run")
 					}
-					resume := shardConfig(t, net, sch, faulted)
+					resume := matrixConfig(t, net, sch, faulted)
 					mech.apply(&resume)
 					expectResume(t, resume, snaps[len(snaps)/2], want, "mid-run snapshot")
 				})
@@ -139,14 +139,14 @@ func TestResumeEquivalenceVC(t *testing.T) {
 // converge to the identical result.
 func TestResumeEverySnapshot(t *testing.T) {
 	net := makeNet(t, 4, 4, 2)
-	base := shardConfig(t, net, routes.ITBRR, false)
+	base := matrixConfig(t, net, routes.ITBRR, false)
 	want, err := Run(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, snaps := runCheckpointed(t, shardConfig(t, net, routes.ITBRR, false), 10_000)
+	_, snaps := runCheckpointed(t, matrixConfig(t, net, routes.ITBRR, false), 10_000)
 	for _, pick := range []int{0, len(snaps) / 2, len(snaps) - 1} {
-		expectResume(t, shardConfig(t, net, routes.ITBRR, false), snaps[pick], want, "snapshot")
+		expectResume(t, matrixConfig(t, net, routes.ITBRR, false), snaps[pick], want, "snapshot")
 	}
 }
 
@@ -157,7 +157,7 @@ func TestResumeEverySnapshot(t *testing.T) {
 // execution-mechanism knobs.
 func TestResumeCrossMechanism(t *testing.T) {
 	net := makeNet(t, 4, 4, 2)
-	mk := func() Config { return shardConfig(t, net, routes.ITBRR, false) }
+	mk := func() Config { return matrixConfig(t, net, routes.ITBRR, false) }
 	want, err := Run(mk())
 	if err != nil {
 		t.Fatal(err)
@@ -183,15 +183,15 @@ func TestResumeCrossMechanism(t *testing.T) {
 // TestResumeEquivalenceTopologies spot-checks the matrix on the other two
 // topology families (express torus, irregular CPLANT) with faults live.
 func TestResumeEquivalenceTopologies(t *testing.T) {
-	for _, net := range shardNets(t)[1:] {
+	for _, net := range matrixNets(t)[1:] {
 		t.Run(net.Name, func(t *testing.T) {
-			base := shardConfig(t, net, routes.ITBSP, true)
+			base := matrixConfig(t, net, routes.ITBSP, true)
 			want, err := Run(base)
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, snaps := runCheckpointed(t, shardConfig(t, net, routes.ITBSP, true), 10_000)
-			expectResume(t, shardConfig(t, net, routes.ITBSP, true), snaps[len(snaps)/2], want, "mid-run snapshot")
+			_, snaps := runCheckpointed(t, matrixConfig(t, net, routes.ITBSP, true), 10_000)
+			expectResume(t, matrixConfig(t, net, routes.ITBSP, true), snaps[len(snaps)/2], want, "mid-run snapshot")
 		})
 	}
 }
@@ -201,7 +201,7 @@ func TestResumeEquivalenceTopologies(t *testing.T) {
 // experiment configuration.
 func TestRestoreRejects(t *testing.T) {
 	net := makeNet(t, 4, 4, 2)
-	cfg := shardConfig(t, net, routes.UpDown, false)
+	cfg := matrixConfig(t, net, routes.UpDown, false)
 	_, snaps := runCheckpointed(t, cfg, 10_000)
 	snap := snaps[0]
 
@@ -214,12 +214,12 @@ func TestRestoreRejects(t *testing.T) {
 	if _, err := Restore(cfg, append(append([]byte(nil), snap...), 0)); err == nil || !strings.Contains(err.Error(), "trailing") {
 		t.Errorf("trailing bytes accepted: %v", err)
 	}
-	other := shardConfig(t, net, routes.UpDown, false)
+	other := matrixConfig(t, net, routes.UpDown, false)
 	other.Seed = 999
 	if _, err := Restore(other, snap); err == nil || !strings.Contains(err.Error(), "different configuration") {
 		t.Errorf("checkpoint accepted under a different seed: %v", err)
 	}
-	other = shardConfig(t, net, routes.UpDown, false)
+	other = matrixConfig(t, net, routes.UpDown, false)
 	other.Load = 0.5
 	if _, err := Restore(other, snap); err == nil || !strings.Contains(err.Error(), "different configuration") {
 		t.Errorf("checkpoint accepted under a different load: %v", err)
@@ -233,11 +233,11 @@ func TestRestoreRejects(t *testing.T) {
 // packets reference routes only the writing table has.
 func TestRestoreRejectsDifferentTable(t *testing.T) {
 	net := makeNet(t, 4, 4, 2)
-	cfg := shardConfig(t, net, routes.UpDown, false)
+	cfg := matrixConfig(t, net, routes.UpDown, false)
 	_, snaps := runCheckpointed(t, cfg, 10_000)
 	snap := snaps[len(snaps)/2]
 
-	resume := shardConfig(t, net, routes.UpDown, false)
+	resume := matrixConfig(t, net, routes.UpDown, false)
 	opt, st, err := optimize.Optimize(resume.Table,
 		routes.DefaultConfig(routes.UpDown),
 		optimize.EstimateCriticality(resume.Table), optimize.Config{})
@@ -261,15 +261,15 @@ func TestRestoreRejectsDifferentTable(t *testing.T) {
 	}
 
 	// The gate is symmetric: write optimized, restore static.
-	wcfg := shardConfig(t, net, routes.UpDown, false)
+	wcfg := matrixConfig(t, net, routes.UpDown, false)
 	wcfg.Table = opt.Clone()
 	_, osnaps := runCheckpointed(t, wcfg, 10_000)
-	if _, err := Restore(shardConfig(t, net, routes.UpDown, false), osnaps[0]); err == nil {
+	if _, err := Restore(matrixConfig(t, net, routes.UpDown, false), osnaps[0]); err == nil {
 		t.Error("optimized-table checkpoint accepted under the static table")
 	}
 	// And an identical rebuild still restores: the fingerprint pins route
 	// content, not pointer identity.
-	rcfg := shardConfig(t, net, routes.UpDown, false)
+	rcfg := matrixConfig(t, net, routes.UpDown, false)
 	rcfg.Table = opt.Clone()
 	if _, err := Restore(rcfg, osnaps[0]); err != nil {
 		t.Errorf("optimized-table checkpoint refused under an identical table: %v", err)
@@ -317,7 +317,7 @@ func TestCheckpointConfigValidation(t *testing.T) {
 // the sink's error.
 func TestCheckpointSinkErrorAborts(t *testing.T) {
 	net := makeNet(t, 4, 4, 2)
-	cfg := shardConfig(t, net, routes.UpDown, false)
+	cfg := matrixConfig(t, net, routes.UpDown, false)
 	cfg.CheckpointEvery = 1000
 	cfg.CheckpointSink = func(int64, []byte) error {
 		return context.Canceled
@@ -333,7 +333,7 @@ func TestCheckpointSinkErrorAborts(t *testing.T) {
 // ages must not restart from the resume point.
 func TestStallDumpSurvivesRestore(t *testing.T) {
 	net := makeNet(t, 4, 4, 2)
-	cfg := shardConfig(t, net, routes.ITBRR, false)
+	cfg := matrixConfig(t, net, routes.ITBRR, false)
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -352,7 +352,7 @@ func TestStallDumpSurvivesRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Restore(shardConfig(t, net, routes.ITBRR, false), snap)
+	restored, err := Restore(matrixConfig(t, net, routes.ITBRR, false), snap)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,10 +5,8 @@ import (
 	"runtime"
 	"testing"
 
-	"itbsim/internal/faults"
 	"itbsim/internal/metrics"
 	"itbsim/internal/routes"
-	"itbsim/internal/topology"
 )
 
 // shardCounts returns the shard counts the equivalence suite compares
@@ -22,45 +20,6 @@ func shardCounts() []int {
 	return counts
 }
 
-// shardNets builds the three topology families the ISSUE names: the paper's
-// torus, an express torus (skip channels make shard-crossing links
-// non-nearest-neighbour), and the irregular CPLANT fabric.
-func shardNets(t *testing.T) []*topology.Network {
-	t.Helper()
-	torus := makeNet(t, 8, 8, 2)
-	express, err := topology.NewExpressTorus(4, 4, 2, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cplant, err := topology.NewCplant(2, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return []*topology.Network{torus, express, cplant}
-}
-
-// shardConfig is a run that exercises every subsystem shard merging
-// touches: wormhole contention, ITB re-injection, windowed metrics and
-// histograms, and (optionally) kills, retries, and reconfiguration.
-func shardConfig(t *testing.T, net *topology.Network, sch routes.Scheme, faulted bool) Config {
-	t.Helper()
-	tab := makeTable(t, net, sch)
-	cfg := baseConfig(net, tab)
-	cfg.Load = 0.008
-	cfg.WarmupMessages = 50
-	cfg.MeasureMessages = 200
-	cfg.CollectLinkUtil = true
-	cfg.Metrics = &metrics.Config{WindowCycles: 4096}
-	if faulted {
-		cfg.Faults = (&faults.Plan{}).
-			FailLinkAt(busiestLink(tab, net), 40_000).
-			RepairLinkAt(busiestLink(tab, net), 160_000)
-		cfg.Reconfigurer = faults.NewController(net, 0, routes.DefaultConfig(sch))
-		cfg.Load = 0.02
-	}
-	return cfg
-}
-
 // TestShardEquivalence is the sharded core's golden check: for every
 // routing scheme, topology family, and fault mode, a run split across K
 // shards must produce a Result byte-identical to the serial path —
@@ -68,7 +27,7 @@ func shardConfig(t *testing.T, net *topology.Network, sch routes.Scheme, faulted
 // `make race` runs this under the race detector, which also makes it the
 // proof that the phase protocol has no cross-shard data races.
 func TestShardEquivalence(t *testing.T) {
-	for _, net := range shardNets(t) {
+	for _, net := range matrixNets(t) {
 		for _, sch := range []routes.Scheme{routes.UpDown, routes.ITBSP, routes.ITBRR} {
 			for _, faulted := range []bool{false, true} {
 				name := net.Name + "/" + sch.String()
@@ -76,14 +35,14 @@ func TestShardEquivalence(t *testing.T) {
 					name += "/faulted"
 				}
 				t.Run(name, func(t *testing.T) {
-					serial := shardConfig(t, net, sch, faulted)
+					serial := matrixConfig(t, net, sch, faulted)
 					serial.Shards = 1
 					want, err := Run(serial)
 					if err != nil {
 						t.Fatal(err)
 					}
 					for _, k := range shardCounts() {
-						cfg := shardConfig(t, net, sch, faulted)
+						cfg := matrixConfig(t, net, sch, faulted)
 						cfg.Shards = k
 						got, err := Run(cfg)
 						if err != nil {
