@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test lint lint-alloc lint-alloc-baseline docs race race-determinism faults checkpoint optimize bench bench-lowload bench-shards bench-vc bench-optimize profile clean
+.PHONY: all build vet test lint lint-alloc lint-alloc-baseline docs race race-determinism faults checkpoint optimize bench bench-optimize profile clean
 
 all: build vet test lint
 
@@ -12,10 +12,10 @@ vet:
 
 # Static invariants: cmd/simlint proves the determinism and layering
 # contracts (no map ranges or wall clock in deterministic packages — also
-# interprocedurally, via the call-graph taint rule), shard-safety of the
-# worker phases, checkpoint field coverage, switch exhaustiveness, the
-# package DAG, dropped errors, and exact float compares, and checks every
-# relative markdown link/anchor (the former cmd/mdlint). The gofmt check
+# interprocedurally, via the call-graph taint rule), switch
+# exhaustiveness, the package DAG, dropped errors, and exact float
+# compares, and checks every relative markdown link/anchor (the former
+# cmd/mdlint). The gofmt check
 # keeps the tree format-clean; vet runs first. See docs/LINT.md.
 lint: vet
 	$(GO) run ./cmd/simlint .
@@ -39,16 +39,15 @@ docs: lint
 test:
 	$(GO) test ./...
 
-# Full suite under the race detector. Slow; beyond the runner pool,
-# the table cache, and the reporter serialization this now also covers
-# the shard workers stepping one simulation concurrently. The explicit
-# second line forces the core concurrency invariants to re-run uncached:
-# the stranded-work property scan, the dense-scan equivalence goldens,
-# the shared-table round-robin isolation, and the shard-equivalence
-# sweep (every scheme x topology x faults byte-identical at Shards 1..N).
+# Full suite under the race detector. Slow; it covers the runner pool,
+# the table cache, and the reporter serialization. The explicit second
+# line forces the simulator-core checks to re-run uncached: the
+# stranded-work property scan, the dense-scan equivalence goldens, the
+# shared-table round-robin isolation, and the results golden (every
+# scheme x topology x faults x step loop pinned bit for bit).
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=1 -run 'ActiveSetNeverStrandsWork|ActiveSetMatchesDense|SharedTableConcurrentRuns|ShardEquivalence|ShardEnqueueEquivalence' ./internal/netsim/
+	$(GO) test -race -count=1 -run 'ActiveSetNeverStrandsWork|ActiveSetMatchesDense|SharedTableConcurrentRuns|ResultGolden' ./internal/netsim/
 
 # The parallel-correctness core: byte-identical results across worker
 # counts, single-flight table builds, and cancellation — all under -race.
@@ -65,7 +64,7 @@ faults:
 	$(GO) test -race -count=1 -run 'FaultedDeterminism|SingleLinkFailureRecovery' ./internal/runner/
 
 # The checkpoint/resume acceptance suite under the race detector: the
-# resume-equivalence matrix (every mechanism x faults byte-identical after
+# resume-equivalence matrix (both step loops x faults byte-identical after
 # a mid-run snapshot+restore), the journal round-trip, the in-process
 # mid-job interrupt, and the end-to-end SIGKILL-and-resume test that
 # kills a child sweep and requires the resumed report to match an
@@ -77,7 +76,7 @@ checkpoint:
 # The route-optimizer suite under the race detector: the package-level
 # property tests (invariants, determinism, deadlock freedom, escape
 # pruning), the runner-level determinism matrix on optimized tables
-# (-parallel 1 vs 8, Shards 1/2/NumCPU, optimizer + faults), the
+# (-parallel 1 vs 8, optimizer + faults), the
 # checkpoint table-fingerprint gate, and the optimized degraded-table
 # reconfiguration tests. See docs/OPTIMIZE.md.
 optimize:
@@ -92,26 +91,6 @@ optimize:
 # a table fingerprint or point digest differs from testdata/reference.json.
 bench:
 	bash cmd/simbench/run.sh -workload all -seed 1
-
-# Active-set scheduler vs the legacy dense scan, at low load (the regime
-# the scheduler exists for; must be >=2x) and at saturation (bookkeeping
-# overhead; must stay within 5%). Records the numbers in BENCH_4.json.
-bench-lowload:
-	sh scripts/bench_lowload.sh
-
-# Sharded core Shards=1 vs Shards=4 on a 32x32 torus (1024 switches).
-# Records the numbers in BENCH_6.json with the host's CPU count — the
-# speedup bar (>=2x) only applies on hosts with >=4 CPUs; single-CPU
-# hosts measure coordination overhead instead. Budget ~5 minutes (the
-# route build at this scale dominates).
-bench-shards:
-	sh scripts/bench_shards.sh
-
-# ITB-RR vs VC flow control (2 lanes, LASH) on the small dragonfly —
-# the per-point simulation-cost overhead of the VC switch pipeline.
-# Records the numbers in BENCH_7.json; finishes in under a minute.
-bench-vc:
-	sh scripts/bench_vc.sh
 
 # Congestion-aware route optimizer on the 8x8 torus under hotspot
 # traffic: static vs optimized tables for UP/DOWN and ITB-RR, recording

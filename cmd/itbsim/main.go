@@ -83,7 +83,7 @@ func main() {
 			log.Fatal("-trace and -optimize cannot be combined; run the optimized point without -trace")
 		}
 		res, err := experiments.RunOnePoint(env, schemes[0], pat, *load, *cf.Bytes, *cf.Seed,
-			experiments.PointOptions{CollectLinkUtil: *util, Metrics: opt.Metrics, Tracer: tracer, Shards: *cf.Shards})
+			experiments.PointOptions{CollectLinkUtil: *util, Metrics: opt.Metrics, Tracer: tracer})
 		if err != nil {
 			log.Fatal(err)
 		}

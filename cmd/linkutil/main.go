@@ -80,7 +80,7 @@ func main() {
 			log.Fatal(err)
 		}
 		res, err := experiments.LinkUtilSnapshotOpts(env, sch, pat, *load, *cf.Bytes, *cf.Seed, *topN,
-			experiments.PointOptions{Metrics: mc, Shards: *cf.Shards})
+			experiments.PointOptions{Metrics: mc})
 		if err != nil {
 			log.Fatal(err)
 		}

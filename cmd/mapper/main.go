@@ -39,9 +39,6 @@ func main() {
 	if err := cf.RejectRunnerFlags("mapper", false); err != nil {
 		log.Fatal(err)
 	}
-	if *cf.Shards > 1 {
-		log.Fatal("mapper explores the network with sequential probe packets; only -shards 0 or 1 is valid")
-	}
 	stopProf, err := cf.Start()
 	if err != nil {
 		log.Fatal(err)

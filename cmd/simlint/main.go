@@ -1,11 +1,10 @@
 // Command simlint is the repository's one lint driver: it statically
-// proves the simulator's determinism, shard-safety, checkpoint-coverage
-// and layering invariants over the Go tree (internal/lint's rule set —
-// detrange, noclock, taint, shardsafe, ckptcover, exhaustive, sim,
-// layering, errcheck-lite, floateq, doccomment) and checks every markdown
-// file's relative links and anchors (the former cmd/mdlint, now the
-// mdlink rule). The taint and shardsafe rules are interprocedural: they
-// walk a module-wide static call graph, so the whole module is loaded and
+// proves the simulator's determinism and layering invariants over the Go
+// tree (internal/lint's rule set — detrange, noclock, taint, exhaustive,
+// sim, layering, errcheck-lite, floateq, doccomment) and checks every
+// markdown file's relative links and anchors (the former cmd/mdlint, now
+// the mdlink rule). The taint rule is interprocedural: it walks a
+// module-wide static call graph, so the whole module is loaded and
 // analysed in one invocation. `make lint` runs it over the whole module;
 // it is fast enough (~2 s) to sit in `make all`.
 //

@@ -2,7 +2,6 @@ package itbsim_test
 
 import (
 	"errors"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -199,48 +198,6 @@ func TestFacadeConfigErrors(t *testing.T) {
 				t.Errorf("message = %q, want %q", err.Error(), c.msg)
 			}
 		})
-	}
-}
-
-// TestFacadeSimulateSharded runs the facade end to end with explicit shard
-// counts, pinning that SimConfig.Shards is honored and shard-count
-// invariant, and that invalid counts surface a *itbsim.ConfigError.
-func TestFacadeSimulateSharded(t *testing.T) {
-	net, err := itbsim.NewTorus(4, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab, err := itbsim.BuildRoutes(net, itbsim.ITBRR)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dest, err := itbsim.Uniform(net.NumHosts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := itbsim.SimConfig{
-		Net: net, Table: tab, Dest: dest,
-		Load: 0.02, MessageBytes: 128, Seed: 1,
-		WarmupMessages: 50, MeasureMessages: 200,
-	}
-	cfg.Shards = 1
-	serial, err := itbsim.Simulate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Shards = 4
-	sharded, err := itbsim.Simulate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, sharded) {
-		t.Error("Shards=4 result differs from Shards=1")
-	}
-	cfg.Shards = -3
-	_, err = itbsim.Simulate(cfg)
-	var ce *itbsim.ConfigError
-	if !errors.As(err, &ce) || ce.Field != "Shards" {
-		t.Errorf("Shards=-3 returned %v, want a *itbsim.ConfigError on field Shards", err)
 	}
 }
 

@@ -187,10 +187,9 @@ func AddRun(fs *flag.FlagSet) *Run {
 }
 
 // CommonFlags is the full shared flag surface of the simulation tools:
-// topology/scale/traffic selection (Common), runner execution (Run),
-// per-simulation sharding, and profiling (Profile), registered by one
-// builder so every tool presents the identical surface in -h
-// (TestCommonFlagsHelp pins the rendering). Tools that run their points
+// topology/scale/traffic selection (Common), runner execution (Run), and
+// profiling (Profile), registered by one builder so every tool presents
+// the identical surface in -h (TestCommonFlagsHelp pins the rendering). Tools that run their points
 // directly rather than on the experiment runner still register the whole
 // set and reject the runner flags they cannot honor, so a flag never
 // silently changes meaning between tools.
@@ -198,28 +197,20 @@ type CommonFlags struct {
 	*Common
 	*Run
 	*Profile
-	// Shards is the -shards value: netsim.Config.Shards for every
-	// simulation the tool starts (0 auto, 1 serial).
-	Shards *int
 }
 
 // AddCommonFlags registers the shared flag surface on a FlagSet.
 func AddCommonFlags(fs *flag.FlagSet) *CommonFlags {
-	cf := &CommonFlags{Common: AddCommon(fs), Run: AddRun(fs)}
-	cf.Shards = fs.Int("shards", 0,
-		"per-simulation shard count (0 = auto, 1 = serial); results are identical at every count")
-	cf.Profile = AddProfile(fs)
-	return cf
+	return &CommonFlags{Common: AddCommon(fs), Run: AddRun(fs), Profile: AddProfile(fs)}
 }
 
 // Options assembles the harness run options from the shared flags,
-// including -shards and -vcs.
+// including -vcs.
 func (cf *CommonFlags) Options() (experiments.RunOptions, error) {
 	opt, err := cf.Run.Options()
 	if err != nil {
 		return opt, err
 	}
-	opt.Shards = *cf.Shards
 	opt.VCs = *cf.VCs
 	return opt, nil
 }

@@ -159,8 +159,6 @@ const commonHelp = "  -bytes int\n" +
 	"    \tscale: small, medium, or paper (512 hosts) (default \"medium\")\n" +
 	"  -seed int\n" +
 	"    \trandom seed (default 1)\n" +
-	"  -shards int\n" +
-	"    \tper-simulation shard count (0 = auto, 1 = serial); results are identical at every count\n" +
 	"  -topo string\n" +
 	"    \ttopology: torus, express, cplant, irregular, dragonfly, hyperx, or fullmesh (default \"torus\")\n" +
 	"  -traffic string\n" +
@@ -179,18 +177,18 @@ func TestCommonFlagsHelp(t *testing.T) {
 	}
 }
 
-func TestCommonFlagsOptionsThreadShards(t *testing.T) {
+func TestCommonFlagsOptionsThreadVCs(t *testing.T) {
 	fs := flag.NewFlagSet("tool", flag.ContinueOnError)
 	cf := AddCommonFlags(fs)
-	if err := fs.Parse([]string{"-shards", "3", "-parallel", "2", "-vcs", "4"}); err != nil {
+	if err := fs.Parse([]string{"-parallel", "2", "-vcs", "4"}); err != nil {
 		t.Fatal(err)
 	}
 	opt, err := cf.Options()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opt.Shards != 3 || opt.Parallel != 2 || opt.VCs != 4 {
-		t.Errorf("Options() = Shards %d Parallel %d VCs %d, want 3/2/4", opt.Shards, opt.Parallel, opt.VCs)
+	if opt.Parallel != 2 || opt.VCs != 4 {
+		t.Errorf("Options() = Parallel %d VCs %d, want 2/4", opt.Parallel, opt.VCs)
 	}
 }
 
@@ -253,7 +251,7 @@ func TestRejectRunnerFlags(t *testing.T) {
 	if err := reject(t, false); err != nil {
 		t.Errorf("no runner flags set, got %v", err)
 	}
-	if err := reject(t, true, "-metrics", "out.json", "-shards", "2"); err != nil {
+	if err := reject(t, true, "-metrics", "out.json", "-vcs", "2"); err != nil {
 		t.Errorf("-metrics rejected despite keepMetrics: %v", err)
 	}
 	for _, args := range [][]string{

@@ -184,10 +184,6 @@ type RunOptions struct {
 	// recovers by recomputing routes on the degraded topology (see
 	// docs/FAULTS.md).
 	Faults *faults.Plan
-	// Shards splits each simulation into that many internally-parallel
-	// shards (see netsim.Config.Shards); 0 picks automatically, 1 forces
-	// the serial path. Results are identical at every count.
-	Shards int
 	// VCs overrides the virtual-channel lane count of the VC routing
 	// scheme's tables (0 keeps the scheme default of 2). Other schemes
 	// ignore it.
@@ -241,7 +237,6 @@ func SpecFor(e *Env, schemes []routes.Scheme, pats []Pattern, loads []float64, m
 		Metrics:         opt.Metrics,
 		Faults:          opt.Faults,
 		Optimize:        opt.Optimize,
-		Shards:          opt.Shards,
 		CheckpointDir:   opt.CheckpointDir,
 		CheckpointEvery: opt.CheckpointEvery,
 		Resume:          opt.Resume,
@@ -257,8 +252,6 @@ type PointOptions struct {
 	CollectLinkUtil bool
 	Metrics         *metrics.Config
 	Tracer          netsim.Tracer
-	// Shards is netsim.Config.Shards for the point: 0 auto, 1 serial.
-	Shards int
 	// VCs overrides the VC scheme's lane count, as in RunOptions.VCs.
 	VCs int
 }
@@ -297,7 +290,6 @@ func RunOnePoint(e *Env, scheme routes.Scheme, p Pattern, load float64, msgBytes
 		CollectLinkUtil: opt.CollectLinkUtil,
 		Metrics:         opt.Metrics,
 		Tracer:          opt.Tracer,
-		Shards:          opt.Shards,
 	})
 }
 

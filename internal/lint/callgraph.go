@@ -9,8 +9,8 @@ import (
 )
 
 // This file builds a module-wide static call graph, the substrate for the
-// interprocedural rules (taint.go, shardsafe.go). Resolution is
-// type-based and deliberately conservative — the graph may contain edges
+// interprocedural taint rule (taint.go) and the hot-path allocation gate
+// (hotalloc.go). Resolution is type-based and deliberately conservative — the graph may contain edges
 // that can never execute, but a call that can execute is never missing:
 //
 //   - A direct call of a declared function or method is a static edge to
@@ -375,7 +375,7 @@ func dedupeFuncs(fns []*types.Func) []*types.Func {
 func (g *CallGraph) Node(fn *types.Func) *CallNode { return g.nodes[fn] }
 
 // Lookup resolves a function by its FullName, e.g.
-// "itbsim/internal/netsim.(*Sim).shardPhases"; nil when not declared.
+// "(*itbsim/internal/netsim.Sim).step"; nil when not declared.
 func (g *CallGraph) Lookup(fullName string) *types.Func { return g.byName[fullName] }
 
 // Funcs returns every declared function in the graph, sorted by full name.
@@ -389,18 +389,16 @@ func (g *CallGraph) Funcs() []*types.Func {
 }
 
 // Reachable walks the graph breadth-first from roots and returns the BFS
-// tree as a child->parent map (roots map to nil). A function for which
-// stop returns true is neither visited nor expanded — shardsafe uses this
-// to end traversal at //sim:barrier functions. Roots are processed in
+// tree as a child->parent map (roots map to nil). Roots are processed in
 // full-name order, so the tree — and every chain derived from it — is
 // deterministic.
-func (g *CallGraph) Reachable(roots []*types.Func, stop func(*types.Func) bool) map[*types.Func]*types.Func {
+func (g *CallGraph) Reachable(roots []*types.Func) map[*types.Func]*types.Func {
 	sorted := append([]*types.Func(nil), roots...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].FullName() < sorted[j].FullName() })
 	parent := map[*types.Func]*types.Func{}
 	var queue []*types.Func
 	for _, r := range sorted {
-		if _, seen := parent[r]; seen || g.nodes[r] == nil || (stop != nil && stop(r)) {
+		if _, seen := parent[r]; seen || g.nodes[r] == nil {
 			continue
 		}
 		parent[r] = nil
@@ -412,9 +410,6 @@ func (g *CallGraph) Reachable(roots []*types.Func, stop func(*types.Func) bool) 
 		for _, call := range g.nodes[fn].Calls {
 			callee := call.Callee
 			if _, seen := parent[callee]; seen || g.nodes[callee] == nil {
-				continue
-			}
-			if stop != nil && stop(callee) {
 				continue
 			}
 			parent[callee] = fn

@@ -111,14 +111,14 @@ func TestCallGraphFunctionValues(t *testing.T) {
 }
 
 // TestCallGraphReachableChain pins BFS reachability and chain rendering,
-// the substrate of every taint/shardsafe message: Leaf is reached from
+// the substrate of every taint message: Leaf is reached from
 // the troot root through Mid and the chain reads root-first, while
 // Unreached — same package, same violation — is not in the tree at all.
 func TestCallGraphReachableChain(t *testing.T) {
 	_, prog := fixtureGraph(t)
 	g := prog.CG
 	root := mustLookup(t, g, "fixture/troot.Root")
-	parent := g.Reachable([]*types.Func{root}, nil)
+	parent := g.Reachable([]*types.Func{root})
 
 	leaf := mustLookup(t, g, "fixture/thelp.Leaf")
 	if _, ok := parent[leaf]; !ok {
@@ -129,25 +129,5 @@ func TestCallGraphReachableChain(t *testing.T) {
 	}
 	if _, ok := parent[mustLookup(t, g, "fixture/thelp.Unreached")]; ok {
 		t.Error("thelp.Unreached is in the reachable set; nothing calls it")
-	}
-}
-
-// TestCallGraphBarrierStopsTraversal pins the //sim:barrier contract:
-// with the stop predicate that shardsafe uses, the annotated merge
-// function and everything below it stay out of the reachable set.
-func TestCallGraphBarrierStopsTraversal(t *testing.T) {
-	_, prog := fixtureGraph(t)
-	g := prog.CG
-	root := mustLookup(t, g, "(*fixture/shardsim.Core).phases")
-	merge := mustLookup(t, g, "(*fixture/shardsim.Core).merge")
-	parent := g.Reachable([]*types.Func{root}, func(fn *types.Func) bool { return fn == merge })
-	if _, ok := parent[merge]; ok {
-		t.Error("the stop function itself was visited")
-	}
-	if _, ok := parent[mustLookup(t, g, "(*fixture/shardsim.Core).deep")]; ok {
-		t.Error("deep, reachable only through the stopped merge, was visited")
-	}
-	if _, ok := parent[mustLookup(t, g, "(*fixture/shardsim.Core).bump")]; !ok {
-		t.Error("bump, reachable without crossing the barrier, was not visited")
 	}
 }

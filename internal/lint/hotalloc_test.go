@@ -40,9 +40,9 @@ func TestHotpathAllocAttribution(t *testing.T) {
 	pkgs := loadFixture(t)
 	prog := &lint.Program{}
 	prog.At(pkgs)
-	node := prog.CG.Node(prog.CG.Lookup("fixture/shardsim.hot"))
+	node := prog.CG.Node(prog.CG.Lookup("fixture/simann.hot"))
 	if node == nil {
-		t.Fatal("fixture/shardsim.hot not in the call graph")
+		t.Fatal("fixture/simann.hot not in the call graph")
 	}
 	start := node.Pkg.Fset.Position(node.Decl.Pos())
 	end := node.Pkg.Fset.Position(node.Decl.End())
@@ -54,7 +54,7 @@ func TestHotpathAllocAttribution(t *testing.T) {
 		{File: "testdata/src/graph/graph.go", Line: 1, Col: 1, Message: "x escapes to heap"},
 	}
 	counts, first := lint.HotpathAllocs(pkgs, prog, events)
-	site := lint.AllocSite{Func: "fixture/shardsim.hot", Message: "&scratch{} escapes to heap"}
+	site := lint.AllocSite{Func: "fixture/simann.hot", Message: "&scratch{} escapes to heap"}
 	if len(counts) != 1 || counts[site] != 1 {
 		t.Errorf("counts = %v, want exactly {%v: 1}", counts, site)
 	}

@@ -91,8 +91,8 @@ type Rule interface {
 }
 
 // ModuleRule is a rule that needs the whole module at once — the
-// interprocedural rules (taint, shardsafe) and the rules that read one
-// package's source on behalf of others (ckptcover, sim). Run calls
+// interprocedural taint rule and the sim rule, which reads every
+// package's //sim: annotations. Run calls
 // CheckModule exactly once per invocation instead of Check per package;
 // findings still position themselves at the offending line, so
 // //lint:ignore works unchanged.

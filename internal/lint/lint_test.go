@@ -1,7 +1,6 @@
 package lint_test
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -23,21 +22,20 @@ func fixtureRules() []lint.Rule {
 	doc := map[string]bool{"fixture/doc": true, "fixture/clean": true}
 	taint := map[string]bool{"fixture/troot": true}
 	layers := map[string]int{
-		"fixture/base":     0,
-		"fixture/upward":   0,
-		"fixture/graph":    0,
-		"fixture/thelp":    0,
-		"fixture/shardsim": 0,
-		"fixture/ckpt":     0,
-		"fixture/exhaust":  0,
-		"fixture/det":      1,
-		"fixture/clock":    1,
-		"fixture/doc":      1,
-		"fixture/errs":     1,
-		"fixture/floats":   1,
-		"fixture/peer":     1,
-		"fixture/troot":    1,
-		"fixture/clean":    2,
+		"fixture/base":    0,
+		"fixture/upward":  0,
+		"fixture/graph":   0,
+		"fixture/thelp":   0,
+		"fixture/simann":  0,
+		"fixture/exhaust": 0,
+		"fixture/det":     1,
+		"fixture/clock":   1,
+		"fixture/doc":     1,
+		"fixture/errs":    1,
+		"fixture/floats":  1,
+		"fixture/peer":    1,
+		"fixture/troot":   1,
+		"fixture/clean":   2,
 		// fixture/stray is deliberately unassigned.
 	}
 	prog := &lint.Program{}
@@ -45,8 +43,6 @@ func fixtureRules() []lint.Rule {
 		lint.DetRange{Scope: det},
 		lint.NoClock{Scope: clock},
 		lint.Taint{Scope: taint, Prog: prog},
-		lint.ShardSafe{Root: "(*fixture/shardsim.Core).phases", State: "fixture/shardsim.Core", Prog: prog},
-		lint.CkptCover{Pkg: "fixture/ckpt", FieldsVar: "ckptFields", ExemptVar: "ckptExempt"},
 		lint.Exhaustive{Module: "fixture"},
 		lint.SimDirectives{Prog: prog},
 		lint.Layering{Module: "fixture", Layers: layers},
@@ -77,10 +73,6 @@ func TestFixtureFindings(t *testing.T) {
 		lines = append(lines, filepath.ToSlash(f.String()))
 	}
 	want := []string{
-		"testdata/src/ckpt/ckpt.go:9:2 ckptcover: field ckpt.Thing.B is neither serialized by the checkpoint codec nor exempted; add it to ckptFields or ckptExempt (with a rebuild/empty-at-boundary justification)",
-		"testdata/src/ckpt/ckpt.go:22:24 ckptcover: stale entry: ckpt.Thing has no field \"Gone\"; remove it from the serialized list",
-		"testdata/src/ckpt/ckpt.go:23:2 ckptcover: type key \"ckpt.Missing\" does not resolve to a struct type visible from fixture/ckpt",
-		"testdata/src/ckpt/ckpt.go:28:22 ckptcover: field ckpt.Thing.A is listed as both serialized and exempt; pick one",
 		"testdata/src/clock/clock.go:11:12 noclock: time.Now reads the wall clock; deterministic packages must be pure in (spec, seed) — wall-clock timing belongs in the CLI/report layer",
 		"testdata/src/clock/clock.go:12:14 noclock: time.Since reads the wall clock; deterministic packages must be pure in (spec, seed) — wall-clock timing belongs in the CLI/report layer",
 		"testdata/src/clock/clock.go:17:14 noclock: global rand.Intn draws from the process-wide source; use an explicitly seeded *rand.Rand",
@@ -98,11 +90,8 @@ func TestFixtureFindings(t *testing.T) {
 		"testdata/src/exhaust/exhaust.go:19:2 exhaustive: switch over exhaust.Color is not exhaustive: missing Blue; add the cases or a default",
 		"testdata/src/floats/floats.go:6:11 floateq: floating-point == is exact; compare with a tolerance or annotate why exact equality holds",
 		"testdata/src/peer/peer.go:5:8 layering: import of fixture/det (layer 1) from fixture/peer (layer 1) points up the stack; the DAG is documented in docs/LINT.md",
-		"testdata/src/shardsim/shardsim.go:27:12 shardsafe: write to field shardsim.Core.progress inside the shard phase call graph: shardsim.(*Core).phases -> shardsim.(*Core).bump; stage a per-shard delta and fold it at the cycle barrier, or mark the function //sim:barrier <reason> if it is serial by construction",
-		"testdata/src/shardsim/shardsim.go:52:5 shardsafe: write to the whole shardsim.Core struct inside the shard phase call graph: shardsim.(*Core).phases -> shardsim.(*Core).reset; stage a per-shard delta and fold it at the cycle barrier, or mark the function //sim:barrier <reason> if it is serial by construction",
-		"testdata/src/shardsim/shardsim.go:64:1 sim: unknown //sim: verb \"frobnicate\" (want hotpath or barrier)",
-		"testdata/src/shardsim/shardsim.go:67:1 sim: missing argument: want //sim:barrier <reason>",
-		"testdata/src/shardsim/shardsim.go:72:1 sim: //sim:hotpath is not attached to a function declaration",
+		"testdata/src/simann/simann.go:16:1 sim: unknown //sim: verb \"frobnicate\" (want hotpath)",
+		"testdata/src/simann/simann.go:21:1 sim: //sim:hotpath is not attached to a function declaration",
 		"testdata/src/stray/stray.go:3:9 layering: package fixture/stray has no layer assignment; add it to the DAG table in internal/lint/repo.go",
 		"testdata/src/thelp/thelp.go:11:14 taint: time.Now reads the wall clock in a function reachable from deterministic scope: troot.Root -> thelp.Mid -> thelp.Leaf",
 		"testdata/src/thelp/thelp.go:20:2 taint: range over map map[string]int has nondeterministic order in a function reachable from deterministic scope: troot.Root -> thelp.MapWalk",
@@ -226,35 +215,6 @@ func TestMarkdownOrphans(t *testing.T) {
 	f := findings[0]
 	if filepath.Base(f.Pos.Filename) != "LOST.md" || !strings.Contains(f.Message, "orphaned") {
 		t.Errorf("finding = %s, want orphaned-document finding on LOST.md", f)
-	}
-}
-
-// TestLayeringPinsShardedCoreBelowRunner pins the DAG edge the sharded
-// simulator core relies on: internal/netsim (which runs shard worker
-// goroutines inside one simulation) must sit strictly below
-// internal/runner (the per-curve worker pool), so netsim importing
-// runner is a layering finding by construction and the two parallelism
-// mechanisms can never entangle. See docs/LINT.md.
-func TestLayeringPinsShardedCoreBelowRunner(t *testing.T) {
-	layers := map[string]int{}
-	for _, line := range strings.Split(lint.RepoLayerTable(), "\n") {
-		var l int
-		var path string
-		if _, err := fmt.Sscanf(line, "%d %s", &l, &path); err == nil {
-			layers[path] = l
-		}
-	}
-	netsim, ok := layers["itbsim/internal/netsim"]
-	if !ok {
-		t.Fatal("netsim missing from the layer table")
-	}
-	runner, ok := layers["itbsim/internal/runner"]
-	if !ok {
-		t.Fatal("runner missing from the layer table")
-	}
-	if netsim >= runner {
-		t.Errorf("netsim (layer %d) must sit strictly below runner (layer %d): "+
-			"the sharded core may not import the curve-level worker pool", netsim, runner)
 	}
 }
 

@@ -60,10 +60,7 @@ var repoLayers = map[string]int{
 	"itbsim/internal/optimize": 4,
 	// Fault state + reconfiguration controller (rebuilds routes).
 	"itbsim/internal/faults": 5,
-	// The simulator core consumes routes, faults and metrics taps. Its
-	// position below runner (8) is load-bearing: per-simulation shard
-	// workers (Config.Shards) must stay independent of the runner's
-	// per-curve pool, so netsim importing runner is a finding.
+	// The simulator core consumes routes, faults and metrics taps.
 	"itbsim/internal/netsim": 6,
 	// Workload generation and post-processing over the core.
 	"itbsim/internal/traffic": 7,
@@ -94,14 +91,6 @@ var repoDocumented = map[string]bool{
 	"itbsim/internal/routes":   true,
 }
 
-// RepoShardRoot is the shard phase driver every worker goroutine runs;
-// shardsafe walks the call graph from here. RepoShardState is the shared
-// simulator header those phases must not write outside a //sim:barrier.
-const (
-	RepoShardRoot  = "(*itbsim/internal/netsim.Sim).shardPhases"
-	RepoShardState = "itbsim/internal/netsim.Sim"
-)
-
 // RepoRules returns the shipped rule set configured for this repository.
 // The interprocedural rules share one Program, so the module call graph
 // is built once per lint run.
@@ -111,8 +100,6 @@ func RepoRules() []Rule {
 		DetRange{Scope: repoDeterministic},
 		NoClock{Scope: repoDeterministic},
 		Taint{Scope: repoDeterministic, Prog: prog},
-		ShardSafe{Root: RepoShardRoot, State: RepoShardState, Prog: prog},
-		CkptCover{Pkg: "itbsim/internal/netsim", FieldsVar: "checkpointFields", ExemptVar: "checkpointExempt"},
 		Exhaustive{Module: RepoModule},
 		SimDirectives{Prog: prog},
 		Layering{Module: RepoModule, Layers: repoLayers, PrefixLayers: repoPrefixLayers},

@@ -10,42 +10,30 @@ import (
 
 // This file parses the //sim: annotation family. Where //lint:ignore
 // suppresses a finding, //sim: annotations add semantic facts about a
-// function that the interprocedural rules consume:
+// function that the lint-alloc gate consumes:
 //
 //	//sim:hotpath
 //	    The function is on the simulator's per-cycle hot path; the
 //	    lint-alloc gate (hotalloc.go) fails the build when a new heap
 //	    allocation appears inside it. Optional trailing text is a note.
 //
-//	//sim:barrier <reason>
-//	    The function is a serial cycle-barrier merge: it runs only on the
-//	    coordinating goroutine, never inside a shard phase, so the
-//	    shardsafe rule lets it write Sim-level state and does not traverse
-//	    its callees. The reason is mandatory — it documents why serial
-//	    execution is guaranteed.
-//
 // An annotation attaches to the function declaration it precedes (doc
 // comment or standalone line directly above, blank and comment lines
 // skipped) or trails on the declaration's first line — the same placement
-// rules as //lint:ignore. A malformed annotation (unknown verb, missing
-// mandatory argument, or no function to attach to) is itself a finding
+// rules as //lint:ignore. A malformed annotation (unknown verb or no
+// function to attach to) is itself a finding
 // under the pseudo-rule "sim", exactly as malformed //lint:ignore
 // directives are reported under "ignore": silently dropping a typo like
 // //sim:hotpth would silently drop the invariant.
 
 const simPrefix = "//sim:"
 
-// simVerbs lists the known annotation verbs and whether each requires an
-// argument.
-var simVerbs = map[string]bool{
-	"hotpath": false, // optional trailing note
-	"barrier": true,  // mandatory reason
-}
+// simVerbs lists the known annotation verbs.
+var simVerbs = map[string]bool{"hotpath": true}
 
 // simAnnotation is one parsed //sim: annotation attached to a function.
 type simAnnotation struct {
 	Verb string
-	Arg  string
 	Pos  token.Position
 }
 
@@ -54,16 +42,6 @@ type simAnnotation struct {
 type annotations struct {
 	byFunc map[*types.Func][]simAnnotation
 	bad    []Finding
-}
-
-// has reports whether fn carries the given annotation verb.
-func (a *annotations) has(fn *types.Func, verb string) bool {
-	for _, ann := range a.byFunc[fn] {
-		if ann.Verb == verb {
-			return true
-		}
-	}
-	return false
 }
 
 // parseSimAnnotations scans every package for //sim: comments, attaches
@@ -96,15 +74,9 @@ func parseSimAnnotations(pkgs []*Package) *annotations {
 						continue
 					}
 					verb := fields[0]
-					needsArg, known := simVerbs[verb]
-					if !known {
+					if !simVerbs[verb] {
 						out.bad = append(out.bad, Finding{Pos: pos, Rule: "sim",
-							Message: fmt.Sprintf("unknown //sim: verb %q (want hotpath or barrier)", verb)})
-						continue
-					}
-					if needsArg && len(fields) < 2 {
-						out.bad = append(out.bad, Finding{Pos: pos, Rule: "sim",
-							Message: fmt.Sprintf("missing argument: want //sim:%s <reason>", verb)})
+							Message: fmt.Sprintf("unknown //sim: verb %q (want hotpath)", verb)})
 						continue
 					}
 					if lines == nil {
@@ -125,11 +97,7 @@ func parseSimAnnotations(pkgs []*Package) *annotations {
 					if fn == nil {
 						continue
 					}
-					out.byFunc[fn] = append(out.byFunc[fn], simAnnotation{
-						Verb: verb,
-						Arg:  strings.Join(fields[1:], " "),
-						Pos:  pos,
-					})
+					out.byFunc[fn] = append(out.byFunc[fn], simAnnotation{Verb: verb, Pos: pos})
 				}
 			}
 		}
@@ -138,10 +106,9 @@ func parseSimAnnotations(pkgs []*Package) *annotations {
 }
 
 // SimDirectives is the rule that surfaces malformed //sim: annotations.
-// The well-formed ones are consumed by shardsafe (barrier) and the
-// lint-alloc gate (hotpath); this rule exists so a typo in a verb fails
-// the build instead of silently dropping the invariant the annotation was
-// meant to carry.
+// The well-formed ones are consumed by the lint-alloc gate; this rule
+// exists so a typo in a verb fails the build instead of silently dropping
+// the invariant the annotation was meant to carry.
 type SimDirectives struct {
 	Prog *Program
 }
@@ -151,7 +118,7 @@ func (SimDirectives) Name() string { return "sim" }
 
 // Doc implements Rule.
 func (SimDirectives) Doc() string {
-	return "malformed //sim: annotation (unknown verb, missing argument, or unattached)"
+	return "malformed //sim: annotation (unknown verb or unattached)"
 }
 
 // Check implements Rule; the work happens in CheckModule.

@@ -57,7 +57,7 @@ func (r Taint) CheckModule(pkgs []*Package) []Finding {
 			roots = append(roots, fn)
 		}
 	}
-	parent := g.Reachable(roots, nil)
+	parent := g.Reachable(roots)
 
 	reached := make([]*types.Func, 0, len(parent))
 	for fn := range parent {

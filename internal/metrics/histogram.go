@@ -163,11 +163,10 @@ func (h *Histogram) Merge(o *Histogram) {
 	h.sum += o.sum
 }
 
-// SetSum overrides the tracked sample sum. Merging per-shard histograms
-// adds their float sums in shard order, which is not associative in floating
-// point; a driver that tracks an exact (integer-derived) total can install
-// it here so Mean and the exported moments are identical no matter how the
-// samples were partitioned.
+// SetSum overrides the tracked sample sum. Float accumulation depends on
+// the order samples arrive in, in the last ulp; a driver that tracks an
+// exact (integer-derived) total can install it here so Mean and the
+// exported moments do not.
 func (h *Histogram) SetSum(sum float64) { h.sum = sum }
 
 // Clone returns an independent copy.

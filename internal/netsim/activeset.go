@@ -13,11 +13,6 @@ func trailingZeros(w uint64) int { return bits.TrailingZeros64(w) }
 // cycle loop visit only the links, switches, and NICs that have work, while
 // producing byte-identical results to a dense scan of every component.
 //
-// With the sharded core (shard.go) every set lives on the shard owning the
-// component; phase code always adds a component to its owner's set (which
-// is the running shard's own set for every phase-time site), and the serial
-// end-of-cycle merge performs the cross-shard activations.
-//
 // Each component class has a bitset of active IDs. The safety rule is
 // asymmetric: a spurious member (a component in its set with nothing to do)
 // costs one wasted call and is removed on the next visit, but a missing
@@ -125,23 +120,21 @@ func (h *genHeap) pop() genTimer {
 	return top
 }
 
-// armGen parks a sleeping NIC's generation wake-up on its shard's heap.
+// armGen parks a sleeping NIC's generation wake-up on the generation heap.
 // The wake cycle is ceil(nextGen): the first cycle at which the dense-scan
 // condition nextGen <= now would hold. Load 0 (infinite interval) never
 // arms.
-func (s *Sim) armGen(sh *shard, n *nic) {
+func (s *Sim) armGen(n *nic) {
 	if n.genArmed || n.stopGen || math.IsInf(s.genIntervalCycles, 1) {
 		return
 	}
-	sh.genTimers.push(genTimer{at: int64(math.Ceil(n.nextGen)), host: n.host})
+	s.genTimers.push(genTimer{at: int64(math.Ceil(n.nextGen)), host: n.host})
 	n.genArmed = true
 }
 
-// wakeNIC puts a NIC into its shard's per-cycle tick set. Idempotent; call
-// at every site that hands a NIC new work from outside its own tick. Safe
-// from phase code only for the running shard's own hosts (which every
-// phase-time caller satisfies: NICs receive and dispatch locally).
-func (s *Sim) wakeNIC(h int) { s.shards[s.shardOfHost[h]].nicSet.add(h) }
+// wakeNIC puts a NIC into the per-cycle tick set. Idempotent; call at every
+// site that hands a NIC new work from outside its own tick.
+func (s *Sim) wakeNIC(h int) { s.nicSet.add(h) }
 
 // nicNeedsTick is the dense-scan activity predicate for one NIC: true when
 // a dense tick/tickTransfer of this NIC at the current cycle would have an
@@ -159,4 +152,76 @@ func (s *Sim) nicNeedsTick(n *nic) bool {
 		return true // a queued packet could start injecting
 	}
 	return false
+}
+
+// stepActive runs the four per-cycle phases over the active sets only.
+// Set-bit iteration is ascending by component ID over word snapshots, so
+// the visit order is the dense scan's order: a component added mid-phase
+// either is the one being visited (its post-visit idle check sees the new
+// work) or gains work only observable next cycle.
+//
+//sim:hotpath
+func (s *Sim) stepActive() {
+	// 1. Links deliver arrived flits and control signals.
+	for w, word := range s.linkSet.words {
+		for word != 0 {
+			i := w<<6 + trailingZeros(word)
+			word &= word - 1
+			l := &s.links[i]
+			l.deliver(s)
+			if l.idle() {
+				s.linkSet.remove(i)
+			}
+		}
+	}
+	// 2. Switch routing control units.
+	for w, word := range s.routingSet.words {
+		for word != 0 {
+			i := w<<6 + trailingZeros(word)
+			word &= word - 1
+			sw := &s.switches[i]
+			sw.tickRouting(s)
+			if sw.setups == 0 && sw.waiting == 0 {
+				s.routingSet.remove(i)
+			}
+		}
+	}
+	// 3. NIC bookkeeping: wake NICs whose parked generation timer is due,
+	// then tick the active ones.
+	for len(s.genTimers) > 0 && s.genTimers[0].at <= s.now {
+		t := s.genTimers.pop()
+		s.nics[t.host].genArmed = false
+		s.nicSet.add(t.host)
+	}
+	for w, word := range s.nicSet.words {
+		for word != 0 {
+			i := w<<6 + trailingZeros(word)
+			word &= word - 1
+			s.nics[i].tick(s)
+		}
+	}
+	// 4. Transfers; the NIC pass doubles as the sleep point.
+	for w, word := range s.transferSet.words {
+		for word != 0 {
+			i := w<<6 + trailingZeros(word)
+			word &= word - 1
+			sw := &s.switches[i]
+			sw.tickTransfer(s)
+			if sw.conns == 0 {
+				s.transferSet.remove(i)
+			}
+		}
+	}
+	for w, word := range s.nicSet.words {
+		for word != 0 {
+			i := w<<6 + trailingZeros(word)
+			word &= word - 1
+			n := &s.nics[i]
+			n.tickTransfer(s)
+			if !s.nicNeedsTick(n) {
+				s.nicSet.remove(i)
+				s.armGen(n)
+			}
+		}
+	}
 }

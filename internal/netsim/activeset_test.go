@@ -76,44 +76,36 @@ func TestActiveSetMatchesDense(t *testing.T) {
 func checkActiveCover(t *testing.T, s *Sim, cycle int64) {
 	t.Helper()
 	for i := range s.links {
-		l := &s.links[i]
-		// With per-shard sets the flit side must be visible to the
-		// receiving shard and the signal side to the sending shard.
-		if len(l.flits) > l.flHead && !s.shards[l.recvShard].linkSet.has(i) {
-			t.Fatalf("cycle %d: link %d carries flits but is not in shard %d's link set", cycle, i, l.recvShard)
-		}
-		if len(l.signals) > l.sgHead && !s.shards[l.sendShard].linkSet.has(i) {
-			t.Fatalf("cycle %d: link %d carries signals but is not in shard %d's link set", cycle, i, l.sendShard)
+		if !s.links[i].idle() && !s.linkSet.has(i) {
+			t.Fatalf("cycle %d: link %d carries flits or signals but is not in the link set", cycle, i)
 		}
 	}
 	for i := range s.switches {
 		sw := &s.switches[i]
-		own := &s.shards[s.shardOfSwitch[i]]
-		if (sw.waiting > 0 || sw.setups > 0) && !own.routingSet.has(i) {
+		if (sw.waiting > 0 || sw.setups > 0) && !s.routingSet.has(i) {
 			t.Fatalf("cycle %d: switch %d has waiting=%d setups=%d but is not in the routing set",
 				cycle, i, sw.waiting, sw.setups)
 		}
-		if sw.conns > 0 && !own.transferSet.has(i) {
+		if sw.conns > 0 && !s.transferSet.has(i) {
 			t.Fatalf("cycle %d: switch %d has %d connections but is not in the transfer set",
 				cycle, i, sw.conns)
 		}
 	}
 	for h := range s.nics {
 		n := &s.nics[h]
-		own := &s.shards[s.shardOfHost[h]]
 		needNonGen := n.active || len(n.pending) > 0 ||
 			((n.reinjH < len(n.reinjQ) || n.sendQH < len(n.sendQ)) &&
 				!(s.fe != nil && s.fe.down[n.upLink]))
-		if needNonGen && !own.nicSet.has(h) {
+		if needNonGen && !s.nicSet.has(h) {
 			t.Fatalf("cycle %d: host %d has NIC work but is not in the NIC set", cycle, h)
 		}
-		if !n.stopGen && !math.IsInf(s.genIntervalCycles, 1) && !own.nicSet.has(h) {
+		if !n.stopGen && !math.IsInf(s.genIntervalCycles, 1) && !s.nicSet.has(h) {
 			if !n.genArmed {
 				t.Fatalf("cycle %d: host %d is asleep with no generation timer armed", cycle, h)
 			}
 			due := int64(math.Ceil(n.nextGen))
 			found := false
-			for _, gt := range own.genTimers {
+			for _, gt := range s.genTimers {
 				if gt.host == h && gt.at <= due {
 					found = true
 					break

@@ -8,7 +8,6 @@ import (
 	"math"
 
 	"itbsim/internal/faults"
-	"itbsim/internal/metrics"
 	"itbsim/internal/routes"
 	"itbsim/internal/topology"
 )
@@ -21,15 +20,13 @@ import (
 // resumed under a different experiment.
 //
 // Snapshots are taken at cycle boundaries only (between step calls), where
-// the sharded core's staging buffers are empty by construction — mergeShards
-// drains them every cycle — so the serialized state is exactly the state a
-// single "live" array walk can see. Derived state is not serialized but
-// recomputed on restore: fault-engine down flags and fault set replay from
-// the plan position, swapped routing tables from the (deterministic,
-// memoized) Reconfigurer, active sets from each component's own idle
-// predicate, and the fault engine's next wake-up from its timer sources.
-// Re-deriving the active sets rather than copying bitsets is what makes a
-// checkpoint valid at any shard count, not just the one that wrote it.
+// the end-of-cycle dead-route list is empty. Derived state is not
+// serialized but recomputed on restore: fault-engine down flags and fault
+// set replay from the plan position, swapped routing tables from the
+// (deterministic, memoized) Reconfigurer, active sets from each component's
+// own idle predicate, and the fault engine's next wake-up from its timer
+// sources. Re-deriving the active sets rather than copying bitsets is what
+// lets a checkpoint written under one step loop resume under the other.
 
 const (
 	ckptMagic   = "ITBCKPT\x00"
@@ -141,9 +138,9 @@ func (r *cr) count() int {
 
 // configHash digests every configuration field that influences results into
 // one value, so Restore can refuse a checkpoint written under a different
-// experiment. Execution-mechanism knobs (Shards, DenseStep) are deliberately
-// excluded — results are proven byte-identical across them, so a checkpoint
-// written sharded may resume dense and vice versa. Config.Dest is also
+// experiment. The execution-mechanism knob DenseStep is deliberately
+// excluded — results are proven byte-identical across both step loops, so a
+// checkpoint written under one may resume under the other. Config.Dest is also
 // excluded (functions cannot be hashed): callers must resume with the same
 // traffic pattern, exactly as they must pass the same Config.
 func (s *Sim) configHash() uint64 {
@@ -365,23 +362,6 @@ func (s *Sim) buildRegistries() *ckptReg {
 	return g
 }
 
-// snapshotReady verifies the boundary invariant: every staging buffer the
-// sharded core uses intra-cycle must be empty when a snapshot is taken.
-func (s *Sim) snapshotReady() error {
-	for j := range s.shards {
-		sh := &s.shards[j]
-		if len(sh.flDirty) != 0 || len(sh.sgDirty) != 0 || len(sh.deadRouteReqs) != 0 || len(sh.armQ) != 0 {
-			return fmt.Errorf("netsim: snapshot mid-cycle: shard %d has staged work", j)
-		}
-	}
-	for i := range s.links {
-		if len(s.links[i].flNew) != 0 || len(s.links[i].sgNew) != 0 {
-			return fmt.Errorf("netsim: snapshot mid-cycle: link %d has staged traffic", i)
-		}
-	}
-	return nil
-}
-
 // Snapshot serializes the complete mid-run state of the simulator into a
 // self-describing binary checkpoint. It must be called at a cycle boundary
 // (between step calls — the CheckpointEvery hook and external callers
@@ -395,9 +375,6 @@ func (s *Sim) Snapshot() ([]byte, error) {
 	}
 	if s.cfg.Table.HasSelector() {
 		return nil, fmt.Errorf("netsim: cannot snapshot a Sim whose table has an adaptive Selector")
-	}
-	if err := s.snapshotReady(); err != nil {
-		return nil, err
 	}
 	g := s.buildRegistries()
 	w := &cw{buf: make([]byte, 0, 1<<16)}
@@ -669,49 +646,29 @@ func (s *Sim) Snapshot() ([]byte, error) {
 		}
 	}
 
-	// Parked generation timers, concatenated across shards in shard order.
-	// Restore re-pushes each onto the owning shard of its host under the
-	// restored shard count; the (at, host) total order (at most one timer
-	// per host) makes pop order partition-independent.
-	total := 0
-	for j := range s.shards {
-		total += len(s.shards[j].genTimers)
-	}
-	w.i(total)
-	for j := range s.shards {
-		for _, t := range s.shards[j].genTimers {
-			w.i64(t.at)
-			w.i(t.host)
-		}
+	// Parked generation timers in heap-array order. Restore re-pushes
+	// them; the (at, host) total order (at most one timer per host) makes
+	// the pop order independent of the array layout.
+	w.i(len(s.genTimers))
+	for _, t := range s.genTimers {
+		w.i64(t.at)
+		w.i(t.host)
 	}
 
-	// Measured-latency state: per-shard histograms merged in shard order
-	// (exactly as finalize merges them) plus the exact integer cycle totals.
-	// Restore loads the merged state into shard 0; the final merge is
-	// content-identical because bucket counts, min, and max are
-	// partition-independent and the float sum is overridden from the
-	// integer totals at finalize.
-	lat, netLat := metrics.NewHistogram(), metrics.NewHistogram()
-	var latCycles, netLatCycles int64
-	for j := range s.shards {
-		sh := &s.shards[j]
-		lat.Merge(sh.latHist)
-		netLat.Merge(sh.netLatHist)
-		latCycles += sh.latCycles
-		netLatCycles += sh.netLatCycles
-	}
-	latB, err := lat.MarshalBinary()
+	// Measured-latency state: the histograms plus the exact integer cycle
+	// totals finalize sets their float sums from.
+	latB, err := s.latHist.MarshalBinary()
 	if err != nil {
 		return nil, err
 	}
-	netLatB, err := netLat.MarshalBinary()
+	netLatB, err := s.netLatHist.MarshalBinary()
 	if err != nil {
 		return nil, err
 	}
 	w.bytes(latB)
 	w.bytes(netLatB)
-	w.i64(latCycles)
-	w.i64(netLatCycles)
+	w.i64(s.latCycles)
+	w.i64(s.netLatCycles)
 
 	// Windowed metrics collector.
 	w.b(s.mx != nil)
@@ -729,8 +686,8 @@ func (s *Sim) Snapshot() ([]byte, error) {
 // Restore builds a fresh Sim from cfg and overwrites its dynamic state with
 // a checkpoint written by Snapshot. The configuration must describe the same
 // experiment (a header hash over every result-relevant field is verified);
-// execution-mechanism fields — Shards, DenseStep — may differ, and the
-// restored Sim then continues byte-identically under the new mechanism.
+// DenseStep may differ, and the restored Sim then continues
+// byte-identically under the other step loop.
 // Restoring a checkpoint taken mid-reconfiguration (or after a table swap)
 // requires cfg.Reconfigurer, which re-derives the swapped tables
 // deterministically instead of the checkpoint carrying them.
@@ -1235,36 +1192,31 @@ func Restore(cfg Config, data []byte) (*Sim, error) {
 		return nil, err
 	}
 
-	// Parked generation timers, re-pushed onto the owning shard of each
-	// host under the restored shard count.
+	// Parked generation timers.
 	nGT := r.count()
-	for j := range s.shards {
-		s.shards[j].genTimers = s.shards[j].genTimers[:0]
-	}
 	for k := 0; k < nGT && r.err == nil; k++ {
 		at := r.i64()
 		host := r.i()
 		if host < 0 || host >= s.numHosts {
 			return nil, fmt.Errorf("netsim: checkpoint generation timer for host %d out of range", host)
 		}
-		s.shards[s.shardOfHost[host]].genTimers.push(genTimer{at: at, host: host})
+		s.genTimers.push(genTimer{at: at, host: host})
 	}
 
-	// Measured-latency state into shard 0 (see Snapshot).
+	// Measured-latency state (see Snapshot).
 	latB := r.bytes()
 	netLatB := r.bytes()
 	latCycles := r.i64()
 	netLatCycles := r.i64()
 	if r.err == nil {
-		sh0 := &s.shards[0]
-		if err := sh0.latHist.UnmarshalBinary(latB); err != nil {
+		if err := s.latHist.UnmarshalBinary(latB); err != nil {
 			return nil, err
 		}
-		if err := sh0.netLatHist.UnmarshalBinary(netLatB); err != nil {
+		if err := s.netLatHist.UnmarshalBinary(netLatB); err != nil {
 			return nil, err
 		}
-		sh0.latCycles = latCycles
-		sh0.netLatCycles = netLatCycles
+		s.latCycles = latCycles
+		s.netLatCycles = netLatCycles
 	}
 
 	// Windowed metrics collector.
@@ -1293,51 +1245,33 @@ func Restore(cfg Config, data []byte) (*Sim, error) {
 	// is a no-op; the one observable side effect of such a visit, parking a
 	// sleeping NIC's generation timer, is reproduced by the armGen
 	// compensation below).
-	for j := range s.shards {
-		sh := &s.shards[j]
-		for i := range sh.linkSet.words {
-			sh.linkSet.words[i] = 0
-		}
-		for i := range sh.routingSet.words {
-			sh.routingSet.words[i] = 0
-		}
-		for i := range sh.transferSet.words {
-			sh.transferSet.words[i] = 0
-		}
-		for i := range sh.nicSet.words {
-			sh.nicSet.words[i] = 0
-		}
-	}
+	clear(s.nicSet.words) // New starts every NIC awake
 	for i := range s.links {
 		l := &s.links[i]
-		if len(l.flits) > 0 {
-			s.shards[l.recvShard].linkSet.add(i)
-		}
-		if len(l.signals) > 0 {
-			s.shards[l.sendShard].linkSet.add(i)
+		if len(l.flits) > 0 || len(l.signals) > 0 {
+			s.linkSet.add(i)
 		}
 	}
 	for i := range s.switches {
 		sw := &s.switches[i]
 		if sw.waiting > 0 || sw.setups > 0 {
-			s.shards[s.shardOfSwitch[i]].routingSet.add(i)
+			s.routingSet.add(i)
 		}
 		if sw.conns > 0 {
-			s.shards[s.shardOfSwitch[i]].transferSet.add(i)
+			s.transferSet.add(i)
 		}
 	}
 	for h := range s.nics {
 		n := &s.nics[h]
-		sh := &s.shards[s.shardOfHost[h]]
 		if s.nicNeedsTick(n) {
-			sh.nicSet.add(h)
+			s.nicSet.add(h)
 		} else {
 			// A NIC the uninterrupted run still carried as a stale set
 			// member would be visited once more, do nothing, and park its
 			// generation timer on removal; reproduce that parking here.
 			// armGen no-ops when the timer is already parked (genArmed),
 			// generation is stopped, or the load is zero.
-			s.armGen(sh, n)
+			s.armGen(n)
 		}
 	}
 
@@ -1371,9 +1305,9 @@ var checkpointFields = map[string][]string{
 		"SourceQueueCap", "SourceBubblePeriod", "VCs", "VCBufFlits", "WatchdogCycles",
 		"DetectionCycles", "ProbeCycles", "DrainCycles", "RetryTimeoutCycles", "RetryLimit"},
 	"netsim.Sim": {"now", "progress", "table", "fe", "links", "inPorts", "outPorts",
-		"switches", "nics", "shards", "generatedTotal", "deliveredTotal", "outstanding",
-		"measuring", "measureStart", "measITBSum", "measCount", "mx",
-		"windowDeliveredFlits", "windowInjectedFlits"},
+		"switches", "nics", "genTimers", "generatedTotal", "deliveredTotal", "outstanding",
+		"measuring", "measureStart", "measITBSum", "measCount", "latHist", "netLatHist",
+		"latCycles", "netLatCycles", "mx", "windowDeliveredFlits", "windowInjectedFlits"},
 	"netsim.link": {"stopped", "credits", "flits", "flHead", "signals", "sgHead",
 		"busy", "idleStopped"},
 	"netsim.flitInFlight":   {"pkt", "tail", "arrive"},
@@ -1397,7 +1331,6 @@ var checkpointFields = map[string][]string{
 	"netsim.flitSeg":    {"pkt", "flits", "tail"},
 	"netsim.vcIn":       {"buf", "conn", "pendingOut"},
 	"netsim.vcRx":       {"pkt", "count"},
-	"netsim.shard":      {"genTimers", "latHist", "netLatHist", "latCycles", "netLatCycles"},
 	"netsim.genTimer":   {"at", "host"},
 	"netsim.faultEngine": {"planIdx", "tableSwapPlanIdx", "timers", "seq", "phase",
 		"phaseEnd", "eventCycle", "detectAt", "needPurge", "drops", "retransmits",
@@ -1420,27 +1353,21 @@ var checkpointFields = map[string][]string{
 var checkpointExempt = map[string][]string{
 	// Functions, callbacks, and execution-mechanism knobs: not part of the
 	// experiment's identity (Dest is the caller's obligation to repeat).
-	"netsim.Config": {"Dest", "Notify", "Tracer", "Reconfigurer", "DenseStep", "Shards",
+	"netsim.Config": {"Dest", "Notify", "Tracer", "Reconfigurer", "DenseStep",
 		"CheckpointEvery", "CheckpointSink"},
-	// Rebuilt from the configuration by New, or recomputed by finalize.
-	"netsim.Sim": {"cfg", "p", "net", "outPortOfLink", "shardOfSwitch", "shardOfHost",
-		"numShards", "dense", "workersOn", "startCh", "doneCh", "numChannels",
-		"numHosts", "vcMode", "numVCs", "genIntervalCycles", "latHist", "netLatHist"},
-	// Build-time wiring; down is re-derived from the fault set; the staged
-	// double buffers are empty at every cycle boundary.
-	"netsim.link":    {"id", "sendShard", "recvShard", "recvPort", "recvNIC", "down", "flNew", "sgNew"},
+	// Rebuilt from the configuration by New. Active sets are re-derived
+	// from component state; the dead-route list is empty at every cycle
+	// boundary; the packet arena is an allocator, not state.
+	"netsim.Sim": {"cfg", "p", "net", "outPortOfLink", "linkSet", "routingSet",
+		"transferSet", "nicSet", "dense", "deadRouteReqs", "pktChunk", "pktUsed",
+		"numChannels", "numHosts", "vcMode", "numVCs", "genIntervalCycles"},
+	// Build-time wiring; down is re-derived from the fault set.
+	"netsim.link":    {"id", "recvPort", "recvNIC", "down"},
 	"netsim.inPort":  {"sw", "link", "localIdx"},
 	"netsim.outPort": {"sw", "link"},
 	"netsim.swtch":   {"id", "ins", "outs"},
 	"netsim.nic":     {"host", "upLink"},
-	// Active sets are re-derived from component state; staged buffers and
-	// counter deltas are empty/zero at every boundary; the packet arena is
-	// an allocator, not state.
-	"netsim.shard": {"id", "linkSet", "routingSet", "transferSet", "nicSet", "flDirty",
-		"sgDirty", "deadRouteReqs", "armQ", "dProgress", "dGenerated", "dDelivered",
-		"dOutstanding", "dWindowInjected", "dWindowDelivered", "dMeasITB", "dMeasCount",
-		"dDropped", "dDrops", "pktChunk", "pktUsed", "panicVal", "panicStack"},
-	"netsim.bitset": {"words"},
+	"netsim.bitset":  {"words"},
 	// plan/rec come from the configuration; set/down/pendingRc/nextWake are
 	// re-derived on restore.
 	"netsim.faultEngine": {"plan", "set", "rec", "down", "pendingRc", "nextWake"},

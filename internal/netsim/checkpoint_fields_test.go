@@ -33,7 +33,6 @@ var checkpointedTypes = []interface{}{
 	flitSeg{},
 	vcIn{},
 	vcRx{},
-	shard{},
 	genTimer{},
 	bitset{},
 	faultEngine{},

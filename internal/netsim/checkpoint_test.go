@@ -61,25 +61,14 @@ func expectResume(t *testing.T, cfg Config, snap []byte, want *Result, label str
 	}
 }
 
-// checkpointMechanisms names the execution-mechanism variants the
-// equivalence matrix covers; apply mutates a config into that mechanism.
-var checkpointMechanisms = []struct {
-	name  string
-	apply func(*Config)
-}{
-	{"dense", func(c *Config) { c.DenseStep = true }},
-	{"active-set", func(c *Config) { c.Shards = 1 }},
-	{"sharded", func(c *Config) { c.Shards = 3 }},
-}
-
-// TestResumeEquivalence is the checkpoint codec's golden check: for every
-// execution mechanism, routing scheme, and fault mode, a run snapshotted at
+// TestResumeEquivalence is the checkpoint codec's golden check: for both
+// step loops, routing scheme, and fault mode, a run snapshotted at
 // an arbitrary mid-run cycle and resumed from that snapshot must produce a
 // Result byte-identical to the uninterrupted run — and the snapshotting run
 // itself must be unperturbed by taking checkpoints.
 func TestResumeEquivalence(t *testing.T) {
 	net := makeNet(t, 4, 4, 2)
-	for _, mech := range checkpointMechanisms {
+	for _, mech := range stepLoops {
 		for _, sch := range []routes.Scheme{routes.UpDown, routes.ITBRR} {
 			for _, faulted := range []bool{false, true} {
 				name := mech.name + "/" + sch.String()
@@ -113,7 +102,7 @@ func TestResumeEquivalence(t *testing.T) {
 // round-trip through a snapshot.
 func TestResumeEquivalenceVC(t *testing.T) {
 	net := makeNet(t, 4, 4, 2)
-	for _, mech := range checkpointMechanisms {
+	for _, mech := range stepLoops {
 		t.Run(mech.name, func(t *testing.T) {
 			base := vcConfig(t, net, 2)
 			mech.apply(&base)
@@ -150,11 +139,10 @@ func TestResumeEverySnapshot(t *testing.T) {
 	}
 }
 
-// TestResumeCrossMechanism proves a snapshot is mechanism-portable: state
-// written under the sharded core restores under the dense scan and vice
-// versa (and under a different shard count), because active sets are
-// re-derived rather than serialized and the config hash excludes
-// execution-mechanism knobs.
+// TestResumeCrossMechanism proves a snapshot is step-loop-portable: state
+// written under the active-set loop restores under the dense scan and vice
+// versa, because active sets are re-derived rather than serialized and the
+// config hash excludes DenseStep.
 func TestResumeCrossMechanism(t *testing.T) {
 	net := makeNet(t, 4, 4, 2)
 	mk := func() Config { return matrixConfig(t, net, routes.ITBRR, false) }
@@ -162,22 +150,15 @@ func TestResumeCrossMechanism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shardedCfg := mk()
-	shardedCfg.Shards = 3
-	_, shardedSnaps := runCheckpointed(t, shardedCfg, 10_000)
+	_, activeSnaps := runCheckpointed(t, mk(), 10_000)
 	denseCfg := mk()
 	denseCfg.DenseStep = true
 	_, denseSnaps := runCheckpointed(t, denseCfg, 10_000)
 
 	resume := mk()
 	resume.DenseStep = true
-	expectResume(t, resume, shardedSnaps[len(shardedSnaps)/2], want, "sharded snapshot, dense resume")
-	resume = mk()
-	resume.Shards = 3
-	expectResume(t, resume, denseSnaps[len(denseSnaps)/2], want, "dense snapshot, sharded resume")
-	resume = mk()
-	resume.Shards = 2
-	expectResume(t, resume, shardedSnaps[len(shardedSnaps)/2], want, "3-shard snapshot, 2-shard resume")
+	expectResume(t, resume, activeSnaps[len(activeSnaps)/2], want, "active-set snapshot, dense resume")
+	expectResume(t, mk(), denseSnaps[len(denseSnaps)/2], want, "dense snapshot, active-set resume")
 }
 
 // TestResumeEquivalenceTopologies spot-checks the matrix on the other two
@@ -297,7 +278,7 @@ func TestCheckpointConfigValidation(t *testing.T) {
 	cfg = baseConfig(net, tab)
 	cfg.CheckpointEvery = 1000
 	cfg.CheckpointSink = func(int64, []byte) error { return nil }
-	cfg.Tracer = discardTracer{}
+	cfg.Tracer = &CountTracer{}
 	if _, err := New(cfg); err == nil {
 		t.Error("checkpointing with a Tracer accepted")
 	}

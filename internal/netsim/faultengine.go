@@ -412,11 +412,9 @@ func (fe *faultEngine) killNICCustody(s *Sim, n *nic) {
 // kill marks one packet dead and accounts the drop. State referencing the
 // packet is cleaned up by purgeDeadState (event-time mass kills) or locally
 // by the caller (routing-time kills); flits still in flight for it are
-// discarded on arrival. kill runs only on the serial coordinator (event
-// application at cycle start, the end-of-cycle dead-route drain, retry
-// timers) — phase code defers kills via shard.deadRouteReqs.
-//
-//sim:barrier phase code defers kills via shard.deadRouteReqs; kill runs only on the serial coordinator
+// discarded on arrival. kill runs only at cycle edges (event application at
+// cycle start, the end-of-cycle dead-route drain, retry timers): phase code
+// defers routing-time kills via Sim.deadRouteReqs.
 func (fe *faultEngine) kill(s *Sim, p *packet, reason DropReason) {
 	if p.dead {
 		return
@@ -567,37 +565,24 @@ func (fe *faultEngine) fireTimer(s *Sim, m *msgState) {
 	if s.cfg.Tracer != nil {
 		s.trace(Event{Kind: EvRetry, Packet: m.seq, Host: m.src})
 	}
-	s.dispatch(nil, m)
+	s.dispatch(m)
 }
 
 // dispatch creates and queues one transmission attempt for a message,
 // looking the route up in the current (possibly recomputed) table. With no
 // surviving route the attempt is dropped on the spot and the retry timer
-// still armed: a future reconfiguration may restore reachability. sh is the
-// source host's shard when called from phase code (generation); serial
-// callers (retry timers) pass nil. Phase calls stage the drop accounting
-// and the timer arm — the retry heap is global and (at, seq) keys make the
-// merged insertion order irrelevant.
-func (s *Sim) dispatch(sh *shard, m *msgState) {
+// still armed: a future reconfiguration may restore reachability.
+func (s *Sim) dispatch(m *msgState) {
 	m.attempts++
 	r := s.table.Lookup(m.src, m.dst)
 	if r == nil {
 		m.pkt = nil
-		if sh != nil {
-			sh.dDrops.NoRoute++
-			sh.dDropped++
-			sh.armQ = append(sh.armQ, m)
-		} else {
-			s.fe.drops.NoRoute++
-			s.fe.droppedPackets++
-			s.fe.armTimer(s, m)
-		}
+		s.fe.drops.NoRoute++
+		s.fe.droppedPackets++
+		s.fe.armTimer(s, m)
 		return
 	}
-	p := &packet{}
-	if sh != nil {
-		p = sh.newPacket()
-	}
+	p := s.newPacket()
 	*p = packet{
 		id:       m.seq,
 		srcHost:  m.src,
@@ -613,11 +598,7 @@ func (s *Sim) dispatch(sh *shard, m *msgState) {
 	m.pkt = p
 	s.nics[m.src].sendQ = append(s.nics[m.src].sendQ, p)
 	s.wakeNIC(m.src)
-	if sh != nil {
-		sh.armQ = append(sh.armQ, m)
-	} else {
-		s.fe.armTimer(s, m)
-	}
+	s.fe.armTimer(s, m)
 }
 
 // purgeDeadState sweeps dead packets out of every buffer and queue after an
@@ -672,9 +653,9 @@ func (s *Sim) purgeInPort(ipIdx int) {
 	headWasDead := hs.pkt.dead
 	ip.buf.purgeDead()
 	if !s.links[ip.link].down {
-		ip.consumed(s, nil)
+		ip.consumed(s)
 	}
 	if headWasDead && ip.buf.headSeg() != nil && ip.conn < 0 && ip.pendingOut < 0 {
-		ip.requestRouting(s, nil)
+		ip.killDeadHeads(s)
 	}
 }

@@ -24,22 +24,8 @@ type signalInFlight struct {
 // model. Flits enter at one flit per cycle when the sender is not stopped
 // and arrive LinkFlightCycles later; stop/go control flits travel the other
 // way with the same flight time.
-//
-// Concurrency layout for the sharded core: flits has a single producer (the
-// sender-side component) and a single consumer (the receiver side), signals
-// the reverse. When a producer pushes on a link whose consumer lives in
-// another shard, the push lands in the staging buffer (flNew/sgNew) the
-// producer shard owns exclusively for that cycle; the serial end-of-cycle
-// merge appends it to the live array. Within one shard, pushes append to
-// the live array directly — timing-equivalent because nothing pushed at
-// cycle t can arrive before t+LinkFlightCycles (>= 1) either way.
 type link struct {
 	id int
-
-	// Shard of the sending component and of the receiving component.
-	// Host up/down links never cross shards (hosts follow their switch).
-	sendShard int32
-	recvShard int32
 
 	// Receiving side: exactly one of recvPort (index into Sim.inPorts)
 	// and recvNIC (host ID) is >= 0.
@@ -52,91 +38,61 @@ type link struct {
 	// credits is the sender-side per-VC credit count in virtual-channel
 	// mode (nil under stop & go). The sender spends one credit per flit
 	// pushed on a lane; the receiver returns one per flit it consumes from
-	// that lane's buffer, via the same signal pipeline stop & go uses — so
-	// credits are sender-shard state exactly like stopped, and the sharded
-	// core needs no new merge machinery for them.
+	// that lane's buffer, via the same signal pipeline stop & go uses.
 	credits []int16
 
 	flits   []flitInFlight
 	flHead  int
-	flNew   []flitInFlight // staged cross-shard pushes (sender-owned)
 	signals []signalInFlight
 	sgHead  int
-	sgNew   []signalInFlight // staged cross-shard pushes (receiver-owned)
 
 	busy        int64 // flits pushed during the measurement window
 	idleStopped int64 // cycles the sender had a flit ready but was stopped
 }
 
 // pushFlit puts one flit on the cable at the current cycle. Called by the
-// sender-side component; sh is its shard (nil from serial code).
+// sender-side component.
 //
 //sim:hotpath
-func (l *link) pushFlit(s *Sim, sh *shard, pkt *packet, tail bool) {
+func (l *link) pushFlit(s *Sim, pkt *packet, tail bool) {
 	if l.credits != nil {
 		l.credits[pkt.vc]--
 		if l.credits[pkt.vc] < 0 {
 			panic(fmt.Sprintf("netsim: link %d pushed on VC %d without credit", l.id, pkt.vc))
 		}
 	}
-	f := flitInFlight{pkt: pkt, tail: tail, arrive: s.now + int64(s.p.LinkFlightCycles)}
-	if sh != nil && int32(sh.id) != l.recvShard {
-		if len(l.flNew) == 0 {
-			sh.flDirty = append(sh.flDirty, l.id)
-		}
-		l.flNew = append(l.flNew, f)
-	} else {
-		l.flits = append(l.flits, f)
-		s.shards[l.recvShard].linkSet.add(l.id)
-	}
+	l.flits = append(l.flits, flitInFlight{pkt: pkt, tail: tail, arrive: s.now + int64(s.p.LinkFlightCycles)})
+	s.linkSet.add(l.id)
 	if s.measuring {
 		l.busy++
 	}
-	s.bumpProgress(sh)
+	s.progress++
 }
 
 // pushSignal sends a stop/go control flit back to the sender. Signals on a
 // dead cable vanish; the sender-side state is resynchronized on repair.
-// Called by the receiver-side port; sh is its shard (nil from serial code).
+// Called by the receiver-side port.
 //
 //sim:hotpath
-func (l *link) pushSignal(s *Sim, sh *shard, stop bool) {
+func (l *link) pushSignal(s *Sim, stop bool) {
 	if l.down {
 		return
 	}
-	g := signalInFlight{stop: stop, arrive: s.now + int64(s.p.LinkFlightCycles)}
-	if sh != nil && int32(sh.id) != l.sendShard {
-		if len(l.sgNew) == 0 {
-			sh.sgDirty = append(sh.sgDirty, l.id)
-		}
-		l.sgNew = append(l.sgNew, g)
-	} else {
-		l.signals = append(l.signals, g)
-		s.shards[l.sendShard].linkSet.add(l.id)
-	}
+	l.signals = append(l.signals, signalInFlight{stop: stop, arrive: s.now + int64(s.p.LinkFlightCycles)})
+	s.linkSet.add(l.id)
 }
 
-// pushCredit returns one credit for lane vc to the sender. It stages
-// cross-shard pushes exactly as pushSignal does; VC mode excludes faults,
-// so there is no dead-cable case. Called by the receiver-side component; sh
-// is its shard (nil from serial code).
+// pushCredit returns one credit for lane vc to the sender. VC mode excludes
+// faults, so there is no dead-cable case. Called by the receiver-side
+// component.
 //
 //sim:hotpath
-func (l *link) pushCredit(s *Sim, sh *shard, vc int) {
-	g := signalInFlight{vc: uint8(vc), arrive: s.now + int64(s.p.LinkFlightCycles)}
-	if sh != nil && int32(sh.id) != l.sendShard {
-		if len(l.sgNew) == 0 {
-			sh.sgDirty = append(sh.sgDirty, l.id)
-		}
-		l.sgNew = append(l.sgNew, g)
-	} else {
-		l.signals = append(l.signals, g)
-		s.shards[l.sendShard].linkSet.add(l.id)
-	}
+func (l *link) pushCredit(s *Sim, vc int) {
+	l.signals = append(l.signals, signalInFlight{vc: uint8(vc), arrive: s.now + int64(s.p.LinkFlightCycles)})
+	s.linkSet.add(l.id)
 }
 
 // deliverSignals applies arrived control flits to the sender-side state.
-// Runs in the sender shard.
 //
 //sim:hotpath
 func (l *link) deliverSignals(s *Sim) {
@@ -160,21 +116,20 @@ func (l *link) deliverSignals(s *Sim) {
 	l.sgHead = 0
 }
 
-// deliverFlits moves arrived flits into the receiver. Runs in the receiver
-// shard. The drained head is compacted away every cycle so the backing
-// array (a slab slice shared by all links) never grows past the flits of
-// one flight window.
+// deliverFlits moves arrived flits into the receiver. The drained head is
+// compacted away every cycle so the backing array (a slab slice shared by
+// all links) never grows past the flits of one flight window.
 //
 //sim:hotpath
-func (l *link) deliverFlits(s *Sim, sh *shard) {
+func (l *link) deliverFlits(s *Sim) {
 	for l.flHead < len(l.flits) && l.flits[l.flHead].arrive <= s.now {
 		f := l.flits[l.flHead]
 		l.flits[l.flHead] = flitInFlight{}
 		l.flHead++
 		if l.recvPort >= 0 {
-			s.inPorts[l.recvPort].receive(s, sh, f.pkt, f.tail)
+			s.inPorts[l.recvPort].receive(s, f.pkt, f.tail)
 		} else {
-			s.nics[l.recvNIC].receive(s, sh, f.pkt, f.tail)
+			s.nics[l.recvNIC].receive(s, f.pkt, f.tail)
 		}
 	}
 	if l.flHead == 0 {
@@ -188,28 +143,13 @@ func (l *link) deliverFlits(s *Sim, sh *shard) {
 	l.flHead = 0
 }
 
-// deliver drains both directions; the single-shard and dense loops use it
-// when one shard owns both ends.
-func (l *link) deliver(s *Sim, sh *shard) {
+// deliver drains both directions: signals first, then flits.
+func (l *link) deliver(s *Sim) {
 	l.deliverSignals(s)
-	l.deliverFlits(s, sh)
+	l.deliverFlits(s)
 }
 
 // idle reports whether the cable carries no flits and no pending signals.
 func (l *link) idle() bool {
 	return l.flHead == len(l.flits) && l.sgHead == len(l.signals)
-}
-
-// idleFor reports whether the given shard's role(s) on this link have
-// drained: the sender role watches signals, the receiver role watches
-// flits. Staged buffers don't count — the end-of-cycle merge re-activates
-// the link when it folds them in.
-func (l *link) idleFor(shID int32) bool {
-	if l.sendShard == shID && l.sgHead != len(l.signals) {
-		return false
-	}
-	if l.recvShard == shID && l.flHead != len(l.flits) {
-		return false
-	}
-	return true
 }

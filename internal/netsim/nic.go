@@ -28,8 +28,6 @@ type injection struct {
 
 // nic models one Myrinet network interface card: message generation,
 // source-route injection, reception, and the in-transit buffer mechanism.
-// A NIC is owned by the shard of its switch; everything here runs in that
-// shard (or serially between cycles).
 type nic struct {
 	host   int
 	upLink int // host -> switch link
@@ -68,11 +66,10 @@ type nic struct {
 	stopGen bool
 	// genSeq numbers this host's generated messages; packet IDs are
 	// genSeq*numHosts + host so every host mints IDs independently of the
-	// others (a global counter would make IDs depend on cross-host
-	// interleaving and break shard-count invariance).
+	// others.
 	genSeq int64
-	// genArmed marks a parked wake-up on the shard's genTimers while the
-	// NIC is out of the active set (see activeset.go).
+	// genArmed marks a parked wake-up on Sim.genTimers while the NIC is
+	// out of the active set (see activeset.go).
 	genArmed bool
 
 	// Bubble accounting for Params.SourceBubblePeriod.
@@ -82,9 +79,9 @@ type nic struct {
 // receive accepts one flit from the down-link.
 //
 //sim:hotpath
-func (n *nic) receive(s *Sim, sh *shard, pkt *packet, tail bool) {
+func (n *nic) receive(s *Sim, pkt *packet, tail bool) {
 	if s.vcMode {
-		n.receiveVC(s, sh, pkt, tail)
+		n.receiveVC(s, pkt, tail)
 		return
 	}
 	if pkt.dead {
@@ -99,7 +96,7 @@ func (n *nic) receive(s *Sim, sh *shard, pkt *packet, tail bool) {
 		n.startReception(s, pkt)
 	}
 	n.rxCount++
-	s.bumpProgress(sh)
+	s.progress++
 	if n.rxReinj != nil {
 		r := n.rxReinj
 		r.received++
@@ -122,7 +119,7 @@ func (n *nic) receive(s *Sim, sh *shard, pkt *packet, tail bool) {
 		if n.rxCount != n.rxExpected {
 			panic(fmt.Sprintf("netsim: host %d: delivered %d flits, expected %d", n.host, n.rxCount, n.rxExpected))
 		}
-		s.deliver(sh, pkt)
+		s.deliver(pkt)
 		n.rxPkt = nil
 	}
 }
@@ -163,7 +160,7 @@ func (n *nic) startReception(s *Sim, pkt *packet) {
 // starting a new injection when the previous one finished.
 //
 //sim:hotpath
-func (n *nic) tick(s *Sim, sh *shard) {
+func (n *nic) tick(s *Sim) {
 	// Promote in-transit packets whose re-injection DMA has been
 	// programmed.
 	if len(n.pending) > 0 {
@@ -191,7 +188,7 @@ func (n *nic) tick(s *Sim, sh *shard) {
 				}
 				break
 			}
-			s.generate(sh, n)
+			s.generate(n)
 			n.nextGen += s.genIntervalCycles
 		}
 	}
@@ -247,7 +244,7 @@ func (n *nic) sendQLen() int { return len(n.sendQ) - n.sendQH }
 // (counting the stripped mark) has arrived.
 //
 //sim:hotpath
-func (n *nic) tickTransfer(s *Sim, sh *shard) {
+func (n *nic) tickTransfer(s *Sim) {
 	if !n.active {
 		return
 	}
@@ -281,7 +278,7 @@ func (n *nic) tickTransfer(s *Sim, sh *shard) {
 		n.sinceBubble++
 	}
 	last := n.cur.sent == n.cur.toSend-1
-	l.pushFlit(s, sh, n.cur.pkt, last)
+	l.pushFlit(s, n.cur.pkt, last)
 	n.cur.sent++
 	if last {
 		if r := n.cur.reinj; r != nil {

@@ -66,61 +66,6 @@ func BenchmarkSaturatedTorusPoint(b *testing.B) { benchTorusPoint(b, 0.033, fals
 // active-set loop must stay within 5% of it.
 func BenchmarkSaturatedTorusPointDense(b *testing.B) { benchTorusPoint(b, 0.033, true) }
 
-// The sharded-core benchmarks run a 32x32 torus (1024 switches, the scale
-// the sharded stepping exists for) at a moderate load, comparing the
-// serial path (Shards=1) against four shard workers. The topology and
-// routing table are built once and shared — the up*/down* build at this
-// scale dominates everything else and is identical for both variants.
-var shardBench struct {
-	once sync.Once
-	net  *topology.Network
-	tab  *routes.Table
-	err  error
-}
-
-func benchShardedTorusPoint(b *testing.B, shards int) {
-	b.Helper()
-	shardBench.once.Do(func() {
-		shardBench.net, shardBench.err = topology.NewTorus(32, 32, 1, 16)
-		if shardBench.err != nil {
-			return
-		}
-		shardBench.tab, shardBench.err = routes.Build(shardBench.net, routes.DefaultConfig(routes.UpDown))
-	})
-	if shardBench.err != nil {
-		b.Fatal(shardBench.err)
-	}
-	net, tab := shardBench.net, shardBench.tab
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg := Config{
-			Net:             net,
-			Table:           tab.Clone(),
-			Dest:            uniformDest(net.NumHosts()),
-			Load:            0.01,
-			MessageBytes:    512,
-			Seed:            int64(i + 1),
-			WarmupMessages:  200,
-			MeasureMessages: 1000,
-			MaxCycles:       10_000_000,
-			Shards:          shards,
-		}
-		if _, err := Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkShardedTorusPoint1 is the serial baseline of BENCH_6.json.
-func BenchmarkShardedTorusPoint1(b *testing.B) { benchShardedTorusPoint(b, 1) }
-
-// BenchmarkShardedTorusPoint4 steps the same fabric with four shard
-// workers. On a multi-core host this is where the sharded core's speedup
-// shows; on a single-CPU host it measures the coordination overhead
-// instead (which must stay small — the shards still interleave through
-// the same barrier protocol).
-func BenchmarkShardedTorusPoint4(b *testing.B) { benchShardedTorusPoint(b, 4) }
-
 // The VC benchmarks compare the two deadlock-avoidance mechanisms on the
 // same fabric and workload: ITB-RR (in-transit buffers, the paper's
 // mechanism) against virtual-channel flow control with a two-lane LASH

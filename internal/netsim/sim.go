@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 
 	"itbsim/internal/faults"
 	"itbsim/internal/metrics"
@@ -79,18 +78,6 @@ type Config struct {
 	// Results are byte-identical either way; the flag exists so
 	// equivalence tests and benchmarks can compare the two loops.
 	DenseStep bool
-
-	// Shards partitions the fabric into that many contiguous switch-ID
-	// ranges (hosts follow their switch), each stepped by its own
-	// goroutine with a deterministic per-cycle barrier (see shard.go).
-	// 0 picks automatically (one shard per core, capped at one shard per
-	// 64 switches, and always 1 when a serial-only feature is in use);
-	// 1 is the serial path. Results are byte-identical at every shard
-	// count. Shards > 1 requires Tracer and Notify nil, DenseStep false,
-	// a table without a Selector, and a Dest function safe for concurrent
-	// calls with distinct per-host RNGs (all built-in traffic patterns
-	// are).
-	Shards int
 
 	// CheckpointEvery, when positive, snapshots the full simulator state
 	// every that many cycles and hands the bytes to CheckpointSink. The
@@ -195,9 +182,8 @@ type Result struct {
 var ErrDeadlock = errors.New("netsim: no progress; network deadlocked")
 
 // Sim is the assembled simulator. Build one with New, run with Run; a Sim
-// is single-use and externally single-threaded — one goroutine drives the
-// run loop, and with Shards > 1 the Sim manages its own internal worker
-// pool (run independent Sims in parallel for sweeps).
+// is single-use and single-threaded (run independent Sims in parallel for
+// sweeps).
 type Sim struct {
 	cfg Config
 	p   Params
@@ -220,21 +206,26 @@ type Sim struct {
 
 	outPortOfLink []int
 
-	// Sharded stepping state (see shard.go). The active sets and
-	// generation timers live on the shards; numShards == 1 runs the same
-	// phase code inline. dense selects the legacy full-scan loop instead;
-	// all loops share the per-component code.
-	shards        []shard
-	shardOfSwitch []int32
-	shardOfHost   []int32
-	numShards     int
-	dense         bool
+	// Active sets and parked generation timers (see activeset.go). dense
+	// selects the legacy full-scan loop instead; both loops share the
+	// per-component code.
+	linkSet     bitset
+	routingSet  bitset
+	transferSet bitset
+	nicSet      bitset
+	genTimers   genHeap
+	dense       bool
 
-	// Worker pool (numShards > 1): one parked goroutine per shard,
-	// started lazily, stopped by the run loops on exit.
-	workersOn bool
-	startCh   []chan struct{}
-	doneCh    chan int
+	// deadRouteReqs lists the input ports whose head packet requested a
+	// dead output this cycle; endCycle kills those packets.
+	deadRouteReqs []int
+
+	// Packet arena: chunked bump allocation keeps the per-message packet
+	// structs on adjacent cache lines and off the general heap. Full chunks
+	// are abandoned to the GC (no recycling: a stale pointer into a reused
+	// slot would be a silent corruption).
+	pktChunk []packet
+	pktUsed  int
 
 	numChannels int
 	numHosts    int
@@ -258,11 +249,13 @@ type Sim struct {
 	measITBSum int64
 	measCount  int64
 
-	// Streaming latency histograms over the measured messages, merged
-	// from the per-shard histograms by finalize (always on; they replace
-	// the old sorted-slice percentile accounting).
-	latHist    *metrics.Histogram
-	netLatHist *metrics.Histogram
+	// Streaming latency histograms over the measured messages (always
+	// on), plus exact integer cycle totals: finalize sets the exported
+	// float sums from these rather than from per-sample accumulation.
+	latHist      *metrics.Histogram
+	netLatHist   *metrics.Histogram
+	latCycles    int64
+	netLatCycles int64
 
 	// mx is the optional windowed observability collector (Config.Metrics).
 	mx *metrics.Collector
@@ -341,11 +334,6 @@ func New(cfg Config) (*Sim, error) {
 			return nil, fmt.Errorf("netsim: checkpointing requires a table without an adaptive Selector")
 		}
 	}
-	numShards, err := resolveShards(cfg)
-	if err != nil {
-		return nil, err
-	}
-
 	// The simulator works on a private copy of the table's round-robin
 	// selection state: two concurrent runs handed the same *Table must not
 	// interleave RR cursor advances (and perturb each other's route
@@ -353,8 +341,7 @@ func New(cfg Config) (*Sim, error) {
 	// shared — alternatives are immutable, and the selector is the
 	// caller's feedback loop.
 	s := &Sim{cfg: cfg, p: cfg.Params, net: cfg.Net, table: cfg.Table.PrivateRR(),
-		dense: cfg.DenseStep, numShards: numShards,
-		vcMode: cfg.Params.VCs > 0, numVCs: cfg.Params.VCs}
+		dense: cfg.DenseStep, vcMode: cfg.Params.VCs > 0, numVCs: cfg.Params.VCs}
 	s.numChannels = cfg.Net.NumChannels()
 	s.numHosts = cfg.Net.NumHosts()
 	s.latHist = metrics.NewHistogram()
@@ -382,39 +369,6 @@ func New(cfg Config) (*Sim, error) {
 		s.fe = newFaultEngine(s, cfg.Faults, cfg.Reconfigurer)
 	}
 	return s, nil
-}
-
-// resolveShards validates Config.Shards and picks the shard count.
-// Features that observe mid-cycle event order (tracing, delivery
-// callbacks, selector feedback) or force the dense loop are serial-only:
-// asking for Shards > 1 with one of them is a configuration error, while
-// auto (0) silently falls back to 1.
-func resolveShards(cfg Config) (int, error) {
-	if cfg.Shards < 0 {
-		return 0, &topology.ConfigError{Field: "Shards", Value: cfg.Shards, Reason: "must be >= 0"}
-	}
-	serialOnly := cfg.Tracer != nil || cfg.Notify != nil || cfg.DenseStep || cfg.Table.HasSelector()
-	if cfg.Shards > 1 && serialOnly {
-		return 0, &topology.ConfigError{Field: "Shards", Value: cfg.Shards,
-			Reason: "sharded stepping requires Tracer=nil, Notify=nil, DenseStep=false, and a table without a Selector"}
-	}
-	k := cfg.Shards
-	if k == 0 {
-		k = 1
-		if !serialOnly {
-			k = runtime.GOMAXPROCS(0)
-			if lim := cfg.Net.Switches / 64; k > lim {
-				k = lim
-			}
-			if k < 1 {
-				k = 1
-			}
-		}
-	}
-	if k > cfg.Net.Switches {
-		k = cfg.Net.Switches
-	}
-	return k, nil
 }
 
 // Link ID layout: [0, C) directed switch-to-switch channels (topology
@@ -477,34 +431,6 @@ func (s *Sim) build() {
 		n.nextGen = n.rng.Float64() * s.genIntervalCycles
 	}
 
-	// Partition: shard j owns the contiguous switch range
-	// [j*S/K, (j+1)*S/K); hosts, NICs, and host links follow their
-	// switch, so only switch-to-switch channels can cross shards.
-	K := s.numShards
-	s.shards = make([]shard, K)
-	s.shardOfSwitch = make([]int32, net.Switches)
-	for j := 0; j < K; j++ {
-		lo, hi := j*net.Switches/K, (j+1)*net.Switches/K
-		for sw := lo; sw < hi; sw++ {
-			s.shardOfSwitch[sw] = int32(j)
-		}
-	}
-	s.shardOfHost = make([]int32, H)
-	for h := 0; h < H; h++ {
-		s.shardOfHost[h] = s.shardOfSwitch[net.SwitchOf(h)]
-	}
-	for c := 0; c < C; c++ {
-		from, to := net.ChannelEnds(c)
-		s.links[c].sendShard = s.shardOfSwitch[from]
-		s.links[c].recvShard = s.shardOfSwitch[to]
-	}
-	for h := 0; h < H; h++ {
-		j := s.shardOfHost[h]
-		up, down := s.hostUpLink(h), s.hostDownLink(h)
-		s.links[up].sendShard, s.links[up].recvShard = j, j
-		s.links[down].sendShard, s.links[down].recvShard = j, j
-	}
-
 	// Slab-allocate the link pipelines: one shared backing array, sliced
 	// into fixed-capacity per-link windows so the steady-state hot path
 	// never allocates. deliverFlits/deliverSignals compact the drained
@@ -565,36 +491,42 @@ func (s *Sim) build() {
 	// Active sets start with every NIC awake (each either generates on its
 	// first due cycle or parks itself on the generation heap after one
 	// no-op tick); links and switches wake on their first work.
-	for j := range s.shards {
-		sh := &s.shards[j]
-		sh.id = j
-		sh.linkSet = newBitset(total)
-		sh.routingSet = newBitset(net.Switches)
-		sh.transferSet = newBitset(net.Switches)
-		sh.nicSet = newBitset(H)
-		sh.latHist = metrics.NewHistogram()
-		sh.netLatHist = metrics.NewHistogram()
-	}
-	for h := 0; h < H; h++ {
-		s.shards[s.shardOfHost[h]].nicSet.add(h)
-	}
+	s.linkSet = newBitset(total)
+	s.routingSet = newBitset(net.Switches)
+	s.transferSet = newBitset(net.Switches)
+	s.nicSet = newBitset(H)
+	s.nicSet.fill(H)
 }
 
 // pktID mints the packet/message ID for host h's next message: IDs are
 // per-host arithmetic progressions (seq*numHosts + h), disjoint across
-// hosts and independent of how generation interleaves across hosts — a
-// prerequisite for shard-count invariance.
+// hosts and independent of how generation interleaves across hosts.
 func (s *Sim) pktID(n *nic) int64 {
 	id := n.genSeq*int64(s.numHosts) + int64(n.host)
 	n.genSeq++
 	return id
 }
 
-// generate creates one message at the given NIC, routes it, and queues it
-// for injection. Runs in the NIC's shard; all global accounting is staged.
+const pktChunkSize = 256
+
+// newPacket bump-allocates one packet from the arena.
 //
 //sim:hotpath
-func (s *Sim) generate(sh *shard, n *nic) {
+func (s *Sim) newPacket() *packet {
+	if s.pktUsed == len(s.pktChunk) {
+		s.pktChunk = make([]packet, pktChunkSize)
+		s.pktUsed = 0
+	}
+	p := &s.pktChunk[s.pktUsed]
+	s.pktUsed++
+	return p
+}
+
+// generate creates one message at the given NIC, routes it, and queues it
+// for injection.
+//
+//sim:hotpath
+func (s *Sim) generate(n *nic) {
 	dst := s.cfg.Dest(n.host, n.rng)
 	if dst < 0 || dst >= s.numHosts || dst == n.host {
 		panic(fmt.Sprintf("netsim: Dest returned invalid destination %d for source %d", dst, n.host))
@@ -611,19 +543,19 @@ func (s *Sim) generate(sh *shard, n *nic) {
 			measured: s.measuring,
 			seq:      s.pktID(n),
 		}
-		sh.dGenerated++
-		sh.dOutstanding++
+		s.generatedTotal++
+		s.outstanding++
 		if s.measuring {
-			sh.dWindowInjected += int64(m.payload)
+			s.windowInjectedFlits += int64(m.payload)
 		}
 		if s.cfg.Tracer != nil {
 			s.trace(Event{Kind: EvGenerate, Packet: m.seq, Host: n.host})
 		}
-		s.dispatch(sh, m)
+		s.dispatch(m)
 		return
 	}
 	r := s.table.Route(n.host, dst)
-	p := sh.newPacket()
+	p := s.newPacket()
 	*p = packet{
 		id:       s.pktID(n),
 		srcHost:  n.host,
@@ -635,10 +567,10 @@ func (s *Sim) generate(sh *shard, n *nic) {
 		vc:       uint8(r.VC),
 	}
 	p.wireFlits = s.cfg.MessageBytes + headerFlits(r)
-	sh.dGenerated++
-	sh.dOutstanding++
+	s.generatedTotal++
+	s.outstanding++
 	if s.measuring {
-		sh.dWindowInjected += int64(p.payload)
+		s.windowInjectedFlits += int64(p.payload)
 	}
 	if s.cfg.Tracer != nil {
 		s.trace(Event{Kind: EvGenerate, Packet: p.id, Host: n.host})
@@ -647,18 +579,12 @@ func (s *Sim) generate(sh *shard, n *nic) {
 }
 
 // deliver records the arrival of a complete message at its destination.
-// Runs in the destination NIC's shard; counters are staged and latencies go
-// to the shard's histograms (merged at finalize).
 //
 //sim:hotpath
-func (s *Sim) deliver(sh *shard, p *packet) {
-	if sh == nil {
-		// Serial callers don't exist today, but keep the invariant clear.
-		sh = &s.shards[0]
-	}
-	sh.dDelivered++
-	sh.dOutstanding--
-	sh.dProgress++
+func (s *Sim) deliver(p *packet) {
+	s.deliveredTotal++
+	s.outstanding--
+	s.progress++
 	if p.msg != nil {
 		p.msg.done = true // the pending retry timer sees this and expires
 	}
@@ -666,7 +592,7 @@ func (s *Sim) deliver(sh *shard, p *packet) {
 		s.trace(Event{Kind: EvDeliver, Packet: p.id, Host: p.dstHost})
 	}
 	if s.measuring {
-		sh.dWindowDelivered += int64(p.payload)
+		s.windowDeliveredFlits += int64(p.payload)
 	}
 	if !p.measured {
 		return
@@ -674,12 +600,12 @@ func (s *Sim) deliver(sh *shard, p *packet) {
 	latC := s.now - p.genCycle
 	netC := s.now - p.injectCycle
 	lat := float64(latC) * s.p.CycleNs
-	sh.latHist.Record(lat)
-	sh.netLatHist.Record(float64(netC) * s.p.CycleNs)
-	sh.latCycles += latC
-	sh.netLatCycles += netC
-	sh.dMeasITB += int64(p.itbVisits)
-	sh.dMeasCount++
+	s.latHist.Record(lat)
+	s.netLatHist.Record(float64(netC) * s.p.CycleNs)
+	s.latCycles += latC
+	s.netLatCycles += netC
+	s.measITBSum += int64(p.itbVisits)
+	s.measCount++
 	if s.cfg.Notify != nil {
 		s.cfg.Notify(Delivery{
 			PacketID:  p.id,
@@ -693,65 +619,63 @@ func (s *Sim) deliver(sh *shard, p *packet) {
 	}
 }
 
-// step advances the simulation by one cycle. The serial preamble (fault
-// engine) and the serial tail (endCycle: shard merge, purge, cycle
-// increment, metrics) bracket the phase work, which runs inline for one
-// shard or fanned out across the worker pool for several. All three loop
-// bodies share the per-component code; TestActiveSetMatchesDense and
-// TestShardEquivalence prove them byte-identical.
+// step advances the simulation by one cycle: the fault engine's wake-up,
+// the four phases under the dense or the active-set loop, then endCycle.
+// Both loops share the per-component code; TestActiveSetMatchesDense and
+// TestResultGolden prove them byte-identical.
 func (s *Sim) step() {
 	// 0. Fault engine: one comparison per cycle while asleep; plan
 	// events, retry timers, and reconfiguration phases fire on wake-ups.
 	if s.fe != nil && s.now >= s.fe.nextWake {
 		s.fe.wake(s)
 	}
-	switch {
-	case s.dense:
+	if s.dense {
 		s.stepDense()
-	case s.numShards == 1:
-		s.shardPhases(&s.shards[0])
-	default:
-		s.stepParallel()
+	} else {
+		s.stepActive()
 	}
 	s.endCycle()
 }
 
 // stepDense is the legacy loop: every component visited every cycle. Kept
 // (behind Config.DenseStep) as the executable specification the active-set
-// scheduler and the sharded loop are tested against. It runs with the single
-// shard's staging buffers so the cross-cutting code paths stay identical.
+// scheduler is tested against.
 func (s *Sim) stepDense() {
-	sh := &s.shards[0]
 	// 1. Links deliver arrived flits and control signals.
 	for i := range s.links {
 		l := &s.links[i]
 		if !l.idle() {
-			l.deliver(s, sh)
+			l.deliver(s)
 		}
 	}
 	// 2. Switch routing control units.
 	for i := range s.switches {
-		s.switches[i].tickRouting(s, sh)
+		s.switches[i].tickRouting(s)
 	}
 	// 3. NIC bookkeeping: DMA timers, generation, next injection.
 	for i := range s.nics {
-		s.nics[i].tick(s, sh)
+		s.nics[i].tick(s)
 	}
 	// 4. Transfers: established connections and NIC injections push one
 	// flit each onto their links.
 	for i := range s.switches {
-		s.switches[i].tickTransfer(s, sh)
+		s.switches[i].tickTransfer(s)
 	}
 	for i := range s.nics {
-		s.nics[i].tickTransfer(s, sh)
+		s.nics[i].tickTransfer(s)
 	}
 }
 
-// endCycle is the serial tail every step shares: merge the shards' staged
-// work (counters, cross-shard traffic, deferred kills), run the post-kill
-// purge, advance the cycle, and sample windowed metrics.
+// endCycle is the tail every step shares: kill the head packets the
+// phases found requesting a dead output, run the post-kill purge, advance
+// the cycle, and sample windowed metrics.
 func (s *Sim) endCycle() {
-	s.mergeShards()
+	// The kills commute (distinct ports hold distinct packets); any cascade
+	// is handled by the purgeDeadState sweep that fe.needPurge triggers.
+	for _, ipIdx := range s.deadRouteReqs {
+		s.inPorts[ipIdx].killDeadHeads(s)
+	}
+	s.deadRouteReqs = s.deadRouteReqs[:0]
 	// A packet killed mid-cycle (its route crossed a link that failed) may
 	// still have its body stretched across upstream switches and its source
 	// NIC; sweep that state now so their connections tear down instead of
@@ -860,7 +784,6 @@ func (s *Sim) Enqueue(src, dst, payloadBytes int) (int64, error) {
 // been delivered (or MaxCycles / the deadlock watchdog fires). Use with
 // Enqueue-driven traffic.
 func (s *Sim) RunUntilDrained() (*Result, error) {
-	defer s.stopWorkers()
 	if !s.measuring {
 		s.measuring = true
 		s.measureStart = s.now
@@ -905,7 +828,6 @@ const cancelCheckCycles = 8192
 // fires. Cancellation does not perturb results — a run that completes
 // yields byte-identical measurements whether or not a context is attached.
 func (s *Sim) RunContext(ctx context.Context) (*Result, error) {
-	defer s.stopWorkers()
 	var done <-chan struct{}
 	if ctx != nil {
 		done = ctx.Done() // nil for context.Background(): zero overhead
@@ -962,24 +884,12 @@ func (s *Sim) RunContext(ctx context.Context) (*Result, error) {
 }
 
 func (s *Sim) finalize(truncated bool) *Result {
-	// Merge the per-shard latency histograms into the exported ones, in
-	// shard order so the merged buckets and min/max are shard-count
-	// invariant, and set the float sums from the exact integer cycle
-	// tallies (per-delivery float accumulation would depend on merge
-	// order in the last ulp). Rebuilt from scratch each call: callers
-	// like internal/gm interleave RunUntilDrained and finalize repeatedly.
-	lat, netLat := metrics.NewHistogram(), metrics.NewHistogram()
-	var latCycles, netLatCycles int64
-	for j := range s.shards {
-		sh := &s.shards[j]
-		lat.Merge(sh.latHist)
-		netLat.Merge(sh.netLatHist)
-		latCycles += sh.latCycles
-		netLatCycles += sh.netLatCycles
-	}
-	lat.SetSum(float64(latCycles) * s.p.CycleNs)
-	netLat.SetSum(float64(netLatCycles) * s.p.CycleNs)
-	s.latHist, s.netLatHist = lat, netLat
+	// Export copies of the latency histograms (callers like internal/gm
+	// interleave RunUntilDrained and finalize repeatedly), with the float
+	// sums set from the exact integer cycle totals.
+	lat, netLat := s.latHist.Clone(), s.netLatHist.Clone()
+	lat.SetSum(float64(s.latCycles) * s.p.CycleNs)
+	netLat.SetSum(float64(s.netLatCycles) * s.p.CycleNs)
 
 	// Flush the final partial metrics window: a run that stops between
 	// window boundaries (RunUntilDrained draining, the measurement quota
@@ -1012,13 +922,13 @@ func (s *Sim) finalize(truncated bool) *Result {
 		res.Stall = s.stallDump(maxStalledReported)
 	}
 	if s.measCount > 0 {
-		res.AvgLatencyNs = s.latHist.Mean()
-		res.AvgNetLatencyNs = s.netLatHist.Mean()
+		res.AvgLatencyNs = lat.Mean()
+		res.AvgNetLatencyNs = netLat.Mean()
 		res.AvgITBsPerMessage = float64(s.measITBSum) / float64(s.measCount)
-		res.MaxLatencyNs = s.latHist.Max()
-		res.LatencyP50Ns = s.latHist.Quantile(0.50)
-		res.LatencyP95Ns = s.latHist.Quantile(0.95)
-		res.LatencyP99Ns = s.latHist.Quantile(0.99)
+		res.MaxLatencyNs = lat.Max()
+		res.LatencyP50Ns = lat.Quantile(0.50)
+		res.LatencyP95Ns = lat.Quantile(0.95)
+		res.LatencyP99Ns = lat.Quantile(0.99)
 	}
 	windowCycles := s.now - s.measureStart
 	if s.measuring && windowCycles > 0 {
@@ -1044,8 +954,8 @@ func (s *Sim) finalize(truncated bool) *Result {
 		m := s.mx.Finalize(windowCycles, s.p.CycleNs,
 			s.net.ChannelEnds,
 			func(c int) (int64, int64) { return s.links[c].busy, s.links[c].idleStopped })
-		m.Latency = s.latHist
-		m.NetLatency = s.netLatHist
+		m.Latency = lat
+		m.NetLatency = netLat
 		res.Metrics = m
 	}
 	return res

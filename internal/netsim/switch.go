@@ -37,9 +37,9 @@ type inPort struct {
 // output request is registered.
 //
 //sim:hotpath
-func (ip *inPort) receive(s *Sim, sh *shard, pkt *packet, tail bool) {
+func (ip *inPort) receive(s *Sim, pkt *packet, tail bool) {
 	if s.vcMode {
-		ip.receiveVC(s, sh, pkt, tail)
+		ip.receiveVC(s, pkt, tail)
 		return
 	}
 	if pkt.dead {
@@ -53,58 +53,60 @@ func (ip *inPort) receive(s *Sim, sh *shard, pkt *packet, tail bool) {
 		panic(fmt.Sprintf("netsim: slack buffer overflow on link %d (occ %d)", ip.link, ip.buf.occ))
 	}
 	if wasHeadless {
-		ip.requestRouting(s, sh)
+		ip.requestRouting(s)
 	}
 	if !ip.lastSignalStop && ip.buf.occ > s.p.StopThreshold {
 		ip.lastSignalStop = true
-		s.links[ip.link].pushSignal(s, sh, true)
+		s.links[ip.link].pushSignal(s, true)
 	}
 }
 
 // requestRouting registers the head packet's output request with the
 // requested output port. The head run always carries at least the route
 // flit when this is called. A head packet whose source route crosses a
-// link that has since failed is discarded (there is no way to re-route a
-// wormhole packet mid-network); the next buffered packet then gets its
-// chance, until one requests a live output or the buffer drains. During a
-// phase (sh != nil) the kill is deferred — the port stages itself and the
-// serial end-of-cycle drain re-runs this loop with sh == nil, because kills
-// touch global fault accounting.
+// link that has since failed cannot be re-routed mid-network; the port
+// queues itself on Sim.deadRouteReqs and the end of the cycle kills the
+// packet (killDeadHeads), so the next buffered packet requests routing one
+// cycle later.
 //
 //sim:hotpath
-func (ip *inPort) requestRouting(s *Sim, sh *shard) {
-	for {
-		hs := ip.buf.headSeg()
-		if hs == nil {
-			return
-		}
-		lnk := hs.pkt.nextLink(s)
-		if s.fe == nil || !s.fe.down[lnk] {
-			oi := s.outPortOfLink[lnk]
-			ip.pendingOut = oi
-			s.outPorts[oi].reqMask |= 1 << uint(ip.localIdx)
-			s.switches[ip.sw].waiting++
-			// Sole waiting++ site: wake the control unit.
-			s.shards[s.shardOfSwitch[ip.sw]].routingSet.add(ip.sw)
-			return
-		}
-		if sh != nil {
-			sh.deadRouteReqs = append(sh.deadRouteReqs, s.links[ip.link].recvPort)
-			return
-		}
+func (ip *inPort) requestRouting(s *Sim) {
+	hs := ip.buf.headSeg()
+	if hs == nil {
+		return
+	}
+	lnk := hs.pkt.nextLink(s)
+	if s.fe != nil && s.fe.down[lnk] {
+		s.deadRouteReqs = append(s.deadRouteReqs, s.links[ip.link].recvPort)
+		return
+	}
+	oi := s.outPortOfLink[lnk]
+	ip.pendingOut = oi
+	s.outPorts[oi].reqMask |= 1 << uint(ip.localIdx)
+	s.switches[ip.sw].waiting++
+	// Sole waiting++ site: wake the control unit.
+	s.routingSet.add(ip.sw)
+}
+
+// killDeadHeads is requestRouting for cycle-edge code: it kills head
+// packets whose source route crosses a dead output until one requests a
+// live output or the buffer drains.
+func (ip *inPort) killDeadHeads(s *Sim) {
+	for hs := ip.buf.headSeg(); hs != nil && s.fe.down[hs.pkt.nextLink(s)]; hs = ip.buf.headSeg() {
 		s.fe.kill(s, hs.pkt, DropDeadOutput)
 		ip.buf.purgeDead()
 		if !s.links[ip.link].down {
-			ip.consumed(s, nil)
+			ip.consumed(s)
 		}
 	}
+	ip.requestRouting(s)
 }
 
 // consumed updates flow control after flits leave the buffer.
-func (ip *inPort) consumed(s *Sim, sh *shard) {
+func (ip *inPort) consumed(s *Sim) {
 	if ip.lastSignalStop && ip.buf.occ < s.p.GoThreshold {
 		ip.lastSignalStop = false
-		s.links[ip.link].pushSignal(s, sh, false)
+		s.links[ip.link].pushSignal(s, false)
 	}
 }
 
@@ -157,9 +159,9 @@ type swtch struct {
 // header setups and grants free output ports to requesting inputs.
 //
 //sim:hotpath
-func (sw *swtch) tickRouting(s *Sim, sh *shard) {
+func (sw *swtch) tickRouting(s *Sim) {
 	if s.vcMode {
-		sw.tickRoutingVC(s, sh)
+		sw.tickRoutingVC(s)
 		return
 	}
 	if sw.setups > 0 {
@@ -183,15 +185,15 @@ func (sw *swtch) tickRouting(s *Sim, sh *shard) {
 			ip.buf.take(1)
 			pkt.wireFlits--
 			pkt.advanceCursor()
-			ip.consumed(s, sh)
+			ip.consumed(s)
 			ip.conn = oi
 			ip.pendingOut = -1
 			op.state = outConnected
 			sw.setups--
 			sw.conns++
 			// Sole conns++ site: wake the crossbar.
-			s.shards[s.shardOfSwitch[sw.id]].transferSet.add(sw.id)
-			s.bumpProgress(sh)
+			s.transferSet.add(sw.id)
+			s.progress++
 			if s.cfg.Tracer != nil {
 				s.trace(Event{Kind: EvRoute, Packet: pkt.id, Switch: sw.id, Link: op.link})
 			}
@@ -229,9 +231,9 @@ func (sw *swtch) tickRouting(s *Sim, sh *shard) {
 // request.
 //
 //sim:hotpath
-func (sw *swtch) tickTransfer(s *Sim, sh *shard) {
+func (sw *swtch) tickTransfer(s *Sim) {
 	if s.vcMode {
-		sw.tickTransferVC(s, sh)
+		sw.tickTransferVC(s)
 		return
 	}
 	if sw.conns == 0 {
@@ -259,15 +261,15 @@ func (sw *swtch) tickTransfer(s *Sim, sh *shard) {
 		last := hs.tail && hs.flits == 1
 		pkt := hs.pkt
 		ip.buf.take(1)
-		l.pushFlit(s, sh, pkt, last)
-		ip.consumed(s, sh)
+		l.pushFlit(s, pkt, last)
+		ip.consumed(s)
 		if last {
 			ip.buf.popIfDone()
 			ip.conn = -1
 			op.state = outFree
 			sw.conns--
 			if ip.buf.headSeg() != nil {
-				ip.requestRouting(s, sh)
+				ip.requestRouting(s)
 			}
 		}
 	}

@@ -20,10 +20,9 @@ import "fmt"
 // competes with the output's other connected lanes for the physical link
 // each cycle (switch traversal under credit flow control).
 //
-// All three step loops (dense, active-set, sharded) branch into this file
-// through receive/tickRouting/tickTransfer, so shard equivalence holds by
-// construction: credits are sender-shard state like `stopped`, and credit
-// returns ride the same staged signal pipeline as stop/go flits.
+// Both step loops (dense and active-set) branch into this file through
+// receive/tickRouting/tickTransfer, and credit returns ride the same signal
+// pipeline as stop/go flits.
 
 // vcIn is one lane of a switch input port: its buffer and connection state.
 type vcIn struct {
@@ -44,7 +43,7 @@ type vcRx struct {
 // receiveVC accepts one flit from the link into the lane buffer of the
 // flit's VC. Credit flow control guarantees the buffer never overflows; the
 // panic is the conservation check.
-func (ip *inPort) receiveVC(s *Sim, sh *shard, pkt *packet, tail bool) {
+func (ip *inPort) receiveVC(s *Sim, pkt *packet, tail bool) {
 	vb := &ip.vcs[pkt.vc]
 	wasHeadless := vb.buf.headSeg() == nil
 	vb.buf.push(pkt, 1, tail)
@@ -72,7 +71,7 @@ func (ip *inPort) requestRoutingVC(s *Sim, vc int) {
 	s.outPorts[oi].vcReq[vc] |= 1 << uint(ip.localIdx)
 	s.switches[ip.sw].waiting++
 	// Sole waiting++ site in VC mode: wake the control unit.
-	s.shards[s.shardOfSwitch[ip.sw]].routingSet.add(ip.sw)
+	s.routingSet.add(ip.sw)
 }
 
 // tickRoutingVC advances one switch's routing units under VC flow control:
@@ -81,7 +80,7 @@ func (ip *inPort) requestRoutingVC(s *Sim, vc int) {
 // already connected stays pending; a granted setup occupies the output's
 // single routing unit for RoutingCycles, serializing header processing per
 // output exactly as the stop & go model does.
-func (sw *swtch) tickRoutingVC(s *Sim, sh *shard) {
+func (sw *swtch) tickRoutingVC(s *Sim) {
 	if sw.setups > 0 {
 		for _, oi := range sw.outs {
 			op := &s.outPorts[oi]
@@ -105,7 +104,7 @@ func (sw *swtch) tickRoutingVC(s *Sim, sh *shard) {
 			vb.buf.take(1)
 			pkt.wireFlits--
 			pkt.advanceCursor()
-			s.links[ip.link].pushCredit(s, sh, vc)
+			s.links[ip.link].pushCredit(s, vc)
 			vb.conn = oi
 			vb.pendingOut = -1
 			op.vconn[vc] = int32(op.inp)
@@ -114,8 +113,8 @@ func (sw *swtch) tickRoutingVC(s *Sim, sh *shard) {
 			sw.setups--
 			sw.conns++
 			// Sole conns++ site in VC mode: wake the crossbar.
-			s.shards[s.shardOfSwitch[sw.id]].transferSet.add(sw.id)
-			s.bumpProgress(sh)
+			s.transferSet.add(sw.id)
+			s.progress++
 			if s.cfg.Tracer != nil {
 				s.trace(Event{Kind: EvRoute, Packet: pkt.id, Switch: sw.id, Link: op.link})
 			}
@@ -159,7 +158,7 @@ func (sw *swtch) tickRoutingVC(s *Sim, sh *shard) {
 // When no lane can send but some lane was blocked purely by credits, the
 // cycle counts as flow-control idle time, the VC-mode analogue of the
 // paper's stop & go link-stopped statistic.
-func (sw *swtch) tickTransferVC(s *Sim, sh *shard) {
+func (sw *swtch) tickTransferVC(s *Sim) {
 	if sw.conns == 0 {
 		return
 	}
@@ -190,8 +189,8 @@ func (sw *swtch) tickTransferVC(s *Sim, sh *shard) {
 			last := hs.tail && hs.flits == 1
 			pkt := hs.pkt
 			vb.buf.take(1)
-			l.pushFlit(s, sh, pkt, last)
-			s.links[ip.link].pushCredit(s, sh, vc)
+			l.pushFlit(s, pkt, last)
+			s.links[ip.link].pushCredit(s, vc)
 			if last {
 				vb.buf.popIfDone()
 				vb.conn = -1
@@ -216,7 +215,7 @@ func (sw *swtch) tickTransferVC(s *Sim, sh *shard) {
 // returning the buffer credit immediately (the NIC drains its per-lane
 // receive buffer at link speed). In-transit ejection cannot occur: VC
 // routes are single-segment by construction.
-func (n *nic) receiveVC(s *Sim, sh *shard, pkt *packet, tail bool) {
+func (n *nic) receiveVC(s *Sim, pkt *packet, tail bool) {
 	r := &n.rxVC[pkt.vc]
 	if r.pkt != pkt {
 		if r.pkt != nil {
@@ -227,13 +226,13 @@ func (n *nic) receiveVC(s *Sim, sh *shard, pkt *packet, tail bool) {
 		r.count = 0
 	}
 	r.count++
-	s.links[s.hostDownLink(n.host)].pushCredit(s, sh, int(pkt.vc))
-	s.bumpProgress(sh)
+	s.links[s.hostDownLink(n.host)].pushCredit(s, int(pkt.vc))
+	s.progress++
 	if tail {
 		if r.count != pkt.wireFlits {
 			panic(fmt.Sprintf("netsim: host %d: delivered %d flits, expected %d", n.host, r.count, pkt.wireFlits))
 		}
-		s.deliver(sh, pkt)
+		s.deliver(pkt)
 		r.pkt = nil
 	}
 }

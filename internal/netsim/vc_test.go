@@ -95,16 +95,13 @@ func TestVCEndToEnd(t *testing.T) {
 	}
 }
 
-// TestVCLoopEquivalence is the VC analogue of the dense/active-set/sharded
-// golden check: the dense scan, the serial active-set loop, and every shard
-// count must produce byte-identical Results — metrics series and histograms
-// included — on a VC run.
+// TestVCLoopEquivalence is the VC analogue of TestActiveSetMatchesDense:
+// the dense scan and the active-set loop must produce byte-identical
+// Results — metrics series and histograms included — on a VC run.
 func TestVCLoopEquivalence(t *testing.T) {
 	for _, net := range vcNets(t) {
 		t.Run(net.Name, func(t *testing.T) {
-			serial := vcConfig(t, net, 2)
-			serial.Shards = 1
-			want, err := Run(serial)
+			want, err := Run(vcConfig(t, net, 2))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,17 +111,6 @@ func TestVCLoopEquivalence(t *testing.T) {
 				t.Fatalf("dense: %v", err)
 			} else if !reflect.DeepEqual(want, got) {
 				t.Errorf("dense loop diverges from active-set run")
-			}
-			for _, k := range shardCounts() {
-				cfg := vcConfig(t, net, 2)
-				cfg.Shards = k
-				got, err := Run(cfg)
-				if err != nil {
-					t.Fatalf("Shards=%d: %v", k, err)
-				}
-				if !reflect.DeepEqual(want, got) {
-					t.Errorf("Shards=%d diverges from serial run:\nserial:  %+v\nsharded: %+v", k, want, got)
-				}
 			}
 		})
 	}

@@ -35,8 +35,8 @@ func (t *Table) SetSelector(sel Selector) *Table {
 }
 
 // HasSelector reports whether a path-selection policy override is
-// installed. Selectors carry shared mutable state (RNGs, EWMA maps), so the
-// simulator's sharded stepping refuses tables that have one.
+// installed. Selectors carry mutable state (RNGs, EWMA maps) the simulator
+// cannot checkpoint, so Snapshot refuses tables that have one.
 func (t *Table) HasSelector() bool { return t.sel != nil }
 
 // Observe forwards a delivery measurement to the installed selector, if

@@ -576,6 +576,9 @@ func (t *Table) validateRoute(s, d int, r *Route) error {
 	hops := 0
 	for i, seg := range r.Segs {
 		for _, c := range seg.Channels {
+			if c < 0 || c >= t.Net.NumChannels() {
+				return fmt.Errorf("routes: %d->%d: channel %d out of range (network has %d)", s, d, c, t.Net.NumChannels())
+			}
 			from, to := t.Net.ChannelEnds(c)
 			if from != cur {
 				return fmt.Errorf("routes: %d->%d: channel %d starts at %d, expected %d", s, d, c, from, cur)

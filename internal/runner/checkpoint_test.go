@@ -210,7 +210,6 @@ func TestPanicContained(t *testing.T) {
 	net := testNet(t)
 	spec := testSpec(t, net)
 	spec.Schemes = []routes.Scheme{routes.UpDown}
-	spec.Shards = 1 // keep the panic on the worker goroutine, not a shard's
 	spec.Patterns = []Pattern{
 		{Kind: "uniform"},
 		{Kind: "custom", Custom: func(src int, rng *netsim.RNG) int {

@@ -3,7 +3,6 @@ package runner
 import (
 	"errors"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"itbsim/internal/faults"
@@ -61,34 +60,6 @@ func TestOptimizeDeterminismAcrossParallelism(t *testing.T) {
 	if !reflect.DeepEqual(repSeq.Curves, repPar.Curves) {
 		t.Errorf("optimized sweep diverges between parallel=1 and parallel=8:\nseq: %+v\npar: %+v",
 			repSeq.Curves, repPar.Curves)
-	}
-}
-
-// TestOptimizeDeterminismAcrossShards: the optimized sweep must also be
-// byte-identical at every per-simulation shard count — both the profiling
-// pre-pass and every measured point run sharded.
-func TestOptimizeDeterminismAcrossShards(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation too slow for -short")
-	}
-	net := testNet(t)
-	var want *Report
-	for _, shards := range []int{1, 2, runtime.NumCPU()} {
-		spec := optimizeSpec(t, net)
-		spec.Shards = shards
-		spec.Parallel = 2
-		rep, err := Run(spec)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		stripTiming(rep)
-		if want == nil {
-			want = rep
-			continue
-		}
-		if !reflect.DeepEqual(want.Curves, rep.Curves) {
-			t.Errorf("optimized sweep diverges at shards=%d", shards)
-		}
 	}
 }
 

@@ -109,9 +109,8 @@ type Spec struct {
 	// controller applies the same optimizer (on a static criticality
 	// estimate) to every degraded table it recomputes. Optimized tables
 	// are private to the job — the shared TableCache keeps the pristine
-	// builds — and results stay byte-identical at every Parallel and
-	// Shards count: the profiling seed derives from the job's stable
-	// coordinates alone.
+	// builds — and results stay byte-identical at every Parallel count:
+	// the profiling seed derives from the job's stable coordinates alone.
 	Optimize *optimize.Config
 
 	// Faults schedules link/switch failures (and repairs) on every load
@@ -127,13 +126,6 @@ type Spec struct {
 
 	// Parallel is the worker-goroutine count; 0 means GOMAXPROCS.
 	Parallel int
-	// Shards is the per-simulation shard count, passed through to
-	// netsim.Config.Shards: 0 picks automatically, 1 forces the serial
-	// path. Results are byte-identical at every count. The two axes
-	// compose — Parallel spreads independent curves over workers, Shards
-	// splits each simulation internally — so on a loaded sweep prefer
-	// Parallel and reserve Shards > 1 for few large simulations.
-	Shards int
 	// CheckpointDir enables the crash-safe sweep journal (see
 	// docs/CHECKPOINT.md): completed jobs are recorded in
 	// <dir>/journal.ndjson, and each in-flight job periodically writes a
@@ -495,7 +487,7 @@ const defaultProfileCycles = 200_000
 // (or escape-prune) pass. The profiling seed derives from the job's
 // stable coordinates with point -1 — a coordinate no real load point
 // uses — so the optimized table, and every result computed on it, is
-// identical at every Parallel and Shards count. Profiling always runs on
+// identical at every Parallel count. Profiling always runs on
 // the healthy fabric: degraded tables are optimized by the job's
 // reconfiguration controller instead, from a static estimate.
 func (s *Spec) optimizeTable(j Job, table *routes.Table, dest netsim.DestFn) (*routes.Table, error) {
@@ -524,7 +516,6 @@ func (s *Spec) optimizeTable(j Job, table *routes.Table, dest netsim.DestFn) (*r
 		MaxCycles:       maxCycles,
 		CollectLinkUtil: true,
 		Params:          s.Params,
-		Shards:          s.Shards,
 	}
 	res, err := netsim.RunContext(s.Context, cfg)
 	if err != nil {
@@ -658,7 +649,6 @@ func (s *Spec) runJob(j Job, reporter *lockedReporter, jl *journal) (cr CurveRes
 				Params:          s.Params,
 				Faults:          s.Faults,
 				Reconfigurer:    reconf,
-				Shards:          s.Shards,
 			}
 			if jl != nil {
 				// The sink header carries everything a resumed walk needs

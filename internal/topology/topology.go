@@ -186,6 +186,17 @@ func (b *Builder) MustBuild() *Network {
 }
 
 func (n *Network) init() error {
+	// Check the sizes before allocating by them: Decode feeds untrusted
+	// input through here.
+	switch {
+	case n.Switches < 1:
+		return &ConfigError{Field: "Switches", Value: n.Switches, Reason: "must be >= 1"}
+	case n.SwitchPorts < 1:
+		return &ConfigError{Field: "SwitchPorts", Value: n.SwitchPorts, Reason: "must be >= 1"}
+	case n.Switches > len(n.Links)+1:
+		return &ConfigError{Field: "Switches", Value: n.Switches,
+			Reason: fmt.Sprintf("a connected switch graph needs at least Switches-1 links, got %d", len(n.Links))}
+	}
 	n.adj = make([][]Neighbor, n.Switches)
 	n.hostsAt = make([][]int, n.Switches)
 	n.portUsers = make([]map[int]portUse, n.Switches)
