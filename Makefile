@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test lint lint-alloc lint-alloc-baseline docs race race-determinism faults checkpoint optimize bench bench-optimize profile clean
+.PHONY: all build vet test lint lint-alloc lint-alloc-baseline docs race race-determinism faults checkpoint fuzz optimize bench bench-optimize profile clean
 
 all: build vet test lint
 
@@ -72,6 +72,18 @@ faults:
 checkpoint:
 	$(GO) test -race -count=1 -run 'Checkpoint|Snapshot|ResumeEquivalence' ./internal/netsim/
 	$(GO) test -race -count=1 -run 'KillAndResume|ResumeMidJob|SweepJournalRoundTrip|PanicContained' ./internal/runner/
+
+# Coverage-guided fuzzing, 15 s per target: the topology and route-table
+# JSON decoders, checkpoint restore, and the metrics histogram and
+# collector codecs. CI does not fuzz: make test already replays every seed
+# and every checked-in corpus under testdata/fuzz. The fuzzer writes a
+# crashing input into its package's testdata/fuzz; check it in with the fix.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzTopologyDecode$$' -fuzztime 15s ./internal/topology/
+	$(GO) test -run '^$$' -fuzz '^FuzzRoutesDecode$$' -fuzztime 15s ./internal/routes/
+	$(GO) test -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime 15s ./internal/netsim/
+	$(GO) test -run '^$$' -fuzz '^FuzzHistogramUnmarshal$$' -fuzztime 15s ./internal/metrics/
+	$(GO) test -run '^$$' -fuzz '^FuzzCollectorUnmarshal$$' -fuzztime 15s ./internal/metrics/
 
 # The route-optimizer suite under the race detector: the package-level
 # property tests (invariants, determinism, deadlock freedom, escape

@@ -246,7 +246,9 @@ func TestRepoTreeIsClean(t *testing.T) {
 // loading, type-checking and running the full repository rule set —
 // interprocedural call graph included — stays under five seconds. The
 // lint-alloc gate is excluded; it shells out to the compiler and is
-// budgeted separately by its build-cache reuse.
+// budgeted separately by its build-cache reuse. Under the race detector
+// (make race) the rule set still loads and runs, but the budget is not
+// checked: instrumentation alone more than doubles the time.
 func TestFullRepoLintBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")
@@ -259,7 +261,7 @@ func TestFullRepoLintBudget(t *testing.T) {
 	}
 	findings := lint.Run(pkgs, lint.RepoRules())
 	elapsed := time.Since(start)
-	if elapsed > budget {
+	if elapsed > budget && !raceEnabled {
 		t.Errorf("full-repo lint took %v, budget is %v", elapsed, budget)
 	}
 	t.Logf("full-repo lint: %d package(s), %d finding(s) in %v", len(pkgs), len(findings), elapsed)

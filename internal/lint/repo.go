@@ -25,6 +25,7 @@ var repoDeterministic = map[string]bool{
 	"itbsim/internal/metrics":  true,
 	"itbsim/internal/traffic":  true,
 	"itbsim/internal/mapper":   true,
+	"itbsim/internal/wire":     true,
 }
 
 // repoStats lists the packages that compute or aggregate floating-point
@@ -44,11 +45,14 @@ var repoStats = map[string]bool{
 // architecture section of DESIGN.md and is documented in docs/LINT.md;
 // adding a package without assigning it a layer is itself a finding.
 var repoLayers = map[string]int{
-	// Foundations: no internal imports.
+	// Foundations: no internal imports. wire is the byte codec of the
+	// checkpoint and of the metrics streaming state.
 	"itbsim/internal/topology": 0,
-	"itbsim/internal/metrics":  0,
+	"itbsim/internal/wire":     0,
 	"itbsim/internal/lint":     0,
-	// Routing substrate on the raw graph.
+	// Windowed telemetry (encoded with wire), and the routing substrate on
+	// the raw graph.
+	"itbsim/internal/metrics":  1,
 	"itbsim/internal/updown":   1,
 	"itbsim/internal/mapper":   1,
 	"itbsim/internal/itbroute": 2,

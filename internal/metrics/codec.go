@@ -1,343 +1,142 @@
 package metrics
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
+
+	"itbsim/internal/wire"
 )
 
 // Binary codecs for the streaming state of this package, used by the
 // simulator checkpoint (docs/CHECKPOINT.md): a mid-run Collector and its
 // Histograms round-trip exactly, so a restored run's exported telemetry is
-// byte-identical to the uninterrupted run's. The encoding is little-endian
-// with length-prefixed slices and a leading format version byte per type.
+// byte-identical to the uninterrupted run's. Each type has one walk over its
+// fields that both MarshalBinary and UnmarshalBinary run (internal/wire).
+// The encoding is little-endian with 4-byte slice length prefixes and a
+// leading format version byte per type; a decoded length is bounded by the
+// bytes left, so a corrupt prefix cannot size an allocation.
 
 const (
 	histogramCodecVersion = 1
 	collectorCodecVersion = 1
 )
 
-// enc is a sticky-error little-endian byte writer.
-type enc struct {
-	buf []byte
-}
+// lenSize is the width of this package's slice length prefixes.
+const lenSize = 4
 
-func (e *enc) u8(v uint8)   { e.buf = append(e.buf, v) }
-func (e *enc) u32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
-func (e *enc) u64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
-func (e *enc) i64(v int64)  { e.u64(uint64(v)) }
-func (e *enc) f64(v float64) {
-	e.u64(math.Float64bits(v))
-}
-
-func (e *enc) i64s(s []int64) {
-	e.u32(uint32(len(s)))
-	for _, v := range s {
-		e.i64(v)
+// version writes v, or reads a version byte and fails unless it is v.
+func version(c *wire.Codec, v uint8, what string) {
+	got := v
+	c.U8(&got)
+	if got != v {
+		c.Fail(fmt.Errorf("%s codec version %d, want %d", what, got, v))
 	}
 }
 
-func (e *enc) i32s(s []int32) {
-	e.u32(uint32(len(s)))
-	for _, v := range s {
-		e.u32(uint32(v))
+// i32 keeps the collector's 4-byte encoding of its int32 peaks.
+func i32(c *wire.Codec, v *int32) {
+	u := uint32(*v)
+	c.U32(&u)
+	if c.Reading() {
+		*v = int32(u)
 	}
 }
 
-func (e *enc) u32s(s []uint32) {
-	e.u32(uint32(len(s)))
-	for _, v := range s {
-		e.u32(v)
-	}
+func marshal(walk func(*wire.Codec)) ([]byte, error) {
+	c := wire.NewWriter(nil, lenSize)
+	walk(c)
+	return c.Bytes(), c.Err()
 }
 
-func (e *enc) u64s(s []uint64) {
-	e.u32(uint32(len(s)))
-	for _, v := range s {
-		e.u64(v)
-	}
-}
-
-func (e *enc) f64s(s []float64) {
-	e.u32(uint32(len(s)))
-	for _, v := range s {
-		e.f64(v)
-	}
-}
-
-// dec is a sticky-error little-endian byte reader: after the first short
-// read every subsequent call returns zero values and err stays set.
-type dec struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *dec) fail(n int) bool {
-	if d.err != nil {
-		return true
-	}
-	if d.off+n > len(d.buf) {
-		d.err = fmt.Errorf("metrics: truncated codec input at offset %d (need %d of %d bytes)", d.off, n, len(d.buf))
-		return true
-	}
-	return false
-}
-
-func (d *dec) u8() uint8 {
-	if d.fail(1) {
-		return 0
-	}
-	v := d.buf[d.off]
-	d.off++
-	return v
-}
-
-func (d *dec) u32() uint32 {
-	if d.fail(4) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.buf[d.off:])
-	d.off += 4
-	return v
-}
-
-func (d *dec) u64() uint64 {
-	if d.fail(8) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.buf[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *dec) i64() int64    { return int64(d.u64()) }
-func (d *dec) f64() float64  { return math.Float64frombits(d.u64()) }
-func (d *dec) sliceLen() int { return int(d.u32()) }
-
-func (d *dec) i64s() []int64 {
-	n := d.sliceLen()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	s := make([]int64, n)
-	for i := range s {
-		s[i] = d.i64()
-	}
-	return s
-}
-
-func (d *dec) i32s() []int32 {
-	n := d.sliceLen()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	s := make([]int32, n)
-	for i := range s {
-		s[i] = int32(d.u32())
-	}
-	return s
-}
-
-func (d *dec) u32s() []uint32 {
-	n := d.sliceLen()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	s := make([]uint32, n)
-	for i := range s {
-		s[i] = d.u32()
-	}
-	return s
-}
-
-func (d *dec) u64s() []uint64 {
-	n := d.sliceLen()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	s := make([]uint64, n)
-	for i := range s {
-		s[i] = d.u64()
-	}
-	return s
-}
-
-func (d *dec) f64s() []float64 {
-	n := d.sliceLen()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	s := make([]float64, n)
-	for i := range s {
-		s[i] = d.f64()
-	}
-	return s
-}
-
-// MarshalBinary serializes the histogram's complete state: bucket counts and
-// the exact summary moments (count, sum, min, max).
-func (h *Histogram) MarshalBinary() ([]byte, error) {
-	e := &enc{}
-	e.u8(histogramCodecVersion)
-	e.u64(h.count)
-	e.f64(h.sum)
-	e.f64(h.min)
-	e.f64(h.max)
-	e.u64s(h.counts)
-	return e.buf, nil
-}
-
-// UnmarshalBinary restores a histogram serialized by MarshalBinary,
-// overwriting the receiver. The receiver may be freshly built by
-// NewHistogram or zero-valued (bucket storage is allocated as needed).
-func (h *Histogram) UnmarshalBinary(data []byte) error {
-	d := &dec{buf: data}
-	if v := d.u8(); d.err == nil && v != histogramCodecVersion {
-		return fmt.Errorf("metrics: histogram codec version %d, want %d", v, histogramCodecVersion)
-	}
-	count := d.u64()
-	sum := d.f64()
-	mn := d.f64()
-	mx := d.f64()
-	counts := d.u64s()
-	if d.err != nil {
-		return d.err
-	}
-	if len(counts) != NumBuckets {
-		return fmt.Errorf("metrics: histogram has %d buckets, want %d", len(counts), NumBuckets)
-	}
-	if d.off != len(data) {
-		return fmt.Errorf("metrics: %d trailing bytes after histogram", len(data)-d.off)
-	}
-	h.count, h.sum, h.min, h.max = count, sum, mn, mx
-	if h.counts == nil {
-		h.counts = counts
-	} else {
-		copy(h.counts, counts)
+func unmarshal(what string, data []byte, walk func(*wire.Codec)) error {
+	c := wire.NewReader(data, lenSize)
+	walk(c)
+	if err := c.Finish(); err != nil {
+		return fmt.Errorf("metrics: decoding %s: %w", what, err)
 	}
 	return nil
 }
 
-// MarshalBinary serializes a mid-run collector's complete state, including
-// the mutable window width (rebinning doubles it) and every series.
-func (c *Collector) MarshalBinary() ([]byte, error) {
-	e := &enc{}
-	e.u8(collectorCodecVersion)
-	e.i64(c.windowCycles)
-	e.i64(int64(c.maxWindows))
-	e.i64(c.startCycle)
-	e.i64(c.nextSample)
-	e.i64(int64(c.channels))
-	e.i64(int64(c.switches))
-	e.i64(int64(c.hosts))
-	e.i64s(c.busyPrev)
-	e.u32s(c.busySeries)
-	e.i64(int64(c.windows))
-	e.f64s(c.peakBusyFrac)
-	e.i64s(c.occSum)
-	e.i32s(c.occPeak)
-	e.i64s(c.poolSum)
-	e.i32s(c.poolPeak)
-	e.i64s(c.ejects)
-	e.i64s(c.reinjects)
-	e.i64s(c.backpressure)
-	e.i64(c.delivPrev)
-	e.i64(c.dropPrev)
-	e.i64(c.retransPrev)
-	e.u32s(c.delivSeries)
-	e.u32s(c.dropSeries)
-	e.u32s(c.retransSeries)
-	e.i64(int64(c.numVCs))
-	e.i64s(c.vcOccSum)
-	e.i32s(c.vcOccPeak)
-	e.u32s(c.vcOccSeries)
-	e.u32s(c.vcCount)
-	e.i64(c.samples)
-	return e.buf, nil
+// walk is the histogram's encoding: bucket counts and the exact summary
+// moments (count, sum, min, max).
+func (h *Histogram) walk(c *wire.Codec) {
+	version(c, histogramCodecVersion, "histogram")
+	c.U64(&h.count)
+	c.F64(&h.sum)
+	c.F64(&h.min)
+	c.F64(&h.max)
+	if c.Reading() && h.counts == nil {
+		h.counts = make([]uint64, NumBuckets)
+	}
+	wire.Array(c, h.counts, (*wire.Codec).U64)
 }
+
+// MarshalBinary serializes the histogram's complete state.
+func (h *Histogram) MarshalBinary() ([]byte, error) { return marshal(h.walk) }
+
+// UnmarshalBinary restores a histogram serialized by MarshalBinary,
+// overwriting the receiver. The receiver may be freshly built by
+// NewHistogram or zero-valued (bucket storage is allocated as needed). On
+// error the receiver holds partly decoded state and should be discarded.
+func (h *Histogram) UnmarshalBinary(data []byte) error {
+	return unmarshal("histogram", data, h.walk)
+}
+
+// walk is the collector's encoding: its complete mid-run state, including
+// the mutable window width (rebinning doubles it) and every series. The
+// dimensions and per-channel, per-switch, per-host and per-lane arrays are
+// fixed by NewCollector and EnableVCs, so a reader checks them against the
+// receiver instead of resizing it.
+func (c *Collector) walk(w *wire.Codec) {
+	version(w, collectorCodecVersion, "collector")
+	wire.Int(w, &c.windowCycles)
+	wire.Int(w, &c.maxWindows)
+	wire.Int(w, &c.startCycle)
+	wire.Int(w, &c.nextSample)
+	dims := [3]int{c.channels, c.switches, c.hosts}
+	for i := range dims {
+		wire.Int(w, &dims[i])
+	}
+	if dims != [3]int{c.channels, c.switches, c.hosts} {
+		w.Fail(fmt.Errorf("collector snapshot is for %d/%d/%d channels/switches/hosts, receiver has %d/%d/%d",
+			dims[0], dims[1], dims[2], c.channels, c.switches, c.hosts))
+	}
+	wire.Array(w, c.busyPrev, wire.Int[int64])
+	wire.Slice(w, &c.busySeries, (*wire.Codec).U32)
+	wire.Int(w, &c.windows)
+	wire.Array(w, c.peakBusyFrac, (*wire.Codec).F64)
+	wire.Array(w, c.occSum, wire.Int[int64])
+	wire.Array(w, c.occPeak, i32)
+	wire.Array(w, c.poolSum, wire.Int[int64])
+	wire.Array(w, c.poolPeak, i32)
+	wire.Array(w, c.ejects, wire.Int[int64])
+	wire.Array(w, c.reinjects, wire.Int[int64])
+	wire.Array(w, c.backpressure, wire.Int[int64])
+	wire.Int(w, &c.delivPrev)
+	wire.Int(w, &c.dropPrev)
+	wire.Int(w, &c.retransPrev)
+	wire.Slice(w, &c.delivSeries, (*wire.Codec).U32)
+	wire.Slice(w, &c.dropSeries, (*wire.Codec).U32)
+	wire.Slice(w, &c.retransSeries, (*wire.Codec).U32)
+	numVCs := c.numVCs
+	wire.Int(w, &numVCs)
+	if numVCs != c.numVCs {
+		w.Fail(fmt.Errorf("collector snapshot has %d virtual channels, receiver has %d", numVCs, c.numVCs))
+	}
+	wire.Array(w, c.vcOccSum, wire.Int[int64])
+	wire.Array(w, c.vcOccPeak, i32)
+	wire.Slice(w, &c.vcOccSeries, (*wire.Codec).U32)
+	wire.Slice(w, &c.vcCount, (*wire.Codec).U32)
+	wire.Int(w, &c.samples)
+}
+
+// MarshalBinary serializes a mid-run collector's complete state.
+func (c *Collector) MarshalBinary() ([]byte, error) { return marshal(c.walk) }
 
 // UnmarshalBinary restores a collector serialized by MarshalBinary into the
 // receiver, which must have been built by NewCollector for the same network
 // shape (and EnableVCs with the same lane count when the snapshot carries
-// VC state); mismatched dimensions are an error.
+// VC state); mismatched dimensions are an error. On error the receiver
+// holds partly decoded state and should be discarded.
 func (c *Collector) UnmarshalBinary(data []byte) error {
-	d := &dec{buf: data}
-	if v := d.u8(); d.err == nil && v != collectorCodecVersion {
-		return fmt.Errorf("metrics: collector codec version %d, want %d", v, collectorCodecVersion)
-	}
-	windowCycles := d.i64()
-	maxWindows := int(d.i64())
-	startCycle := d.i64()
-	nextSample := d.i64()
-	channels := int(d.i64())
-	switches := int(d.i64())
-	hosts := int(d.i64())
-	busyPrev := d.i64s()
-	busySeries := d.u32s()
-	windows := int(d.i64())
-	peakBusyFrac := d.f64s()
-	occSum := d.i64s()
-	occPeak := d.i32s()
-	poolSum := d.i64s()
-	poolPeak := d.i32s()
-	ejects := d.i64s()
-	reinjects := d.i64s()
-	backpressure := d.i64s()
-	delivPrev := d.i64()
-	dropPrev := d.i64()
-	retransPrev := d.i64()
-	delivSeries := d.u32s()
-	dropSeries := d.u32s()
-	retransSeries := d.u32s()
-	numVCs := int(d.i64())
-	vcOccSum := d.i64s()
-	vcOccPeak := d.i32s()
-	vcOccSeries := d.u32s()
-	vcCount := d.u32s()
-	samples := d.i64()
-	if d.err != nil {
-		return d.err
-	}
-	if d.off != len(data) {
-		return fmt.Errorf("metrics: %d trailing bytes after collector", len(data)-d.off)
-	}
-	if channels != c.channels || switches != c.switches || hosts != c.hosts {
-		return fmt.Errorf("metrics: collector snapshot is for %d/%d/%d channels/switches/hosts, receiver has %d/%d/%d",
-			channels, switches, hosts, c.channels, c.switches, c.hosts)
-	}
-	if numVCs != c.numVCs {
-		return fmt.Errorf("metrics: collector snapshot has %d virtual channels, receiver has %d", numVCs, c.numVCs)
-	}
-	if len(busyPrev) != channels || len(peakBusyFrac) != channels ||
-		len(occSum) != switches || len(occPeak) != switches ||
-		len(poolSum) != hosts || len(poolPeak) != hosts ||
-		len(ejects) != hosts || len(reinjects) != hosts || len(backpressure) != hosts {
-		return fmt.Errorf("metrics: collector snapshot arrays do not match its own dimensions")
-	}
-	c.windowCycles = windowCycles
-	c.maxWindows = maxWindows
-	c.startCycle = startCycle
-	c.nextSample = nextSample
-	copy(c.busyPrev, busyPrev)
-	c.busySeries = busySeries
-	c.windows = windows
-	copy(c.peakBusyFrac, peakBusyFrac)
-	copy(c.occSum, occSum)
-	copy(c.occPeak, occPeak)
-	copy(c.poolSum, poolSum)
-	copy(c.poolPeak, poolPeak)
-	copy(c.ejects, ejects)
-	copy(c.reinjects, reinjects)
-	copy(c.backpressure, backpressure)
-	c.delivPrev, c.dropPrev, c.retransPrev = delivPrev, dropPrev, retransPrev
-	c.delivSeries, c.dropSeries, c.retransSeries = delivSeries, dropSeries, retransSeries
-	if numVCs > 0 {
-		copy(c.vcOccSum, vcOccSum)
-		copy(c.vcOccPeak, vcOccPeak)
-	}
-	c.vcOccSeries = vcOccSeries
-	c.vcCount = vcCount
-	c.samples = samples
-	return nil
+	return unmarshal("collector", data, c.walk)
 }

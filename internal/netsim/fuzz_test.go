@@ -1,0 +1,50 @@
+package netsim
+
+import (
+	"testing"
+
+	"itbsim/internal/routes"
+	"itbsim/internal/topology"
+)
+
+// FuzzRestore feeds mutated checkpoints to Restore: every input must give
+// a restored *Sim or an error, never a panic or an allocation sized by a
+// corrupt length. The seeds are mid-run snapshots the target takes itself,
+// of the 4×4 ITB-RR fault storm (retries, re-injections, table swaps) and
+// of the two-lane VC dragonfly (lane buffers, credits, per-lane
+// reception); the first argument picks the configuration an input is
+// restored under.
+func FuzzRestore(f *testing.F) {
+	df, err := topology.NewDragonfly(4, 3, 1, 2, 8)
+	if err != nil {
+		f.Fatal(err)
+	}
+	configs := []Config{stormConfig(f, routes.ITBRR), vcConfig(f, df, 2)}
+	for i, every := range []int64{30_000, 80_000} {
+		cfg := configs[i]
+		var seed []byte
+		cfg.CheckpointEvery = every
+		cfg.CheckpointSink = func(_ int64, snap []byte) error {
+			if seed == nil {
+				seed = snap
+			}
+			return nil
+		}
+		if _, err := Run(cfg); err != nil {
+			f.Fatal(err)
+		}
+		if seed == nil {
+			f.Fatalf("config %d finished before cycle %d", i, every)
+		}
+		if _, err := Restore(configs[i], seed); err != nil {
+			f.Fatalf("config %d: seed does not restore: %v", i, err)
+		}
+		f.Add(uint8(i), seed)
+	}
+	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
+		s, err := Restore(configs[int(which)%len(configs)], data)
+		if err == nil && s == nil {
+			t.Fatal("Restore returned neither a Sim nor an error")
+		}
+	})
+}

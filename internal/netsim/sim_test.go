@@ -20,7 +20,7 @@ func uniformDest(numHosts int) DestFn {
 	}
 }
 
-func makeNet(t *testing.T, rows, cols, hosts int) *topology.Network {
+func makeNet(t testing.TB, rows, cols, hosts int) *topology.Network {
 	t.Helper()
 	net, err := topology.NewTorus(rows, cols, hosts, 16)
 	if err != nil {
@@ -29,7 +29,7 @@ func makeNet(t *testing.T, rows, cols, hosts int) *topology.Network {
 	return net
 }
 
-func makeTable(t *testing.T, net *topology.Network, sch routes.Scheme) *routes.Table {
+func makeTable(t testing.TB, net *topology.Network, sch routes.Scheme) *routes.Table {
 	t.Helper()
 	tab, err := routes.Build(net, routes.DefaultConfig(sch))
 	if err != nil {

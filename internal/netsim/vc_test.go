@@ -27,7 +27,7 @@ func vcNets(t *testing.T) []*topology.Network {
 	return []*topology.Network{df, torus}
 }
 
-func makeVCTable(t *testing.T, net *topology.Network, vcs int) *routes.Table {
+func makeVCTable(t testing.TB, net *topology.Network, vcs int) *routes.Table {
 	t.Helper()
 	cfg := routes.DefaultConfig(routes.VC)
 	cfg.VCs = vcs
@@ -38,7 +38,7 @@ func makeVCTable(t *testing.T, net *topology.Network, vcs int) *routes.Table {
 	return tab
 }
 
-func vcConfig(t *testing.T, net *topology.Network, vcs int) Config {
+func vcConfig(t testing.TB, net *topology.Network, vcs int) Config {
 	t.Helper()
 	cfg := baseConfig(net, makeVCTable(t, net, vcs))
 	cfg.Load = 0.01
