@@ -74,8 +74,8 @@ checkpoint:
 	$(GO) test -race -count=1 -run 'KillAndResume|ResumeMidJob|SweepJournalRoundTrip|PanicContained' ./internal/runner/
 
 # Coverage-guided fuzzing, 15 s per target: the topology and route-table
-# JSON decoders, checkpoint restore, and the metrics histogram and
-# collector codecs. CI does not fuzz: make test already replays every seed
+# JSON decoders, checkpoint restore, the metrics histogram and collector
+# codecs, and the fault-plan parser. CI does not fuzz: make test already replays every seed
 # and every checked-in corpus under testdata/fuzz. The fuzzer writes a
 # crashing input into its package's testdata/fuzz; check it in with the fix.
 fuzz:
@@ -84,6 +84,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime 15s ./internal/netsim/
 	$(GO) test -run '^$$' -fuzz '^FuzzHistogramUnmarshal$$' -fuzztime 15s ./internal/metrics/
 	$(GO) test -run '^$$' -fuzz '^FuzzCollectorUnmarshal$$' -fuzztime 15s ./internal/metrics/
+	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime 15s ./internal/faults/
 
 # The route-optimizer suite under the race detector: the package-level
 # property tests (invariants, determinism, deadlock freedom, escape

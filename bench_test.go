@@ -508,20 +508,12 @@ func BenchmarkAblationPathSelection(b *testing.B) {
 		for _, pol := range policies {
 			best := 0.0
 			for _, load := range loads {
-				tab := master.Clone()
-				cfg := netsim.Config{
-					Net: e.Net, Table: tab, Dest: dest,
+				res, err := netsim.Run(netsim.Config{
+					Net: e.Net, Table: master.Clone().SetSelector(pol.sel()), Dest: dest,
 					Load: load, MessageBytes: 512, Seed: 1,
 					WarmupMessages: pre.Warmup, MeasureMessages: pre.Measure,
 					MaxCycles: pre.MaxCycles,
-				}
-				if sel := pol.sel(); sel != nil {
-					tab.SetSelector(sel)
-					cfg.Notify = func(d netsim.Delivery) {
-						tab.Observe(d.SrcHost, d.Route, d.LatencyNs)
-					}
-				}
-				res, err := netsim.Run(cfg)
+				})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -30,18 +30,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		cfg := itbsim.SimConfig{
-			Net: net, Table: table, Dest: dest,
+		// A nil selector keeps the paper's round-robin.
+		res, err := itbsim.Simulate(itbsim.SimConfig{
+			Net: net, Table: table.SetSelector(sel), Dest: dest,
 			Load: 0.05, MessageBytes: 512, Seed: 1,
 			WarmupMessages: 200, MeasureMessages: 1500,
-		}
-		if sel != nil {
-			table.SetSelector(sel)
-			cfg.Notify = func(d itbsim.Delivery) {
-				table.Observe(d.SrcHost, d.Route, d.LatencyNs)
-			}
-		}
-		res, err := itbsim.Simulate(cfg)
+		})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -98,8 +98,7 @@ func New(cfg Config) (*Layer, error) {
 		MeasureMessages: 1,
 		MaxCycles:       cfg.MaxCycles,
 		Params:          params,
-		Tracer:          cfg.Tracer,
-		Notify:          l.onDeliver,
+		Tracer:          tracerFunc(l.observe),
 	})
 	if err != nil {
 		return nil, err
@@ -108,19 +107,31 @@ func New(cfg Config) (*Layer, error) {
 	return l, nil
 }
 
-// onDeliver is the simulator's delivery callback: it reassembles segments
-// into messages and completes them when the last segment lands.
-func (l *Layer) onDeliver(d netsim.Delivery) {
-	id, ok := l.bySeg[d.PacketID]
+// tracerFunc adapts a function to netsim.Tracer.
+type tracerFunc func(netsim.Event)
+
+func (f tracerFunc) Trace(e netsim.Event) { f(e) }
+
+// observe is the layer's view of the simulator's event stream: it forwards
+// every event to the configured Tracer, reassembles delivered segments into
+// messages, and completes a message when its last segment lands.
+func (l *Layer) observe(e netsim.Event) {
+	if l.cfg.Tracer != nil {
+		l.cfg.Tracer.Trace(e)
+	}
+	if e.Kind != netsim.EvDeliver {
+		return
+	}
+	id, ok := l.bySeg[e.Packet]
 	if !ok {
 		return
 	}
-	delete(l.bySeg, d.PacketID)
+	delete(l.bySeg, e.Packet)
 	m := l.messages[id]
 	m.delivered++
 	if m.delivered == m.Segments {
 		m.Status = Delivered
-		m.LatencyNs = float64(d.Cycle-m.sentCycle) * l.cycleNs
+		m.LatencyNs = float64(e.Cycle-m.sentCycle) * l.cycleNs
 	}
 }
 

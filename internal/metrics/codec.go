@@ -41,16 +41,8 @@ func i32(c *wire.Codec, v *int32) {
 	}
 }
 
-func marshal(walk func(*wire.Codec)) ([]byte, error) {
-	c := wire.NewWriter(nil, lenSize)
-	walk(c)
-	return c.Bytes(), c.Err()
-}
-
 func unmarshal(what string, data []byte, walk func(*wire.Codec)) error {
-	c := wire.NewReader(data, lenSize)
-	walk(c)
-	if err := c.Finish(); err != nil {
+	if err := wire.Unmarshal(data, lenSize, walk); err != nil {
 		return fmt.Errorf("metrics: decoding %s: %w", what, err)
 	}
 	return nil
@@ -71,7 +63,7 @@ func (h *Histogram) walk(c *wire.Codec) {
 }
 
 // MarshalBinary serializes the histogram's complete state.
-func (h *Histogram) MarshalBinary() ([]byte, error) { return marshal(h.walk) }
+func (h *Histogram) MarshalBinary() ([]byte, error) { return wire.Marshal(lenSize, h.walk) }
 
 // UnmarshalBinary restores a histogram serialized by MarshalBinary,
 // overwriting the receiver. The receiver may be freshly built by
@@ -130,7 +122,7 @@ func (c *Collector) walk(w *wire.Codec) {
 }
 
 // MarshalBinary serializes a mid-run collector's complete state.
-func (c *Collector) MarshalBinary() ([]byte, error) { return marshal(c.walk) }
+func (c *Collector) MarshalBinary() ([]byte, error) { return wire.Marshal(lenSize, c.walk) }
 
 // UnmarshalBinary restores a collector serialized by MarshalBinary into the
 // receiver, which must have been built by NewCollector for the same network

@@ -49,8 +49,10 @@ const (
 // excluded — results are proven byte-identical across both step loops, so a
 // checkpoint written under one may resume under the other. Config.Dest is also
 // excluded (functions cannot be hashed): callers must resume with the same
-// traffic pattern, exactly as they must pass the same Config.
-func (s *Sim) configHash() uint64 {
+// traffic pattern, exactly as they must pass the same Config. A selector
+// installed on the table adds its kind (dynamic type) and its config (the
+// state a fresh Clone starts from); without one the hash is unchanged.
+func (s *Sim) configHash() (uint64, error) {
 	w := wire.NewWriter(nil, ckptLenSize)
 	i := func(v int) { wire.Int(w, &v) }
 	i64 := func(v int64) { wire.Int(w, &v) }
@@ -76,6 +78,15 @@ func (s *Sim) configHash() uint64 {
 	// that launched them.
 	fp := s.cfg.Table.Fingerprint()
 	w.U64(&fp)
+	if sel := s.cfg.Table.Selector(); sel != nil {
+		kind := []byte(fmt.Sprintf("%T", sel))
+		w.Blob(&kind)
+		fresh, err := sel.Clone().MarshalBinary()
+		if err != nil {
+			return 0, err
+		}
+		w.Blob(&fresh)
+	}
 	i64(s.cfg.Seed)
 	load := s.cfg.Load
 	w.F64(&load)
@@ -122,7 +133,7 @@ func (s *Sim) configHash() uint64 {
 	h := fnv.New64a()
 	//lint:ignore errcheck-lite hash.Hash.Write is documented to never return an error
 	h.Write(w.Bytes())
-	return h.Sum64()
+	return h.Sum64(), nil
 }
 
 // table is one pointer registry of a snapshot: every object of type T
@@ -285,16 +296,18 @@ func nested(c *wire.Codec, v interface {
 }
 
 // state is the checkpoint after its magic: the one walk Snapshot writes and
-// Restore reads. It returns the routing table's round-robin cursors, which a
-// reader applies only after rederive has settled which table is live.
-func (s *Sim) state(c *wire.Codec, g *registry) (rr [][]uint32) {
+// Restore reads.
+func (s *Sim) state(c *wire.Codec, g *registry) {
 	// Header.
 	version := uint32(ckptVersion)
 	c.U32(&version)
 	if version != ckptVersion {
 		c.Fail(fmt.Errorf("format version %d, this build reads %d", version, ckptVersion))
 	}
-	hash := s.configHash()
+	hash, err := s.configHash()
+	if err != nil {
+		c.Fail(err)
+	}
 	got := hash
 	c.U64(&got)
 	if got != hash {
@@ -482,14 +495,17 @@ func (s *Sim) state(c *wire.Codec, g *registry) (rr [][]uint32) {
 	wire.Int(c, &s.windowDeliveredFlits)
 	wire.Int(c, &s.windowInjectedFlits)
 
-	// Routing-table round-robin cursors (of the live table, which may be a
-	// swapped degraded-mode table).
-	if !c.Reading() {
-		rr = s.table.RRSnapshot()
-	}
-	wire.Slice(c, &rr, func(c *wire.Codec, row *[]uint32) {
-		wire.Slice(c, row, (*wire.Codec).U32)
+	// Routing-table selection state of the live table, which may be a
+	// swapped degraded-mode table: the round-robin cursors, then the
+	// selector's state when the configuration installs one (configHash
+	// tells the two cases apart). A reader decodes into the table New
+	// built, and rederive moves the state onto the table it re-derives.
+	wire.Array(c, s.table.RR(), func(c *wire.Codec, row *[]uint32) {
+		wire.Array(c, *row, (*wire.Codec).U32)
 	})
+	if sel := s.table.Selector(); sel != nil {
+		nested(c, sel)
+	}
 
 	// Fault engine: the serial counters and the retry timers; everything
 	// else is re-derived.
@@ -564,23 +580,16 @@ func (s *Sim) state(c *wire.Codec, g *registry) (rr [][]uint32) {
 	if s.mx != nil && c.Err() == nil {
 		nested(c, s.mx)
 	}
-	return rr
 }
 
 // Snapshot serializes the complete mid-run state of the simulator into a
 // self-describing binary checkpoint. It must be called at a cycle boundary
 // (between step calls — the CheckpointEvery hook and external callers
-// between Run invocations both qualify) and refuses configurations whose
-// state cannot round-trip: a Tracer or Notify callback, or a routing table
-// with an adaptive Selector. Restore the result with Restore or
+// between Run invocations both qualify). The state includes the routing
+// selector's; a Tracer only observes, and a restored run's tracer sees the
+// events from the restore cycle on. Restore the result with Restore or
 // ResumeContext under the same Config.
 func (s *Sim) Snapshot() ([]byte, error) {
-	if s.cfg.Tracer != nil || s.cfg.Notify != nil {
-		return nil, fmt.Errorf("netsim: cannot snapshot a Sim with a Tracer or Notify callback")
-	}
-	if s.cfg.Table.HasSelector() {
-		return nil, fmt.Errorf("netsim: cannot snapshot a Sim whose table has an adaptive Selector")
-	}
 	c := wire.NewWriter(append(make([]byte, 0, 1<<16), ckptMagic...), ckptLenSize)
 	s.state(c, s.registries())
 	if err := c.Err(); err != nil {
@@ -606,11 +615,11 @@ func Restore(cfg Config, data []byte) (*Sim, error) {
 		return nil, fmt.Errorf("netsim: not a checkpoint (bad magic)")
 	}
 	c := wire.NewReader(data[len(ckptMagic):], ckptLenSize)
-	rr := s.state(c, &registry{})
+	s.state(c, &registry{})
 	if err := c.Finish(); err != nil {
 		return nil, fmt.Errorf("netsim: checkpoint: %w", err)
 	}
-	if err := s.rederive(rr); err != nil {
+	if err := s.rederive(); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -618,9 +627,8 @@ func Restore(cfg Config, data []byte) (*Sim, error) {
 
 // rederive rebuilds, after a read walk, the state a checkpoint leaves out:
 // the fault set and down flags, the swapped and pending routing tables, the
-// round-robin cursors of the live table, the generation heap, the fault
-// engine's next wake-up and the active sets.
-func (s *Sim) rederive(rr [][]uint32) error {
+// generation heap, the fault engine's next wake-up and the active sets.
+func (s *Sim) rederive() error {
 	if fe := s.fe; fe != nil {
 		if fe.planIdx < 0 || fe.planIdx > len(fe.plan) ||
 			fe.tableSwapPlanIdx < -1 || fe.tableSwapPlanIdx > len(fe.plan) {
@@ -645,7 +653,7 @@ func (s *Sim) rederive(rr [][]uint32) error {
 			if err != nil {
 				return fmt.Errorf("netsim: re-deriving swapped routing tables: %w", err)
 			}
-			s.table = rc.Table.Clone()
+			s.table = s.table.Rebase(rc.Table)
 		}
 		if fe.phase == phaseProbing || fe.phase == phaseDraining {
 			if fe.rec == nil {
@@ -658,9 +666,6 @@ func (s *Sim) rederive(rr [][]uint32) error {
 			fe.pendingRc = rc
 		}
 		fe.recomputeWake()
-	}
-	if err := s.table.RestoreRR(rr); err != nil {
-		return err
 	}
 
 	// The generation timers were read in heap-array order; pushing them in
@@ -776,16 +781,20 @@ var checkpointFields = map[string][]string{
 		"reinjects", "backpressure", "delivPrev", "dropPrev", "retransPrev",
 		"delivSeries", "dropSeries", "retransSeries", "numVCs", "vcOccSum",
 		"vcOccPeak", "vcOccSeries", "vcCount", "samples"},
-	"metrics.Histogram": {"counts", "count", "sum", "min", "max"},
-	"routes.Table":      {"rr"},
-	"routes.Route":      {"SrcSwitch", "DstSwitch", "Segs", "Hops", "AltIndex", "VC"},
-	"routes.Seg":        {"Channels", "ITBHost"},
+	"metrics.Histogram":       {"counts", "count", "sum", "min", "max"},
+	"routes.Table":            {"rr", "sel"},
+	"routes.Route":            {"SrcSwitch", "DstSwitch", "Segs", "Hops", "AltIndex", "VC"},
+	"routes.Seg":              {"Channels", "ITBHost"},
+	"routes.AdaptiveConfig":   {"Alpha", "Explore"},
+	"routes.randomSelector":   {"state"},
+	"routes.adaptiveSelector": {"cfg", "state"},
+	"routes.adaptState":       {"ewma", "tries"},
 }
 
 var checkpointExempt = map[string][]string{
 	// Functions, callbacks, and execution-mechanism knobs: not part of the
 	// experiment's identity (Dest is the caller's obligation to repeat).
-	"netsim.Config": {"Dest", "Notify", "Tracer", "Reconfigurer", "DenseStep",
+	"netsim.Config": {"Dest", "Tracer", "Reconfigurer", "DenseStep",
 		"CheckpointEvery", "CheckpointSink"},
 	// Rebuilt from the configuration by New. Active sets are re-derived
 	// from component state; the dead-route list is empty at every cycle
@@ -806,6 +815,9 @@ var checkpointExempt = map[string][]string{
 	// Net/Scheme/Alts/NumVCs are rebuilt by table construction and pinned
 	// by the config hash — which folds in Table.Fingerprint(), so the full
 	// routing content (optimized, degraded, or static) must match, not
-	// just the scheme. Snapshot rejects tables with a Selector.
-	"routes.Table": {"Net", "Scheme", "Alts", "NumVCs", "sel"},
+	// just the scheme.
+	"routes.Table": {"Net", "Scheme", "Alts", "NumVCs"},
+	// The seed is configuration: it fixes the state a fresh Clone starts
+	// from, which the config hash folds in.
+	"routes.randomSelector": {"seed"},
 }

@@ -8,11 +8,12 @@ import (
 	"itbsim/internal/routes"
 )
 
-// checkpointedTypes instantiates every struct the snapshot codec touches.
-// Reflection reads the real field lists, so a field added to any of these
-// types fails TestCheckpointFieldCoverage until it is either serialized
-// (added to checkpointFields alongside the codec change) or explicitly
-// exempted with a reason (added to checkpointExempt).
+// checkpointedTypes instantiates every struct the snapshot codec touches;
+// the unexported selector types enter as the reflect.Type of what their
+// constructors return. Reflection reads the real field lists, so a field
+// added to any of these types fails TestCheckpointFieldCoverage until it is
+// either serialized (added to checkpointFields alongside the codec change)
+// or explicitly exempted with a reason (added to checkpointExempt).
 var checkpointedTypes = []interface{}{
 	Config{},
 	Params{},
@@ -44,7 +45,17 @@ var checkpointedTypes = []interface{}{
 	routes.Table{},
 	routes.Route{},
 	routes.Seg{},
+	routes.AdaptiveConfig{},
+	reflect.TypeOf(routes.NewRandomSelector(0)).Elem(),
+	reflect.TypeOf(routes.NewFewestITBSelector()),
+	adaptiveType,
+	adaptiveState.Type.Elem().Elem(), // the per-pair state behind the map
 }
+
+var (
+	adaptiveType     = reflect.TypeOf(routes.NewAdaptiveSelector(routes.DefaultAdaptiveConfig())).Elem()
+	adaptiveState, _ = adaptiveType.FieldByName("state")
+)
 
 // TestCheckpointFieldCoverage is the forcing function that keeps the
 // checkpoint codec complete as the simulator grows: every field of every
@@ -54,7 +65,10 @@ var checkpointedTypes = []interface{}{
 func TestCheckpointFieldCoverage(t *testing.T) {
 	seen := map[string]bool{}
 	for _, v := range checkpointedTypes {
-		typ := reflect.TypeOf(v)
+		typ, ok := v.(reflect.Type)
+		if !ok {
+			typ = reflect.TypeOf(v)
+		}
 		name := typ.String()
 		if seen[name] {
 			t.Errorf("%s listed twice in checkpointedTypes", name)

@@ -62,12 +62,36 @@ func expectResume(t *testing.T, cfg Config, snap []byte, want *Result, label str
 }
 
 // TestResumeEquivalence is the checkpoint codec's golden check: for both
-// step loops, routing scheme, and fault mode, a run snapshotted at
-// an arbitrary mid-run cycle and resumed from that snapshot must produce a
-// Result byte-identical to the uninterrupted run — and the snapshotting run
-// itself must be unperturbed by taking checkpoints.
+// step loops, routing scheme, fault mode and path selector, a run
+// snapshotted at an arbitrary mid-run cycle and resumed from that snapshot
+// must produce a Result byte-identical to the uninterrupted run — and the
+// snapshotting run itself must be unperturbed by taking checkpoints. A
+// traced run's restored tracer must see exactly the uninterrupted trace
+// from the snapshot cycle on.
 func TestResumeEquivalence(t *testing.T) {
 	net := makeNet(t, 4, 4, 2)
+	// check runs mk uninterrupted and with a snapshot every 10,000 cycles,
+	// then resumes the snapshot pick chooses.
+	check := func(t *testing.T, mk func() Config, pick func(want *Result, snaps [][]byte) int) {
+		want, err := Run(mk())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, snaps := runCheckpointed(t, mk(), 10_000)
+		if !reflect.DeepEqual(want, res) {
+			t.Fatal("taking checkpoints perturbed the run")
+		}
+		expectResume(t, mk(), snaps[pick(want, snaps)], want, "mid-run snapshot")
+	}
+	mid := func(_ *Result, snaps [][]byte) int { return len(snaps) / 2 }
+	// afterSwap picks the first snapshot after the first table swap, whose
+	// fresh selector clone has been learning since.
+	afterSwap := func(want *Result, snaps [][]byte) int {
+		if len(want.Reconfigs) == 0 || int(want.Reconfigs[0].SwapCycle/10_000) >= len(snaps) {
+			t.Fatalf("no snapshot after a table swap (reconfigs %+v, %d snapshots)", want.Reconfigs, len(snaps))
+		}
+		return int(want.Reconfigs[0].SwapCycle / 10_000)
+	}
 	for _, mech := range stepLoops {
 		for _, sch := range []routes.Scheme{routes.UpDown, routes.ITBRR} {
 			for _, faulted := range []bool{false, true} {
@@ -76,23 +100,55 @@ func TestResumeEquivalence(t *testing.T) {
 					name += "/faulted"
 				}
 				t.Run(name, func(t *testing.T) {
-					base := matrixConfig(t, net, sch, faulted)
-					mech.apply(&base)
-					want, err := Run(base)
-					if err != nil {
-						t.Fatal(err)
-					}
-					ckpt := matrixConfig(t, net, sch, faulted)
-					mech.apply(&ckpt)
-					res, snaps := runCheckpointed(t, ckpt, 10_000)
-					if !reflect.DeepEqual(want, res) {
-						t.Fatal("taking checkpoints perturbed the run")
-					}
-					resume := matrixConfig(t, net, sch, faulted)
-					mech.apply(&resume)
-					expectResume(t, resume, snaps[len(snaps)/2], want, "mid-run snapshot")
+					check(t, func() Config {
+						cfg := matrixConfig(t, net, sch, faulted)
+						mech.apply(&cfg)
+						return cfg
+					}, mid)
 				})
 			}
+		}
+		t.Run(mech.name+"/ITB-RR/fault-storm/traced", func(t *testing.T) {
+			const ring = 1 << 16
+			mk := func(tr Tracer) Config {
+				cfg := stormConfig(t, routes.ITBRR)
+				cfg.Tracer = tr
+				mech.apply(&cfg)
+				return cfg
+			}
+			full := NewRingTracer(ring)
+			want, snaps := runCheckpointed(t, mk(full), 10_000)
+			if full.Total() >= ring {
+				t.Fatalf("%d events overflowed the ring", full.Total())
+			}
+			k := len(snaps) / 2
+			resumed := NewRingTracer(ring)
+			expectResume(t, mk(resumed), snaps[k], want, "traced snapshot")
+			var tail []Event
+			for _, e := range full.Events() {
+				if e.Cycle >= int64(k+1)*10_000 {
+					tail = append(tail, e)
+				}
+			}
+			if got := resumed.Events(); len(tail) == 0 || !reflect.DeepEqual(tail, got) {
+				t.Errorf("restored tracer saw %d events, the uninterrupted run %d from cycle %d on",
+					len(got), len(tail), (k+1)*10_000)
+			}
+		})
+	}
+	// Path selectors run under the active-set loop only: their state does
+	// not depend on the loop, and results.golden pins both loops.
+	for _, sel := range []string{"adaptive", "random"} {
+		for _, faulted := range []bool{false, true} {
+			name := "active-set/ITB-RR/" + sel
+			pick := mid
+			if faulted {
+				name += "/fault-storm"
+				pick = afterSwap
+			}
+			t.Run(name, func(t *testing.T) {
+				check(t, func() Config { return selectorConfig(t, newSelector[sel](), faulted) }, pick)
+			})
 		}
 	}
 }
@@ -205,6 +261,15 @@ func TestRestoreRejects(t *testing.T) {
 	if _, err := Restore(other, snap); err == nil || !strings.Contains(err.Error(), "different configuration") {
 		t.Errorf("checkpoint accepted under a different load: %v", err)
 	}
+
+	// The selector's kind and config are part of the experiment.
+	_, snaps = runCheckpointed(t, selectorConfig(t, newSelector["adaptive"](), false), 10_000)
+	for _, sel := range []routes.Selector{nil, routes.NewRandomSelector(7), routes.NewFewestITBSelector(),
+		routes.NewAdaptiveSelector(routes.AdaptiveConfig{Alpha: 0.5, Explore: true})} {
+		if _, err := Restore(selectorConfig(t, sel, false), snaps[0]); err == nil || !strings.Contains(err.Error(), "different configuration") {
+			t.Errorf("adaptive-selector checkpoint accepted under selector %T: %v", sel, err)
+		}
+	}
 }
 
 // TestRestoreRejectsDifferentTable pins the table-fingerprint gate: a
@@ -258,7 +323,7 @@ func TestRestoreRejectsDifferentTable(t *testing.T) {
 }
 
 // TestCheckpointConfigValidation pins the New-time gates for the periodic
-// checkpointing hook and Snapshot's own refusals.
+// checkpointing hook.
 func TestCheckpointConfigValidation(t *testing.T) {
 	net := makeNet(t, 4, 4, 2)
 	tab := makeTable(t, net, routes.UpDown)
@@ -275,22 +340,13 @@ func TestCheckpointConfigValidation(t *testing.T) {
 		t.Error("CheckpointEvery without a sink accepted")
 	}
 
-	cfg = baseConfig(net, tab)
+	// A tracer only observes, and selector state is in the snapshot.
+	cfg = selectorConfig(t, newSelector["adaptive"](), false)
 	cfg.CheckpointEvery = 1000
 	cfg.CheckpointSink = func(int64, []byte) error { return nil }
 	cfg.Tracer = &CountTracer{}
-	if _, err := New(cfg); err == nil {
-		t.Error("checkpointing with a Tracer accepted")
-	}
-
-	cfg = baseConfig(net, tab)
-	cfg.Notify = func(Delivery) {}
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Snapshot(); err == nil {
-		t.Error("Snapshot with Notify succeeded; callback state cannot round-trip")
+	if _, err := New(cfg); err != nil {
+		t.Errorf("checkpointing with a Tracer and a selector refused: %v", err)
 	}
 }
 

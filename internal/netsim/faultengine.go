@@ -480,7 +480,9 @@ func (fe *faultEngine) swapTables(s *Sim) {
 	rc := fe.pendingRc
 	fe.pendingRc = nil
 	fe.tableSwapPlanIdx = fe.planIdx
-	s.table = rc.Table.Clone() // private round-robin state for this sim
+	// Fresh round-robin cursors and a fresh clone of the configured
+	// selector: the alternatives it learned about may no longer exist.
+	s.table = s.cfg.Table.Clone().Rebase(rc.Table)
 	fe.reconfigs = append(fe.reconfigs, ReconfigStat{
 		EventCycle:  fe.eventCycle,
 		DetectCycle: fe.detectAt,

@@ -282,3 +282,72 @@ func TestStallDumpOnTruncation(t *testing.T) {
 		t.Errorf("stall entry incomplete: %+v", p)
 	}
 }
+
+// TestEnqueueRetriedUnderFault sends one hand-enqueued UP/DOWN message
+// whose first link fails while the packet streams across it. The message
+// must be retried like a generated one and delivered over the recomputed
+// tables, not left outstanding until the deadlock watchdog fires.
+func TestEnqueueRetriedUnderFault(t *testing.T) {
+	net := makeNet(t, 4, 4, 2)
+	src, dst := 0, net.NumHosts()-1
+	first := makeTable(t, net, routes.UpDown).Route(src, dst).Segs[0].Channels[0] / 2
+	for _, at := range []int64{40, 80, 150} {
+		cfg := faultConfig(t, net, routes.UpDown, (&faults.Plan{}).FailLinkAt(first, at))
+		cfg.Load = 0
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Enqueue(src, dst, 512); err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.RunUntilDrained()
+		if err != nil {
+			t.Fatalf("link %d failing at cycle %d: %v", first, at, err)
+		}
+		checkConservation(t, res)
+		if res.DeliveredMessages != 1 || res.DroppedPackets != 1 || res.Retransmits != 1 || len(res.Reconfigs) != 1 {
+			t.Errorf("link %d failing at cycle %d: delivered %d, dropped %d, retransmits %d, reconfigs %d; want 1 each",
+				first, at, res.DeliveredMessages, res.DroppedPackets, res.Retransmits, len(res.Reconfigs))
+		}
+	}
+}
+
+// countingSelector wraps a selector and counts the Select calls each of
+// its clones serves, indexed by the order the clones were made in.
+type countingSelector struct {
+	routes.Selector
+	clone int
+	calls *[]int
+}
+
+func (c *countingSelector) Select(srcHost, dstSwitch int, alts []*routes.Route) *routes.Route {
+	(*c.calls)[c.clone]++
+	return c.Selector.Select(srcHost, dstSwitch, alts)
+}
+
+func (c *countingSelector) Clone() routes.Selector {
+	*c.calls = append(*c.calls, 0)
+	return &countingSelector{Selector: c.Selector.Clone(), clone: len(*c.calls) - 1, calls: c.calls}
+}
+
+// TestSelectorFollowsTableSwap runs the adaptive selector through the
+// fault storm: each table swap must install a fresh clone of the
+// configured selector, and the run must keep consulting it after the
+// first swap instead of falling back to round-robin.
+func TestSelectorFollowsTableSwap(t *testing.T) {
+	calls := []int{0}
+	sel := &countingSelector{Selector: routes.NewAdaptiveSelector(routes.DefaultAdaptiveConfig()), calls: &calls}
+	res, err := Run(selectorConfig(t, sel, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Clone 0 is the configured selector itself, clone 1 the one New
+	// installs, and every swap adds one more.
+	if len(res.Reconfigs) == 0 || len(calls) != 2+len(res.Reconfigs) {
+		t.Fatalf("%d reconfigurations made %d selector clones, want %d", len(res.Reconfigs), len(calls), 2+len(res.Reconfigs))
+	}
+	if calls[0] != 0 || calls[1] == 0 || calls[2] == 0 {
+		t.Errorf("Select calls per clone %v: want none on the configured selector, some before and after the first swap", calls)
+	}
+}

@@ -10,17 +10,17 @@ import (
 // FuzzRestore feeds mutated checkpoints to Restore: every input must give
 // a restored *Sim or an error, never a panic or an allocation sized by a
 // corrupt length. The seeds are mid-run snapshots the target takes itself,
-// of the 4×4 ITB-RR fault storm (retries, re-injections, table swaps) and
-// of the two-lane VC dragonfly (lane buffers, credits, per-lane
-// reception); the first argument picks the configuration an input is
-// restored under.
+// of the 4×4 ITB-RR fault storm (retries, re-injections, table swaps), of
+// the two-lane VC dragonfly (lane buffers, credits, per-lane reception)
+// and of the fault storm under the adaptive selector (its EWMA table); the
+// first argument picks the configuration an input is restored under.
 func FuzzRestore(f *testing.F) {
 	df, err := topology.NewDragonfly(4, 3, 1, 2, 8)
 	if err != nil {
 		f.Fatal(err)
 	}
-	configs := []Config{stormConfig(f, routes.ITBRR), vcConfig(f, df, 2)}
-	for i, every := range []int64{30_000, 80_000} {
+	configs := []Config{stormConfig(f, routes.ITBRR), vcConfig(f, df, 2), selectorConfig(f, newSelector["adaptive"](), true)}
+	for i, every := range []int64{30_000, 80_000, 30_000} {
 		cfg := configs[i]
 		var seed []byte
 		cfg.CheckpointEvery = every

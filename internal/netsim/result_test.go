@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math"
 	"testing"
 
 	"itbsim/internal/routes"
@@ -27,30 +28,57 @@ func TestLatencyPercentilesOrdered(t *testing.T) {
 	}
 }
 
-func TestNotifyFiresPerMeasuredDelivery(t *testing.T) {
+// TestDeliverEventsRecoverDeliveries checks that the trace carries what a
+// delivery callback would: one EvDeliver per delivered message, at the
+// cycle its last flit arrived, from which, with the message's generate and
+// reinject events, its latency and ITB visits follow. Over the measured
+// messages those add up to the Result's averages.
+func TestDeliverEventsRecoverDeliveries(t *testing.T) {
 	net := makeNet(t, 4, 4, 2)
-	tab := makeTable(t, net, routes.ITBRR)
-	cfg := baseConfig(net, tab)
+	cfg := baseConfig(net, makeTable(t, net, routes.ITBRR))
 	cfg.WarmupMessages = 20
 	cfg.MeasureMessages = 100
-	var count int
-	var itbSum int
-	cfg.Notify = func(d Delivery) {
-		count++
-		itbSum += d.ITBVisits
-		if d.LatencyNs <= 0 || d.SrcHost == d.DstHost || d.Route == nil || d.Cycle <= 0 {
-			t.Errorf("bad delivery %+v", d)
-		}
-	}
+	ring := NewRingTracer(1 << 16)
+	cfg.Tracer = ring
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int64(count) != res.DeliveredMeasured {
-		t.Errorf("notify fired %d times for %d measured deliveries", count, res.DeliveredMeasured)
+	if ring.Total() > 1<<16 {
+		t.Fatalf("%d events overflowed the ring", ring.Total())
 	}
-	if itbSum == 0 {
-		t.Error("no ITB visits observed under ITB-RR on a torus")
+	genAt := map[int64]int64{}
+	itbs := map[int64]int{}
+	var delivered, measured, latCycles, itbSum int64
+	measureFrom := int64(-1) // measurement starts the cycle after the warmup's last delivery
+	for _, e := range ring.Events() {
+		switch e.Kind {
+		case EvGenerate:
+			genAt[e.Packet] = e.Cycle
+		case EvReinject:
+			itbs[e.Packet]++
+		case EvDeliver:
+			delivered++
+			if measureFrom >= 0 && genAt[e.Packet] >= measureFrom {
+				measured++
+				latCycles += e.Cycle - genAt[e.Packet]
+				itbSum += int64(itbs[e.Packet])
+			}
+			if delivered == int64(cfg.WarmupMessages) {
+				measureFrom = e.Cycle + 1
+			}
+		}
+	}
+	if delivered != res.DeliveredMessages || measured != res.DeliveredMeasured {
+		t.Fatalf("trace delivers %d messages, %d measured; result has %d, %d",
+			delivered, measured, res.DeliveredMessages, res.DeliveredMeasured)
+	}
+	lat := float64(latCycles) * DefaultParams().CycleNs / float64(measured)
+	if math.Abs(lat-res.AvgLatencyNs) > 1e-9*lat {
+		t.Errorf("trace latency %.3f ns, result %.3f ns", lat, res.AvgLatencyNs)
+	}
+	if got := float64(itbSum) / float64(measured); math.Abs(got-res.AvgITBsPerMessage) > 1e-12 || itbSum == 0 {
+		t.Errorf("trace ITB visits %.4f per message, result %.4f", got, res.AvgITBsPerMessage)
 	}
 }
 
@@ -59,8 +87,8 @@ func TestEnqueueAndRunUntilDrained(t *testing.T) {
 	tab := makeTable(t, net, routes.UpDown)
 	cfg := baseConfig(net, tab)
 	cfg.Load = 0 // no internal generation
-	var got []int64
-	cfg.Notify = func(d Delivery) { got = append(got, d.PacketID) }
+	ring := NewRingTracer(1 << 10)
+	cfg.Tracer = ring
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -80,12 +108,14 @@ func TestEnqueueAndRunUntilDrained(t *testing.T) {
 	if res.DeliveredMeasured != 10 {
 		t.Fatalf("delivered %d of 10", res.DeliveredMeasured)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("notified %d of %d", len(got), len(want))
-	}
 	seen := map[int64]bool{}
-	for _, id := range got {
-		seen[id] = true
+	for _, e := range ring.Events() {
+		if e.Kind == EvDeliver {
+			seen[e.Packet] = true
+		}
+	}
+	if len(seen) != len(want) {
+		t.Fatalf("%d delivery events for %d packets", len(seen), len(want))
 	}
 	for _, id := range want {
 		if !seen[id] {

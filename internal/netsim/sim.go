@@ -52,13 +52,10 @@ type Config struct {
 	// always collected regardless of this field.
 	Metrics *metrics.Config
 
-	// Notify, when non-nil, is called synchronously for every message
-	// delivered inside the measurement window. Adaptive path-selection
-	// policies use it as their congestion feedback channel.
-	Notify func(Delivery)
-
 	// Tracer, when non-nil, receives packet life-cycle events (generate,
-	// inject, per-switch route, ITB eject/reinject, deliver).
+	// inject, per-switch route, ITB eject/reinject, deliver, and the fault
+	// path's drop, retry and reconfigure). It is the simulator's one
+	// observation hook; a message delivery is its EvDeliver event.
 	Tracer Tracer
 
 	// Faults schedules link/switch failures and repairs at simulation
@@ -82,8 +79,7 @@ type Config struct {
 	// CheckpointEvery, when positive, snapshots the full simulator state
 	// every that many cycles and hands the bytes to CheckpointSink. The
 	// snapshot is taken at the cycle boundary (Snapshot's requirement), so
-	// any multiple of one cycle is valid. Requires Tracer and Notify nil
-	// and a table without a Selector — the same states Snapshot refuses.
+	// any multiple of one cycle is valid.
 	CheckpointEvery int64
 
 	// CheckpointSink receives each periodic snapshot. A non-nil error
@@ -92,17 +88,6 @@ type Config struct {
 	CheckpointSink func(cycle int64, snapshot []byte) error
 
 	Params Params
-}
-
-// Delivery describes one delivered message, as passed to Config.Notify.
-type Delivery struct {
-	PacketID         int64
-	SrcHost, DstHost int
-	Route            *routes.Route
-	LatencyNs        float64
-	ITBVisits        int
-	// Cycle is the simulation cycle the last flit arrived.
-	Cycle int64
 }
 
 // Result carries the measurements of one run.
@@ -189,8 +174,8 @@ type Sim struct {
 	p   Params
 	net *topology.Network
 
-	// table is the live routing table: cfg.Table until a reconfiguration
-	// swaps in a degraded-mode table.
+	// table is the live routing table: a private Clone of cfg.Table until
+	// a reconfiguration swaps in a degraded-mode table.
 	table *routes.Table
 	// fe is the fault engine, nil when cfg.Faults is empty.
 	fe *faultEngine
@@ -272,8 +257,8 @@ func New(cfg Config) (*Sim, error) {
 	if cfg.Table.Net != cfg.Net {
 		return nil, fmt.Errorf("netsim: routing table was built for a different network")
 	}
-	if cfg.Load < 0 {
-		return nil, fmt.Errorf("netsim: Load must be >= 0, got %g", cfg.Load)
+	if !(cfg.Load >= 0) || math.IsInf(cfg.Load, 1) {
+		return nil, &topology.ConfigError{Field: "Load", Value: cfg.Load, Reason: "must be a finite number >= 0"}
 	}
 	if cfg.MessageBytes < 1 {
 		return nil, fmt.Errorf("netsim: MessageBytes must be >= 1")
@@ -327,20 +312,12 @@ func New(cfg Config) (*Sim, error) {
 		if cfg.CheckpointSink == nil {
 			return nil, fmt.Errorf("netsim: CheckpointEvery > 0 requires a CheckpointSink")
 		}
-		if cfg.Tracer != nil || cfg.Notify != nil {
-			return nil, fmt.Errorf("netsim: checkpointing requires Tracer and Notify nil (callback state cannot be serialized)")
-		}
-		if cfg.Table.HasSelector() {
-			return nil, fmt.Errorf("netsim: checkpointing requires a table without an adaptive Selector")
-		}
 	}
-	// The simulator works on a private copy of the table's round-robin
-	// selection state: two concurrent runs handed the same *Table must not
-	// interleave RR cursor advances (and perturb each other's route
-	// choices). The route alternatives and any adaptive selector are
-	// shared — alternatives are immutable, and the selector is the
-	// caller's feedback loop.
-	s := &Sim{cfg: cfg, p: cfg.Params, net: cfg.Net, table: cfg.Table.PrivateRR(),
+	// The simulator owns its route selection: a private Clone of the table
+	// gives it its own round-robin cursors and selector, so two runs handed
+	// the same *Table cannot perturb each other's route choices, and the
+	// selector that picks a route is the one deliver reports back to.
+	s := &Sim{cfg: cfg, p: cfg.Params, net: cfg.Net, table: cfg.Table.Clone(),
 		dense: cfg.DenseStep, vcMode: cfg.Params.VCs > 0, numVCs: cfg.Params.VCs}
 	s.numChannels = cfg.Net.NumChannels()
 	s.numHosts = cfg.Net.NumHosts()
@@ -522,8 +499,8 @@ func (s *Sim) newPacket() *packet {
 	return p
 }
 
-// generate creates one message at the given NIC, routes it, and queues it
-// for injection.
+// generate creates one message at the given NIC and queues it for
+// injection.
 //
 //sim:hotpath
 func (s *Sim) generate(n *nic) {
@@ -531,51 +508,45 @@ func (s *Sim) generate(n *nic) {
 	if dst < 0 || dst >= s.numHosts || dst == n.host {
 		panic(fmt.Sprintf("netsim: Dest returned invalid destination %d for source %d", dst, n.host))
 	}
+	if s.measuring {
+		s.windowInjectedFlits += int64(s.cfg.MessageBytes)
+	}
+	s.send(n, dst, s.cfg.MessageBytes, s.measuring)
+}
+
+// send creates one message at NIC n and queues its first transmission
+// attempt, returning the message ID. With a fault engine the message gets
+// a msgState that survives across attempts, and dispatch looks the route
+// up (which may fail on a degraded table) and arms the delivery timeout;
+// otherwise the attempt is one arena packet routed here.
+//
+//sim:hotpath
+func (s *Sim) send(n *nic, dst, payload int, measured bool) int64 {
+	id := s.pktID(n)
+	s.generatedTotal++
+	s.outstanding++
+	if s.cfg.Tracer != nil {
+		s.trace(Event{Kind: EvGenerate, Packet: id, Host: n.host})
+	}
 	if s.fe != nil {
-		// Fault-aware path: the message survives across transmission
-		// attempts; dispatch performs the route lookup (which may fail on
-		// a degraded table) and arms the delivery timeout.
-		m := &msgState{
-			src:      n.host,
-			dst:      dst,
-			payload:  s.cfg.MessageBytes,
-			genCycle: s.now,
-			measured: s.measuring,
-			seq:      s.pktID(n),
-		}
-		s.generatedTotal++
-		s.outstanding++
-		if s.measuring {
-			s.windowInjectedFlits += int64(m.payload)
-		}
-		if s.cfg.Tracer != nil {
-			s.trace(Event{Kind: EvGenerate, Packet: m.seq, Host: n.host})
-		}
-		s.dispatch(m)
-		return
+		s.dispatch(&msgState{src: n.host, dst: dst, payload: payload, genCycle: s.now, measured: measured, seq: id})
+		return id
 	}
 	r := s.table.Route(n.host, dst)
 	p := s.newPacket()
 	*p = packet{
-		id:       s.pktID(n),
-		srcHost:  n.host,
-		dstHost:  dst,
-		route:    r,
-		payload:  s.cfg.MessageBytes,
-		genCycle: s.now,
-		measured: s.measuring,
-		vc:       uint8(r.VC),
-	}
-	p.wireFlits = s.cfg.MessageBytes + headerFlits(r)
-	s.generatedTotal++
-	s.outstanding++
-	if s.measuring {
-		s.windowInjectedFlits += int64(p.payload)
-	}
-	if s.cfg.Tracer != nil {
-		s.trace(Event{Kind: EvGenerate, Packet: p.id, Host: n.host})
+		id:        id,
+		srcHost:   n.host,
+		dstHost:   dst,
+		route:     r,
+		payload:   payload,
+		wireFlits: payload + headerFlits(r),
+		genCycle:  s.now,
+		measured:  measured,
+		vc:        uint8(r.VC),
 	}
 	n.sendQ = append(n.sendQ, p)
+	return id
 }
 
 // deliver records the arrival of a complete message at its destination.
@@ -606,17 +577,7 @@ func (s *Sim) deliver(p *packet) {
 	s.netLatCycles += netC
 	s.measITBSum += int64(p.itbVisits)
 	s.measCount++
-	if s.cfg.Notify != nil {
-		s.cfg.Notify(Delivery{
-			PacketID:  p.id,
-			SrcHost:   p.srcHost,
-			DstHost:   p.dstHost,
-			Route:     p.route,
-			LatencyNs: lat,
-			ITBVisits: p.itbVisits,
-			Cycle:     s.now,
-		})
-	}
+	s.table.Observe(p.srcHost, p.route, lat)
 }
 
 // step advances the simulation by one cycle: the fault engine's wake-up,
@@ -745,8 +706,9 @@ func (s *Sim) Now() int64 { return s.now }
 // Enqueue hand-places one message at a source NIC, bypassing the internal
 // generation process. It is the injection path for host-level layers built
 // on top of the simulator (see internal/gm) and returns the packet ID,
-// which re-appears in the Delivery passed to Notify. Call before or between
-// Run/RunUntilDrained steps of a simulator whose Load is 0.
+// which re-appears in the message's trace events, EvDeliver included. Under
+// a fault plan the message is retried like a generated one. Call before or
+// between Run/RunUntilDrained steps of a simulator whose Load is 0.
 func (s *Sim) Enqueue(src, dst, payloadBytes int) (int64, error) {
 	if src < 0 || src >= s.numHosts || dst < 0 || dst >= s.numHosts {
 		return 0, fmt.Errorf("netsim: host out of range: %d -> %d", src, dst)
@@ -757,27 +719,9 @@ func (s *Sim) Enqueue(src, dst, payloadBytes int) (int64, error) {
 	if payloadBytes < 1 {
 		return 0, fmt.Errorf("netsim: payload must be >= 1 byte")
 	}
-	r := s.table.Route(src, dst)
-	n := &s.nics[src]
-	p := &packet{
-		id:       s.pktID(n),
-		srcHost:  src,
-		dstHost:  dst,
-		route:    r,
-		payload:  payloadBytes,
-		genCycle: s.now,
-		measured: true,
-		vc:       uint8(r.VC),
-	}
-	p.wireFlits = payloadBytes + headerFlits(r)
-	s.generatedTotal++
-	s.outstanding++
-	if s.cfg.Tracer != nil {
-		s.trace(Event{Kind: EvGenerate, Packet: p.id, Host: src})
-	}
-	n.sendQ = append(n.sendQ, p)
+	id := s.send(&s.nics[src], dst, payloadBytes, true)
 	s.wakeNIC(src)
-	return p.id, nil
+	return id, nil
 }
 
 // RunUntilDrained steps the simulation until every outstanding packet has

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"itbsim/internal/routes"
@@ -406,7 +407,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Net = nil },
 		func(c *Config) { c.Table = nil },
 		func(c *Config) { c.Dest = nil },
-		func(c *Config) { c.Load = -1 },
 		func(c *Config) { c.MessageBytes = 0 },
 		func(c *Config) { c.MeasureMessages = 0 },
 	}
@@ -415,6 +415,18 @@ func TestConfigValidation(t *testing.T) {
 		mutate(&c)
 		if _, err := New(c); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
+		}
+	}
+
+	// NaN compares false with everything, so a plain Load < 0 check lets it
+	// through, and +Inf makes the generation interval zero: every
+	// non-finite or negative load is refused with a typed error.
+	for _, load := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		c := good
+		c.Load = load
+		var ce *topology.ConfigError
+		if _, err := New(c); !errors.As(err, &ce) || ce.Field != "Load" {
+			t.Errorf("Load %g: got %v, want a *topology.ConfigError for Load", load, err)
 		}
 	}
 

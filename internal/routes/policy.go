@@ -1,8 +1,12 @@
 package routes
 
 import (
-	"math/rand"
-	"sync"
+	"encoding"
+	"fmt"
+	"math/bits"
+	"slices"
+
+	"itbsim/internal/wire"
 )
 
 // Selector chooses among the alternative minimal routes of a
@@ -11,9 +15,12 @@ import (
 // selection algorithms that implement some adaptivity at the source host"
 // the paper names as future work (§5).
 //
-// Selectors are driven by one simulation at a time (the simulator is
-// single-threaded); Clone produces an independent instance with fresh state
-// for concurrent runs.
+// A simulation owns its selector from pick to feedback: it runs a Clone of
+// the one installed on its table, routes every message through Select,
+// and reports the latency of every measured delivery to Observe. The
+// selector's mutable state travels in simulator checkpoints through
+// MarshalBinary, and UnmarshalBinary restores it into a Clone of the
+// selector that wrote it.
 type Selector interface {
 	// Select picks one of alts (len >= 1) for a message from srcHost to
 	// the destination switch dstSwitch.
@@ -23,6 +30,8 @@ type Selector interface {
 	Observe(srcHost int, r *Route, latencyNs float64)
 	// Clone returns an independent selector with fresh state.
 	Clone() Selector
+	encoding.BinaryMarshaler
+	encoding.BinaryUnmarshaler
 }
 
 // SetSelector installs a path-selection policy on the table, overriding the
@@ -34,39 +43,52 @@ func (t *Table) SetSelector(sel Selector) *Table {
 	return t
 }
 
-// HasSelector reports whether a path-selection policy override is
-// installed. Selectors carry mutable state (RNGs, EWMA maps) the simulator
-// cannot checkpoint, so Snapshot refuses tables that have one.
-func (t *Table) HasSelector() bool { return t.sel != nil }
+// Selector returns the installed path-selection policy, or nil.
+func (t *Table) Selector() Selector { return t.sel }
 
 // Observe forwards a delivery measurement to the installed selector, if
-// any. Wire it to the simulator's Notify callback for adaptive policies.
+// any. The simulator calls it for every measured delivery.
 func (t *Table) Observe(srcHost int, r *Route, latencyNs float64) {
 	if t.sel != nil {
 		t.sel.Observe(srcHost, r, latencyNs)
 	}
 }
 
-// randomSelector picks uniformly among alternatives.
+// lenSize is the width of the selector codecs' slice length prefixes.
+const lenSize = 4
+
+// randomSelector picks uniformly among alternatives with a splitmix64
+// generator, whose whole state is one word.
 type randomSelector struct {
-	mu   sync.Mutex
-	rng  *rand.Rand
-	seed int64
+	seed, state uint64
 }
 
 // NewRandomSelector returns a selector that picks a uniformly random
 // alternative per message (deterministic for a seed).
 func NewRandomSelector(seed int64) Selector {
-	return &randomSelector{rng: rand.New(rand.NewSource(seed)), seed: seed}
+	return &randomSelector{seed: uint64(seed), state: uint64(seed)}
 }
 
 func (s *randomSelector) Select(_, _ int, alts []*Route) *Route {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return alts[s.rng.Intn(len(alts))]
+	s.state += 0x9e3779b97f4a7c15
+	z := s.state
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	i, _ := bits.Mul64(z^(z>>31), uint64(len(alts)))
+	return alts[i]
 }
 func (s *randomSelector) Observe(int, *Route, float64) {}
-func (s *randomSelector) Clone() Selector              { return NewRandomSelector(s.seed) }
+func (s *randomSelector) Clone() Selector              { return NewRandomSelector(int64(s.seed)) }
+
+func (s *randomSelector) walk(c *wire.Codec) { c.U64(&s.state) }
+
+// MarshalBinary serializes the generator state.
+func (s *randomSelector) MarshalBinary() ([]byte, error) { return wire.Marshal(lenSize, s.walk) }
+
+// UnmarshalBinary restores a generator state written by MarshalBinary.
+func (s *randomSelector) UnmarshalBinary(data []byte) error {
+	return wire.Unmarshal(data, lenSize, s.walk)
+}
 
 // fewestITBSelector always picks the alternative with the fewest in-transit
 // buffers (first on ties): the latency-conscious static policy.
@@ -86,6 +108,14 @@ func (fewestITBSelector) Select(_, _ int, alts []*Route) *Route {
 }
 func (fewestITBSelector) Observe(int, *Route, float64) {}
 func (fewestITBSelector) Clone() Selector              { return fewestITBSelector{} }
+
+// MarshalBinary returns no bytes: the policy has no state.
+func (fewestITBSelector) MarshalBinary() ([]byte, error) { return nil, nil }
+
+// UnmarshalBinary accepts only the empty state MarshalBinary writes.
+func (fewestITBSelector) UnmarshalBinary(data []byte) error {
+	return wire.Unmarshal(data, lenSize, func(*wire.Codec) {})
+}
 
 // AdaptiveConfig tunes the source-adaptive selector.
 type AdaptiveConfig struct {
@@ -191,3 +221,42 @@ func (s *adaptiveSelector) Observe(srcHost int, r *Route, latencyNs float64) {
 }
 
 func (s *adaptiveSelector) Clone() Selector { return NewAdaptiveSelector(s.cfg) }
+
+// walk is the adaptive selector's encoding: its configuration, then every
+// (source host, destination switch) entry in sorted key order with its
+// per-alternative estimates and selection counts.
+func (s *adaptiveSelector) walk(c *wire.Codec) {
+	c.F64(&s.cfg.Alpha)
+	c.Bool(&s.cfg.Explore)
+	var keys []int64
+	if c.Reading() {
+		s.state = make(map[int64]*adaptState)
+	}
+	//lint:ignore detrange keys are collected then sorted below before any use
+	for k := range s.state {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	wire.Slice(c, &keys, func(c *wire.Codec, k *int64) {
+		wire.Int(c, k)
+		st := s.state[*k]
+		if st == nil {
+			st = &adaptState{}
+			s.state[*k] = st
+		}
+		wire.Slice(c, &st.ewma, (*wire.Codec).F64)
+		wire.Slice(c, &st.tries, (*wire.Codec).U32)
+		if len(st.ewma) != len(st.tries) {
+			c.Fail(fmt.Errorf("entry %d has %d estimates for %d counts", *k, len(st.ewma), len(st.tries)))
+		}
+	})
+}
+
+// MarshalBinary serializes the configuration and the learned estimates.
+func (s *adaptiveSelector) MarshalBinary() ([]byte, error) { return wire.Marshal(lenSize, s.walk) }
+
+// UnmarshalBinary restores a state written by MarshalBinary, replacing the
+// receiver's configuration and estimates.
+func (s *adaptiveSelector) UnmarshalBinary(data []byte) error {
+	return wire.Unmarshal(data, lenSize, s.walk)
+}

@@ -9,9 +9,8 @@
 // expensive step (all-pairs alternatives), so harnesses memoize it in a
 // runner.TableCache. A Table is not a value type: round-robin and adaptive
 // policies keep per-pair selection state that advances on every Route
-// call, so concurrent simulations must each work on their own Clone — and
-// two runs sharing one table are not reproductions of each other even at
-// equal seeds.
+// call, so each simulation works on its own Clone of the table it is
+// handed.
 package routes
 
 import (
@@ -392,9 +391,9 @@ func (t *Table) Alternatives(srcSwitch, dstSwitch int) []*Route {
 }
 
 // Clone returns a table sharing the (immutable) route alternatives but with
-// fresh round-robin state. Tables are not safe for concurrent use because
-// Route advances the RR cursors; clone one per goroutine when running
-// simulations in parallel.
+// fresh round-robin state and a fresh clone of the selector, if any. Tables
+// are not safe for concurrent use because Route advances the selection
+// state; the simulator works on a Clone of the table it is handed.
 func (t *Table) Clone() *Table {
 	c := &Table{Net: t.Net, Scheme: t.Scheme, Alts: t.Alts, NumVCs: t.NumVCs}
 	if t.rr != nil {
@@ -451,58 +450,18 @@ func (t *Table) Fingerprint() uint64 {
 	return h.Sum64()
 }
 
-// RRSnapshot returns a deep copy of the per-source-host round-robin cursors
-// (nil for tables without selection state). Checkpointing uses it to capture
-// a mid-run table's position; pair with RestoreRR on the restored table.
-func (t *Table) RRSnapshot() [][]uint32 {
-	if t.rr == nil {
-		return nil
-	}
-	out := make([][]uint32, len(t.rr))
-	for h := range t.rr {
-		out[h] = append([]uint32(nil), t.rr[h]...)
-	}
-	return out
-}
+// RR returns the table's live round-robin cursors, rr[srcHost][dstSwitch]
+// (nil for schemes without them). The checkpoint codec reads and writes
+// them in place.
+func (t *Table) RR() [][]uint32 { return t.rr }
 
-// RestoreRR overwrites the table's round-robin cursors with a snapshot taken
-// by RRSnapshot on a table of the same shape. A nil snapshot is valid only
-// for tables without selection state.
-func (t *Table) RestoreRR(rr [][]uint32) error {
-	if rr == nil {
-		if t.rr != nil {
-			return fmt.Errorf("routes: RestoreRR: nil snapshot for a table with %d cursor rows", len(t.rr))
-		}
-		return nil
-	}
-	if t.rr == nil || len(rr) != len(t.rr) {
-		return fmt.Errorf("routes: RestoreRR: snapshot has %d rows, table has %d", len(rr), len(t.rr))
-	}
-	for h := range rr {
-		if len(rr[h]) != len(t.rr[h]) {
-			return fmt.Errorf("routes: RestoreRR: row %d has %d cursors, table has %d", h, len(rr[h]), len(t.rr[h]))
-		}
-		copy(t.rr[h], rr[h])
-	}
-	return nil
-}
-
-// PrivateRR returns a view of the table with private round-robin selection
-// state: the (immutable) route alternatives and any installed Selector are
-// shared, but the per-source-host RR cursors are fresh. The simulator takes
-// such a view at construction, so two runs handed the same *Table cannot
-// interleave cursor advances and perturb each other's route choices — while
-// adaptive selectors still observe congestion feedback through the caller's
-// table. Contrast Clone, which also clones the Selector.
-func (t *Table) PrivateRR() *Table {
-	c := &Table{Net: t.Net, Scheme: t.Scheme, Alts: t.Alts, NumVCs: t.NumVCs, sel: t.sel}
-	if t.rr != nil {
-		c.rr = make([][]uint32, len(t.rr))
-		for h := range c.rr {
-			c.rr[h] = make([]uint32, len(t.rr[h]))
-		}
-	}
-	return c
+// Rebase returns a table that routes over next's alternatives (and its
+// network, scheme and lane count) while keeping t's selection state: its
+// round-robin cursors and selector, shared rather than copied. The
+// simulator uses it to carry selection state onto a degraded-mode table
+// recomputed mid-run for the same scheme.
+func (t *Table) Rebase(next *Table) *Table {
+	return &Table{Net: next.Net, Scheme: next.Scheme, Alts: next.Alts, NumVCs: next.NumVCs, rr: t.rr, sel: t.sel}
 }
 
 // Stats summarises static properties of a routing table, matching the

@@ -18,6 +18,7 @@ package runner
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
@@ -202,6 +203,11 @@ func (s Spec) normalized() (Spec, []Job, error) {
 	}
 	if len(s.Loads) == 0 {
 		return s, nil, fmt.Errorf("runner: Spec needs at least one load")
+	}
+	for _, l := range s.Loads {
+		if !(l >= 0) || math.IsInf(l, 1) {
+			return s, nil, &topology.ConfigError{Field: "Loads", Value: l, Reason: "every load must be a finite number >= 0"}
+		}
 	}
 	if !s.Faults.Empty() {
 		if err := s.Faults.Validate(s.Net); err != nil {

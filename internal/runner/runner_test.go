@@ -3,6 +3,7 @@ package runner
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -330,5 +331,54 @@ func uniformDest(numHosts int) netsim.DestFn {
 				return d
 			}
 		}
+	}
+}
+
+// TestNonFiniteLoadsRejected pins the Loads gate: a NaN, infinite or
+// negative entry fails the whole spec with a typed error before any table
+// is built or any sibling curve runs.
+func TestNonFiniteLoadsRejected(t *testing.T) {
+	net := testNet(t)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.01} {
+		cache := NewTableCache()
+		_, err := Run(Spec{Net: net, Schemes: []routes.Scheme{routes.ITBRR}, Patterns: []Pattern{{Kind: "uniform"}},
+			Loads: []float64{0.01, bad}, Cache: cache})
+		var ce *topology.ConfigError
+		if !errors.As(err, &ce) || ce.Field != "Loads" {
+			t.Errorf("load %g: got %v, want a *topology.ConfigError for Loads", bad, err)
+		}
+		if cache.Builds() != 0 {
+			t.Errorf("load %g: %d tables built before the spec was refused", bad, cache.Builds())
+		}
+	}
+}
+
+// TestAdaptiveSelectorCurve runs one curve on an ITB-RR table carrying the
+// adaptive selector and the same curve on the plain table. The simulator
+// feeds the selector every measured delivery, so it steers traffic and the
+// two curves differ.
+func TestAdaptiveSelectorCurve(t *testing.T) {
+	net := testNet(t)
+	curve := func(sel routes.Selector) []float64 {
+		tab, err := routes.Build(net, routes.DefaultConfig(routes.ITBRR))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := Run(Spec{Net: net, Table: tab.SetSelector(sel),
+			Patterns: []Pattern{{Kind: "hotspot", HotspotHost: 10, HotspotFraction: 0.5}},
+			Loads:    []float64{0.02, 0.05}, MessageBytes: 128, Seed: 1,
+			WarmupMessages: 50, MeasureMessages: 400, MaxCycles: 8_000_000, Parallel: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var lat []float64
+		for _, p := range rep.Curves[0].Curve.Points {
+			lat = append(lat, p.Result.AvgLatencyNs)
+		}
+		return lat
+	}
+	plain, adaptive := curve(nil), curve(routes.NewAdaptiveSelector(routes.DefaultAdaptiveConfig()))
+	if reflect.DeepEqual(plain, adaptive) {
+		t.Errorf("adaptive curve %v equals the round-robin curve: the selector never learned", adaptive)
 	}
 }

@@ -45,6 +45,20 @@ func NewReader(data []byte, lenSize int) *Codec {
 	return &Codec{buf: data, reading: true, lenSize: lenSize}
 }
 
+// Marshal runs walk on a fresh writer and returns its output and error.
+func Marshal(lenSize int, walk func(*Codec)) ([]byte, error) {
+	c := NewWriter(nil, lenSize)
+	walk(c)
+	return c.Bytes(), c.Err()
+}
+
+// Unmarshal runs walk on a reader over data and returns Finish's error.
+func Unmarshal(data []byte, lenSize int, walk func(*Codec)) error {
+	c := NewReader(data, lenSize)
+	walk(c)
+	return c.Finish()
+}
+
 // Reading reports whether c decodes rather than encodes.
 func (c *Codec) Reading() bool { return c.reading }
 

@@ -236,7 +236,8 @@ func Local(net *Network, maxSwitches int) (DestFn, error) {
 // Selector chooses among alternative minimal routes at the source NIC; see
 // SetSelector on RoutingTable. Beyond the paper's round-robin, the library
 // provides random, fewest-ITB, and latency-adaptive policies (the source
-// -host adaptivity the paper names as future work).
+// -host adaptivity the paper names as future work). Each simulation runs
+// its own clone of the table's selector and checkpoints its state.
 type Selector = routes.Selector
 
 // AdaptiveConfig tunes NewAdaptiveSelector.
@@ -250,20 +251,18 @@ func NewRandomSelector(seed int64) Selector { return routes.NewRandomSelector(se
 func NewFewestITBSelector() Selector { return routes.NewFewestITBSelector() }
 
 // NewAdaptiveSelector keeps an EWMA of observed latencies per alternative
-// and routes over the lowest estimate. Feed it via SimConfig.Notify:
+// and routes over the lowest estimate. The simulator feeds it the latency
+// of every measured delivery; installing it is all it takes:
 //
 //	table.SetSelector(itbsim.NewAdaptiveSelector(itbsim.DefaultAdaptiveConfig()))
-//	cfg.Notify = func(d itbsim.Delivery) { table.Observe(d.SrcHost, d.Route, d.LatencyNs) }
 func NewAdaptiveSelector(cfg AdaptiveConfig) Selector { return routes.NewAdaptiveSelector(cfg) }
 
 // DefaultAdaptiveConfig returns the recommended adaptive-selector tuning.
 func DefaultAdaptiveConfig() AdaptiveConfig { return routes.DefaultAdaptiveConfig() }
 
-// Delivery describes one delivered message, passed to SimConfig.Notify.
-type Delivery = netsim.Delivery
-
 // Tracer observes packet life-cycle events (generate, inject, per-switch
-// route, ITB eject/re-inject, deliver); set SimConfig.Tracer to enable.
+// route, ITB eject/re-inject, deliver, and the fault path's drop, retry and
+// reconfigure); set SimConfig.Tracer to enable.
 type Tracer = netsim.Tracer
 
 // Event is one traced packet life-cycle event.
