@@ -25,12 +25,12 @@ func trailingZeros(w uint64) int { return bits.TrailingZeros64(w) }
 //     signals (link.idle() is false). Added by pushFlit/pushSignal, removed
 //     after deliver once idle.
 //   - routingSet: a switch is active while any input has an ungranted
-//     routing request or any output is mid-setup (waiting > 0 or
-//     setups > 0). Added by inPort.requestRouting (the only waiting++ site),
-//     removed after tickRouting once both counters are zero.
+//     routing request or any output is mid-setup (reqOuts or setupOuts
+//     non-zero). Added by inPort.requestRouting (the only request site),
+//     removed after tickRouting once both masks are zero.
 //   - transferSet: a switch is active while any output is connected
-//     (conns > 0). Added when tickRouting completes a setup, removed after
-//     tickTransfer once conns is zero.
+//     (connOuts non-zero). Added when tickRouting completes a setup,
+//     removed after tickTransfer once connOuts is zero.
 //   - nicSet: a NIC is active while it is injecting, holds in-transit
 //     packets awaiting their DMA timer, has queued packets it could start
 //     (up-link in service), or has message generation due (nextGen <= now —
@@ -42,6 +42,13 @@ func trailingZeros(w uint64) int { return bits.TrailingZeros64(w) }
 //
 // Purge and kill paths only ever remove work, so they never need to add
 // members; the stale bits they leave behind self-clean on the next cycle.
+//
+// Inside a switch the same idea goes down to ports: swtch.setupOuts,
+// connOuts and reqOuts mark the output ports in setup, streaming, and
+// holding a request, and the routing and transfer phases visit only those
+// ports, lowest bit first (the order of a scan over the switch's outputs).
+// Unlike the sets, the port masks are exact, so every site that changes an
+// output's state updates them, the purge path included.
 type bitset struct {
 	words []uint64
 }
@@ -181,7 +188,7 @@ func (s *Sim) stepActive() {
 			word &= word - 1
 			sw := &s.switches[i]
 			sw.tickRouting(s)
-			if sw.setups == 0 && sw.waiting == 0 {
+			if sw.setupOuts|sw.reqOuts == 0 {
 				s.routingSet.remove(i)
 			}
 		}
@@ -207,7 +214,7 @@ func (s *Sim) stepActive() {
 			word &= word - 1
 			sw := &s.switches[i]
 			sw.tickTransfer(s)
-			if sw.conns == 0 {
+			if sw.connOuts == 0 {
 				s.transferSet.remove(i)
 			}
 		}

@@ -35,11 +35,11 @@ func goldenConfig(t *testing.T, net *topology.Network, sch routes.Scheme, faulte
 	return cfg
 }
 
-// TestActiveSetMatchesDense is the tentpole's golden equivalence check: on
-// the paper's 8x8 torus, for all three schemes, with and without a fault
-// plan, the active-set loop must produce a Result byte-identical to the
-// dense per-cycle scan — including metrics series, latency histograms, and
-// drop accounting.
+// TestActiveSetMatchesDense is the golden equivalence check: on the 8x8
+// torus with 2 hosts per switch, for all three schemes, with and without
+// a fault plan, the active-set loop must produce a Result byte-identical
+// to the dense per-cycle scan — including metrics series, latency
+// histograms, and drop accounting.
 func TestActiveSetMatchesDense(t *testing.T) {
 	net := makeNet(t, 8, 8, 2)
 	for _, sch := range []routes.Scheme{routes.UpDown, routes.ITBSP, routes.ITBRR} {
@@ -72,23 +72,74 @@ func TestActiveSetMatchesDense(t *testing.T) {
 // every component the dense loop would visit to an observable effect must
 // be reachable by the active-set loop — present in its set, or (for a
 // NIC whose only pending work is message generation) parked on the
-// generation timer heap.
+// generation timer heap. Below the component sets, every switch's port
+// masks must equal what its output ports' states imply (lane requests and
+// connections included), and every cable must hold at most one flight
+// window of flits, in ascending arrival order.
 func checkActiveCover(t *testing.T, s *Sim, cycle int64) {
 	t.Helper()
 	for i := range s.links {
-		if !s.links[i].idle() && !s.linkSet.has(i) {
+		l := &s.links[i]
+		if !l.idle() && !s.linkSet.has(i) {
 			t.Fatalf("cycle %d: link %d carries flits or signals but is not in the link set", cycle, i)
+		}
+		if l.flits.n > s.p.LinkFlightCycles {
+			t.Fatalf("cycle %d: link %d holds %d flits, more than its %d-cycle flight window",
+				cycle, i, l.flits.n, s.p.LinkFlightCycles)
+		}
+		for j := 1; j < l.flits.n; j++ {
+			if l.flits.at(j).arrive <= l.flits.at(j-1).arrive {
+				t.Fatalf("cycle %d: link %d flit %d arrives at %d, not after flit %d at %d",
+					cycle, i, j, l.flits.at(j).arrive, j-1, l.flits.at(j-1).arrive)
+			}
+		}
+		for j := 1; j < l.signals.n; j++ {
+			if l.signals.at(j).arrive < l.signals.at(j-1).arrive {
+				t.Fatalf("cycle %d: link %d signal %d arrives before signal %d", cycle, i, j, j-1)
+			}
 		}
 	}
 	for i := range s.switches {
 		sw := &s.switches[i]
-		if (sw.waiting > 0 || sw.setups > 0) && !s.routingSet.has(i) {
-			t.Fatalf("cycle %d: switch %d has waiting=%d setups=%d but is not in the routing set",
-				cycle, i, sw.waiting, sw.setups)
+		var setup, conn, req uint32
+		for k, oi := range sw.outs {
+			op := &s.outPorts[oi]
+			bit := uint32(1) << uint(k)
+			lanes := 0
+			for _, in := range op.vconn {
+				if in >= 0 {
+					lanes++
+				}
+			}
+			if lanes != op.nconn {
+				t.Fatalf("cycle %d: switch %d output %d has %d connected lanes but nconn %d",
+					cycle, i, k, lanes, op.nconn)
+			}
+			if op.state == outSetup {
+				setup |= bit
+			}
+			if op.state == outConnected || lanes > 0 {
+				conn |= bit
+			}
+			requests := op.reqMask
+			for _, m := range op.vcReq {
+				requests |= m
+			}
+			if requests != 0 {
+				req |= bit
+			}
 		}
-		if sw.conns > 0 && !s.transferSet.has(i) {
-			t.Fatalf("cycle %d: switch %d has %d connections but is not in the transfer set",
-				cycle, i, sw.conns)
+		if sw.setupOuts != setup || sw.connOuts != conn || sw.reqOuts != req {
+			t.Fatalf("cycle %d: switch %d port masks setup=%b conn=%b req=%b, its ports imply setup=%b conn=%b req=%b",
+				cycle, i, sw.setupOuts, sw.connOuts, sw.reqOuts, setup, conn, req)
+		}
+		if setup|req != 0 && !s.routingSet.has(i) {
+			t.Fatalf("cycle %d: switch %d has setups %b and requests %b but is not in the routing set",
+				cycle, i, setup, req)
+		}
+		if conn != 0 && !s.transferSet.has(i) {
+			t.Fatalf("cycle %d: switch %d has connections %b but is not in the transfer set",
+				cycle, i, conn)
 		}
 	}
 	for h := range s.nics {
@@ -115,39 +166,59 @@ func checkActiveCover(t *testing.T, s *Sim, cycle int64) {
 				t.Fatalf("cycle %d: host %d armed but no heap entry fires by cycle %d", cycle, h, due)
 			}
 		}
-		// A buffered head packet must always hold a routing claim —
-		// stranded regardless of scheduler if not.
-		_ = n
 	}
+	// A buffered head packet must always hold a routing claim — stranded
+	// regardless of scheduler if not.
 	for i := range s.inPorts {
 		ip := &s.inPorts[i]
 		if ip.buf.headSeg() != nil && ip.conn < 0 && ip.pendingOut < 0 {
 			t.Fatalf("cycle %d: switch %d input of link %d has a head packet with no routing claim",
 				cycle, ip.sw, ip.link)
 		}
+		for v := range ip.vcs {
+			vb := &ip.vcs[v]
+			if vb.buf.headSeg() != nil && vb.conn < 0 && vb.pendingOut < 0 {
+				t.Fatalf("cycle %d: switch %d input of link %d lane %d has a head packet with no routing claim",
+					cycle, ip.sw, ip.link, v)
+			}
+		}
 	}
 }
 
 // TestActiveSetNeverStrandsWork steps simulators across load regimes, with
-// and without fault plans, asserting the stranded-work invariant after
-// every cycle.
+// and without fault plans, and under virtual-channel flow control,
+// asserting the stranded-work invariant after every cycle. The fault cases
+// tear connections down outside the tick functions (purge and kill paths);
+// the VC case drives the lane-level routing and transfer units.
 func TestActiveSetNeverStrandsWork(t *testing.T) {
-	net := makeNet(t, 4, 4, 2)
+	torus := makeNet(t, 4, 4, 2)
+	dragonfly, err := topology.NewDragonfly(4, 3, 1, 2, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name    string
+		net     *topology.Network
 		sch     routes.Scheme
 		load    float64
 		faulted bool
 		cycles  int64
 	}{
-		{"ud-low", routes.UpDown, 0.003, false, 30_000},
-		{"itbrr-high", routes.ITBRR, 0.05, false, 30_000},
-		{"ud-faulted", routes.UpDown, 0.03, true, 60_000},
-		{"itbsp-faulted", routes.ITBSP, 0.03, true, 60_000},
+		{"ud-low", torus, routes.UpDown, 0.003, false, 30_000},
+		{"itbrr-high", torus, routes.ITBRR, 0.05, false, 30_000},
+		{"ud-faulted", torus, routes.UpDown, 0.03, true, 60_000},
+		{"itbsp-faulted", torus, routes.ITBSP, 0.03, true, 60_000},
+		{"vc2-dragonfly", dragonfly, routes.VC, 0.05, false, 30_000},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tab := makeTable(t, net, tc.sch)
+			net := tc.net
+			var tab *routes.Table
+			if tc.sch == routes.VC {
+				tab = makeVCTable(t, net, 2)
+			} else {
+				tab = makeTable(t, net, tc.sch)
+			}
 			cfg := baseConfig(net, tab)
 			cfg.Load = tc.load
 			if tc.faulted {

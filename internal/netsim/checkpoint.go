@@ -30,11 +30,11 @@ import (
 // the end-of-cycle dead-route list is empty. Derived state is not
 // serialized but recomputed on restore (Sim.rederive): fault-engine down
 // flags and fault set replay from the plan position, swapped routing tables
-// from the (deterministic, memoized) Reconfigurer, active sets from each
-// component's own idle predicate, and the fault engine's next wake-up from
-// its timer sources. Re-deriving the active sets rather than copying bitsets
-// is what lets a checkpoint written under one step loop resume under the
-// other.
+// from the (deterministic, memoized) Reconfigurer, switch port masks from
+// the output ports' states, active sets from each component's own idle
+// predicate, and the fault engine's next wake-up from its timer sources.
+// Re-deriving the active sets rather than copying bitsets is what lets a
+// checkpoint written under one step loop resume under the other.
 
 const (
 	ckptMagic   = "ITBCKPT\x00"
@@ -227,8 +227,8 @@ func (s *Sim) registries() *registry {
 	}
 	for i := range s.links {
 		l := &s.links[i]
-		for _, f := range l.flits[l.flHead:] {
-			pkt(f.pkt)
+		for j := 0; j < l.flits.n; j++ {
+			pkt(l.flits.at(j).pkt)
 		}
 	}
 	for i := range s.inPorts {
@@ -399,12 +399,12 @@ func (s *Sim) state(c *wire.Codec, g *registry) {
 		wire.Int(c, &l.busy)
 		wire.Int(c, &l.idleStopped)
 		wire.Array(c, l.credits, wire.Int[int16])
-		wire.Queue(c, &l.flits, &l.flHead, func(c *wire.Codec, f *flitInFlight) {
+		wire.Ring(c, &l.flits.buf, &l.flits.head, &l.flits.n, func(c *wire.Codec, f *flitInFlight) {
 			g.pkts.ref(c, &f.pkt)
 			c.Bool(&f.tail)
 			wire.Int(c, &f.arrive)
 		})
-		wire.Queue(c, &l.signals, &l.sgHead, func(c *wire.Codec, sg *signalInFlight) {
+		wire.Ring(c, &l.signals.buf, &l.signals.head, &l.signals.n, func(c *wire.Codec, sg *signalInFlight) {
 			c.Bool(&sg.stop)
 			c.U8(&sg.vc)
 			wire.Int(c, &sg.arrive)
@@ -446,11 +446,20 @@ func (s *Sim) state(c *wire.Codec, g *registry) {
 		wire.Array(c, op.vconn, wire.Int[int32])
 	})
 
-	// Switch idle-skip counters.
+	// Switch counters of the version-1 format: ungranted requests, setups
+	// and connections. They follow from the output ports' states, so a
+	// writer computes them and a reader checks them against the ports it
+	// just decoded.
 	wire.Array(c, s.switches, func(c *wire.Codec, sw *swtch) {
-		wire.Int(c, &sw.waiting)
-		wire.Int(c, &sw.setups)
-		wire.Int(c, &sw.conns)
+		waiting, setups, conns := sw.portCounts(s)
+		want := [3]int{waiting, setups, conns}
+		got := want
+		for i := range got {
+			wire.Int(c, &got[i])
+		}
+		if got != want {
+			c.Fail(fmt.Errorf("switch %d counters %v do not match its ports' states %v", sw.id, got, want))
+		}
 	})
 
 	// NICs.
@@ -627,7 +636,8 @@ func Restore(cfg Config, data []byte) (*Sim, error) {
 
 // rederive rebuilds, after a read walk, the state a checkpoint leaves out:
 // the fault set and down flags, the swapped and pending routing tables, the
-// generation heap, the fault engine's next wake-up and the active sets.
+// generation heap, the fault engine's next wake-up, the port masks and the
+// active sets.
 func (s *Sim) rederive() error {
 	if fe := s.fe; fe != nil {
 		if fe.planIdx < 0 || fe.planIdx > len(fe.plan) ||
@@ -676,6 +686,11 @@ func (s *Sim) rederive() error {
 		s.genTimers.push(t)
 	}
 
+	// Re-derive the port masks from the output ports' states.
+	for i := range s.switches {
+		s.switches[i].rederiveMasks(s)
+	}
+
 	// Re-derive the active sets from each component's own activity
 	// predicate — the same predicates the phase loops use for removal, so
 	// membership is exactly what the uninterrupted run would carry into the
@@ -686,16 +701,16 @@ func (s *Sim) rederive() error {
 	clear(s.nicSet.words) // New starts every NIC awake
 	for i := range s.links {
 		l := &s.links[i]
-		if len(l.flits) > 0 || len(l.signals) > 0 {
+		if !l.idle() {
 			s.linkSet.add(i)
 		}
 	}
 	for i := range s.switches {
 		sw := &s.switches[i]
-		if sw.waiting > 0 || sw.setups > 0 {
+		if sw.setupOuts|sw.reqOuts != 0 {
 			s.routingSet.add(i)
 		}
-		if sw.conns > 0 {
+		if sw.connOuts != 0 {
 			s.transferSet.add(i)
 		}
 	}
@@ -745,14 +760,13 @@ var checkpointFields = map[string][]string{
 		"switches", "nics", "genTimers", "generatedTotal", "deliveredTotal", "outstanding",
 		"measuring", "measureStart", "measITBSum", "measCount", "latHist", "netLatHist",
 		"latCycles", "netLatCycles", "mx", "windowDeliveredFlits", "windowInjectedFlits"},
-	"netsim.link": {"stopped", "credits", "flits", "flHead", "signals", "sgHead",
-		"busy", "idleStopped"},
+	"netsim.link": {"stopped", "credits", "flits", "signals", "busy",
+		"idleStopped"},
 	"netsim.flitInFlight":   {"pkt", "tail", "arrive"},
 	"netsim.signalInFlight": {"stop", "vc", "arrive"},
 	"netsim.inPort":         {"buf", "conn", "pendingOut", "lastSignalStop", "vcs"},
 	"netsim.outPort": {"state", "setupLeft", "inp", "rr", "reqMask", "vcReq", "vconn",
 		"nconn", "setupVC", "txRR"},
-	"netsim.swtch": {"waiting", "setups", "conns"},
 	"netsim.nic": {"sendQ", "sendQH", "reinjQ", "reinjH", "cur", "active", "rxPkt",
 		"rxCount", "rxExpected", "rxStart", "rxReinj", "rxVC", "pending", "poolUsed",
 		"poolPeak", "overflows", "rng", "nextGen", "stopGen", "genSeq", "genArmed",
@@ -789,6 +803,10 @@ var checkpointFields = map[string][]string{
 	"routes.randomSelector":   {"state"},
 	"routes.adaptiveSelector": {"cfg", "state"},
 	"routes.adaptState":       {"ewma", "tries"},
+
+	// A cable ring writes its live entries oldest first (wire.Ring).
+	"netsim.ring[itbsim/internal/netsim.flitInFlight]":   {"buf", "head", "n"},
+	"netsim.ring[itbsim/internal/netsim.signalInFlight]": {"buf", "head", "n"},
 }
 
 var checkpointExempt = map[string][]string{
@@ -802,11 +820,12 @@ var checkpointExempt = map[string][]string{
 	"netsim.Sim": {"cfg", "p", "net", "outPortOfLink", "linkSet", "routingSet",
 		"transferSet", "nicSet", "dense", "deadRouteReqs", "pktChunk", "pktUsed",
 		"numChannels", "numHosts", "vcMode", "numVCs", "genIntervalCycles"},
-	// Build-time wiring; down is re-derived from the fault set.
+	// Build-time wiring; down is re-derived from the fault set and the
+	// switch port masks from the output ports' states.
 	"netsim.link":    {"id", "recvPort", "recvNIC", "down"},
 	"netsim.inPort":  {"sw", "link", "localIdx"},
-	"netsim.outPort": {"sw", "link"},
-	"netsim.swtch":   {"id", "ins", "outs"},
+	"netsim.outPort": {"sw", "link", "localIdx"},
+	"netsim.swtch":   {"id", "ins", "outs", "setupOuts", "connOuts", "reqOuts"},
 	"netsim.nic":     {"host", "upLink"},
 	"netsim.bitset":  {"words"},
 	// plan/rec come from the configuration; set/down/pendingRc/nextWake are

@@ -19,6 +19,8 @@ var checkpointedTypes = []interface{}{
 	Params{},
 	Sim{},
 	link{},
+	ring[flitInFlight]{},
+	ring[signalInFlight]{},
 	flitInFlight{},
 	signalInFlight{},
 	inPort{},

@@ -64,8 +64,8 @@ func scheduleNow(s *Sim, evs ...faults.Event) {
 // onLink reports whether any of p's flits are in flight on channel c.
 func onLink(s *Sim, p *packet, c int) bool {
 	l := &s.links[c]
-	for _, f := range l.flits[l.flHead:] {
-		if f.pkt == p {
+	for i := 0; i < l.flits.n; i++ {
+		if l.flits.at(i).pkt == p {
 			return true
 		}
 	}

@@ -331,15 +331,13 @@ func (fe *faultEngine) recomputeDown(s *Sim) {
 // queued at its output requesting it.
 func (fe *faultEngine) killOnLink(s *Sim, lid int) {
 	l := &s.links[lid]
-	for _, f := range l.flits[l.flHead:] {
-		if f.pkt != nil && !f.pkt.dead {
+	for i := 0; i < l.flits.n; i++ {
+		if f := l.flits.at(i); f.pkt != nil && !f.pkt.dead {
 			fe.kill(s, f.pkt, DropInFlight)
 		}
 	}
-	l.flits = l.flits[:0]
-	l.flHead = 0
-	l.signals = l.signals[:0]
-	l.sgHead = 0
+	l.flits.reset()
+	l.signals.reset()
 	l.stopped = false
 
 	if oi := s.outPortOfLink[lid]; oi >= 0 {
@@ -638,16 +636,18 @@ func (s *Sim) purgeInPort(ipIdx int) {
 		if ip.conn >= 0 {
 			op := &s.outPorts[ip.conn]
 			op.state = outFree
-			sw.conns--
+			sw.connOuts &^= 1 << uint(op.localIdx)
 			ip.conn = -1
 		} else if ip.pendingOut >= 0 {
 			op := &s.outPorts[ip.pendingOut]
 			if op.state == outSetup && op.inp == ipIdx {
 				op.state = outFree
-				sw.setups--
+				sw.setupOuts &^= 1 << uint(op.localIdx)
 			} else if op.reqMask&(1<<uint(ip.localIdx)) != 0 {
 				op.reqMask &^= 1 << uint(ip.localIdx)
-				sw.waiting--
+				if op.reqMask == 0 {
+					sw.reqOuts &^= 1 << uint(op.localIdx)
+				}
 			}
 			ip.pendingOut = -1
 		}

@@ -41,10 +41,10 @@ type link struct {
 	// that lane's buffer, via the same signal pipeline stop & go uses.
 	credits []int16
 
-	flits   []flitInFlight
-	flHead  int
-	signals []signalInFlight
-	sgHead  int
+	// The cable's two pipelines, oldest entry first: flits towards the
+	// receiver, control flits (stop/go or credits) back to the sender.
+	flits   ring[flitInFlight]
+	signals ring[signalInFlight]
 
 	busy        int64 // flits pushed during the measurement window
 	idleStopped int64 // cycles the sender had a flit ready but was stopped
@@ -61,7 +61,7 @@ func (l *link) pushFlit(s *Sim, pkt *packet, tail bool) {
 			panic(fmt.Sprintf("netsim: link %d pushed on VC %d without credit", l.id, pkt.vc))
 		}
 	}
-	l.flits = append(l.flits, flitInFlight{pkt: pkt, tail: tail, arrive: s.now + int64(s.p.LinkFlightCycles)})
+	l.flits.push(flitInFlight{pkt: pkt, tail: tail, arrive: s.now + int64(s.p.LinkFlightCycles)})
 	s.linkSet.add(l.id)
 	if s.measuring {
 		l.busy++
@@ -78,7 +78,7 @@ func (l *link) pushSignal(s *Sim, stop bool) {
 	if l.down {
 		return
 	}
-	l.signals = append(l.signals, signalInFlight{stop: stop, arrive: s.now + int64(s.p.LinkFlightCycles)})
+	l.signals.push(signalInFlight{stop: stop, arrive: s.now + int64(s.p.LinkFlightCycles)})
 	s.linkSet.add(l.id)
 }
 
@@ -88,7 +88,7 @@ func (l *link) pushSignal(s *Sim, stop bool) {
 //
 //sim:hotpath
 func (l *link) pushCredit(s *Sim, vc int) {
-	l.signals = append(l.signals, signalInFlight{vc: uint8(vc), arrive: s.now + int64(s.p.LinkFlightCycles)})
+	l.signals.push(signalInFlight{vc: uint8(vc), arrive: s.now + int64(s.p.LinkFlightCycles)})
 	s.linkSet.add(l.id)
 }
 
@@ -96,51 +96,32 @@ func (l *link) pushCredit(s *Sim, vc int) {
 //
 //sim:hotpath
 func (l *link) deliverSignals(s *Sim) {
-	for l.sgHead < len(l.signals) && l.signals[l.sgHead].arrive <= s.now {
+	for l.signals.n > 0 && l.signals.front().arrive <= s.now {
+		g := l.signals.pop()
 		if l.credits != nil {
-			g := l.signals[l.sgHead]
 			l.credits[g.vc]++
 			if int(l.credits[g.vc]) > s.p.VCBufFlits {
 				panic(fmt.Sprintf("netsim: link %d VC %d credits above buffer depth", l.id, g.vc))
 			}
 		} else {
-			l.stopped = l.signals[l.sgHead].stop
+			l.stopped = g.stop
 		}
-		l.sgHead++
 	}
-	if l.sgHead == 0 {
-		return
-	}
-	rest := copy(l.signals, l.signals[l.sgHead:])
-	l.signals = l.signals[:rest]
-	l.sgHead = 0
 }
 
-// deliverFlits moves arrived flits into the receiver. The drained head is
-// compacted away every cycle so the backing array (a slab slice shared by
-// all links) never grows past the flits of one flight window.
+// deliverFlits moves arrived flits into the receiver, popping them off the
+// ring in place.
 //
 //sim:hotpath
 func (l *link) deliverFlits(s *Sim) {
-	for l.flHead < len(l.flits) && l.flits[l.flHead].arrive <= s.now {
-		f := l.flits[l.flHead]
-		l.flits[l.flHead] = flitInFlight{}
-		l.flHead++
+	for l.flits.n > 0 && l.flits.front().arrive <= s.now {
+		f := l.flits.pop()
 		if l.recvPort >= 0 {
 			s.inPorts[l.recvPort].receive(s, f.pkt, f.tail)
 		} else {
 			s.nics[l.recvNIC].receive(s, f.pkt, f.tail)
 		}
 	}
-	if l.flHead == 0 {
-		return
-	}
-	rest := copy(l.flits, l.flits[l.flHead:])
-	for i := rest; i < len(l.flits); i++ {
-		l.flits[i] = flitInFlight{}
-	}
-	l.flits = l.flits[:rest]
-	l.flHead = 0
 }
 
 // deliver drains both directions: signals first, then flits.
@@ -151,5 +132,74 @@ func (l *link) deliver(s *Sim) {
 
 // idle reports whether the cable carries no flits and no pending signals.
 func (l *link) idle() bool {
-	return l.flHead == len(l.flits) && l.sgHead == len(l.signals)
+	return l.flits.n == 0 && l.signals.n == 0
+}
+
+// ring is a FIFO on a power-of-two circular buffer: n live entries, oldest
+// at buf[head], wrapping at len(buf). A cable's pipelines are rings sized
+// to one flight window, so the steady state pops in place and never copies
+// or allocates; a push into a full ring doubles it (grow).
+type ring[T any] struct {
+	buf  []T
+	head int
+	n    int
+}
+
+// ringSize is the smallest power of two that holds n entries.
+func ringSize(n int) int {
+	size := 1
+	for size < n {
+		size <<= 1
+	}
+	return size
+}
+
+// push appends v as the newest entry.
+//
+//sim:hotpath
+func (r *ring[T]) push(v T) {
+	if r.n == len(r.buf) {
+		r.grow()
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
+	r.n++
+}
+
+// front returns the oldest entry of a non-empty ring.
+func (r *ring[T]) front() *T { return &r.buf[r.head] }
+
+// pop removes and returns the oldest entry of a non-empty ring, zeroing its
+// slot so the ring holds no stale packet pointers.
+//
+//sim:hotpath
+func (r *ring[T]) pop() T {
+	v := r.buf[r.head]
+	var zero T
+	r.buf[r.head] = zero
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return v
+}
+
+// at returns the i-th oldest live entry.
+func (r *ring[T]) at(i int) *T { return &r.buf[(r.head+i)&(len(r.buf)-1)] }
+
+// reset empties the ring, keeping its storage.
+func (r *ring[T]) reset() {
+	clear(r.buf)
+	r.head, r.n = 0, 0
+}
+
+// grow doubles a full ring, unwrapping its entries to the front. It is the
+// fallback for a burst beyond one flight window (VC credit returns can
+// come more than one per cycle), kept out of line so push holds no
+// allocation site.
+//
+//go:noinline
+func (r *ring[T]) grow() {
+	buf := make([]T, max(1, 2*len(r.buf)))
+	for i := 0; i < r.n; i++ {
+		buf[i] = *r.at(i)
+	}
+	r.buf, r.head = buf, 0
 }

@@ -8,17 +8,18 @@ import (
 	"itbsim/internal/topology"
 )
 
-// benchTorusPoint measures simulator throughput on an 8x8 torus at the
-// given injection rate: one full Run per op. dense selects the legacy
-// per-cycle full scan instead of the active-set scheduler, so the Dense
-// benchmark variants are the "before" numbers of BENCH_4.json.
-func benchTorusPoint(b *testing.B, load float64, dense bool) {
+// benchTorusPoint measures simulator throughput on an 8x8 torus of 16-port
+// switches with hostsPerSwitch hosts each, under scheme at the given
+// injection rate: one full Run per op. dense selects the legacy per-cycle
+// full scan instead of the active-set scheduler, so the Dense variants are
+// the reference loop's numbers for the same point.
+func benchTorusPoint(b *testing.B, hostsPerSwitch int, scheme routes.Scheme, load float64, dense bool) {
 	b.Helper()
-	net, err := topology.NewTorus(8, 8, 2, 16)
+	net, err := topology.NewTorus(8, 8, hostsPerSwitch, 16)
 	if err != nil {
 		b.Fatal(err)
 	}
-	tab, err := routes.Build(net, routes.DefaultConfig(routes.UpDown))
+	tab, err := routes.Build(net, routes.DefaultConfig(scheme))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -42,29 +43,48 @@ func benchTorusPoint(b *testing.B, load float64, dense bool) {
 	}
 }
 
-// BenchmarkMediumTorusPoint measures simulator throughput on the paper's
-// 8x8 fabric near the UP/DOWN saturation load. Used for profiling the
-// cycle loop.
-func BenchmarkMediumTorusPoint(b *testing.B) { benchTorusPoint(b, 0.014, false) }
+// BenchmarkMediumTorusPoint measures simulator throughput on the 8x8 torus
+// with 2 hosts per switch (128 hosts, a quarter of the paper's) near the
+// UP/DOWN saturation load. Used for profiling the cycle loop.
+func BenchmarkMediumTorusPoint(b *testing.B) { benchTorusPoint(b, 2, routes.UpDown, 0.014, false) }
 
 // BenchmarkLowLoadTorusPoint is the same fabric far below saturation
 // (~0.14x the UP/DOWN knee): most cycles are nearly idle, the regime the
 // active-set scheduler exists for. Low-load points dominate the wall time
 // of every latency/throughput sweep and of fault-injection drain windows.
-func BenchmarkLowLoadTorusPoint(b *testing.B) { benchTorusPoint(b, 0.002, false) }
+func BenchmarkLowLoadTorusPoint(b *testing.B) { benchTorusPoint(b, 2, routes.UpDown, 0.002, false) }
 
 // BenchmarkLowLoadTorusPointDense is the same point on the legacy dense
-// scan: the baseline the ≥2x low-load speedup is measured against.
-func BenchmarkLowLoadTorusPointDense(b *testing.B) { benchTorusPoint(b, 0.002, true) }
+// scan: the baseline the active-set loop's low-load speedup is measured
+// against.
+func BenchmarkLowLoadTorusPointDense(b *testing.B) {
+	benchTorusPoint(b, 2, routes.UpDown, 0.002, true)
+}
 
 // BenchmarkSaturatedTorusPoint drives the fabric past the knee: every
 // component is busy every cycle, so active-set bookkeeping is pure
 // overhead here and must stay within noise of the dense scan.
-func BenchmarkSaturatedTorusPoint(b *testing.B) { benchTorusPoint(b, 0.033, false) }
+func BenchmarkSaturatedTorusPoint(b *testing.B) { benchTorusPoint(b, 2, routes.UpDown, 0.033, false) }
 
 // BenchmarkSaturatedTorusPointDense is the saturation baseline: the
 // active-set loop must stay within 5% of it.
-func BenchmarkSaturatedTorusPointDense(b *testing.B) { benchTorusPoint(b, 0.033, true) }
+func BenchmarkSaturatedTorusPointDense(b *testing.B) {
+	benchTorusPoint(b, 2, routes.UpDown, 0.033, true)
+}
+
+// The paper-scale points run the paper's fabric itself: the 8x8 torus with
+// 8 hosts on every 16-port switch (512 hosts), where a busy switch has 12
+// output ports of which typically one or two move a flit in a cycle.
+
+// BenchmarkPaperTorusUpDownLow is UP/DOWN far below its knee, the regime
+// in which per-port scans dominated the switch phases.
+func BenchmarkPaperTorusUpDownLow(b *testing.B) { benchTorusPoint(b, 8, routes.UpDown, 0.002, false) }
+
+// BenchmarkPaperTorusITBRRLow is ITB-RR at a low load.
+func BenchmarkPaperTorusITBRRLow(b *testing.B) { benchTorusPoint(b, 8, routes.ITBRR, 0.006, false) }
+
+// BenchmarkPaperTorusITBRRKnee is ITB-RR at its saturation knee.
+func BenchmarkPaperTorusITBRRKnee(b *testing.B) { benchTorusPoint(b, 8, routes.ITBRR, 0.024, false) }
 
 // The VC benchmarks compare the two deadlock-avoidance mechanisms on the
 // same fabric and workload: ITB-RR (in-transit buffers, the paper's
@@ -122,8 +142,8 @@ func benchVCDragonflyPoint(b *testing.B, scheme routes.Scheme) {
 	}
 }
 
-// BenchmarkITBDragonflyPoint is the ITB-RR baseline of BENCH_7.json: the
-// same dragonfly point with deadlock avoidance by in-transit buffers.
+// BenchmarkITBDragonflyPoint is the ITB-RR baseline for the VC comparison:
+// the same dragonfly point with deadlock avoidance by in-transit buffers.
 func BenchmarkITBDragonflyPoint(b *testing.B) { benchVCDragonflyPoint(b, routes.ITBRR) }
 
 // BenchmarkVCDragonflyPoint runs the point over virtual-channel flow

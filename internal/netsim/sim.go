@@ -313,6 +313,9 @@ func New(cfg Config) (*Sim, error) {
 			return nil, fmt.Errorf("netsim: CheckpointEvery > 0 requires a CheckpointSink")
 		}
 	}
+	if err := checkPortCounts(cfg.Net); err != nil {
+		return nil, err
+	}
 	// The simulator owns its route selection: a private Clone of the table
 	// gives it its own round-robin cursors and selector, so two runs handed
 	// the same *Table cannot perturb each other's route choices, and the
@@ -348,6 +351,35 @@ func New(cfg Config) (*Sim, error) {
 	return s, nil
 }
 
+// maxSwitchPorts bounds the input and the output ports of one switch: the
+// request masks and the port masks are 32-bit words over a switch's local
+// port indices.
+const maxSwitchPorts = 32
+
+// checkPortCounts refuses a fabric with a switch whose inputs or outputs
+// (switch-to-switch channels plus host links) outnumber the bits of a port
+// mask.
+func checkPortCounts(net *topology.Network) error {
+	ins := make([]int, net.Switches)
+	outs := make([]int, net.Switches)
+	for c := 0; c < net.NumChannels(); c++ {
+		from, to := net.ChannelEnds(c)
+		outs[from]++
+		ins[to]++
+	}
+	for h := 0; h < net.NumHosts(); h++ {
+		ins[net.SwitchOf(h)]++
+		outs[net.SwitchOf(h)]++
+	}
+	for sw := range ins {
+		if ins[sw] > maxSwitchPorts || outs[sw] > maxSwitchPorts {
+			return &topology.ConfigError{Field: "Net", Value: fmt.Sprintf("switch %d with %d inputs and %d outputs", sw, ins[sw], outs[sw]),
+				Reason: fmt.Sprintf("the simulator supports at most %d input and %d output ports per switch", maxSwitchPorts, maxSwitchPorts)}
+		}
+	}
+	return nil
+}
+
 // Link ID layout: [0, C) directed switch-to-switch channels (topology
 // channel IDs), [C, C+H) host up-links, [C+H, C+2H) host down-links.
 func (s *Sim) hostUpLink(h int) int   { return s.numChannels + h }
@@ -370,9 +402,6 @@ func (s *Sim) build() {
 	addIn := func(sw, l int) {
 		idx := len(s.inPorts)
 		local := len(s.switches[sw].ins)
-		if local >= 32 {
-			panic("netsim: more than 32 input ports on one switch (request mask too small)")
-		}
 		s.inPorts = append(s.inPorts, inPort{sw: sw, link: l, localIdx: local, conn: -1, pendingOut: -1})
 		s.links[l].recvPort = idx
 		s.links[l].recvNIC = -1
@@ -380,7 +409,7 @@ func (s *Sim) build() {
 	}
 	addOut := func(sw, l int) {
 		idx := len(s.outPorts)
-		s.outPorts = append(s.outPorts, outPort{sw: sw, link: l})
+		s.outPorts = append(s.outPorts, outPort{sw: sw, link: l, localIdx: len(s.switches[sw].outs)})
 		s.outPortOfLink[l] = idx
 		s.switches[sw].outs = append(s.switches[sw].outs, idx)
 	}
@@ -408,26 +437,24 @@ func (s *Sim) build() {
 		n.nextGen = n.rng.Float64() * s.genIntervalCycles
 	}
 
-	// Slab-allocate the link pipelines: one shared backing array, sliced
-	// into fixed-capacity per-link windows so the steady-state hot path
-	// never allocates. deliverFlits/deliverSignals compact the drained
-	// head every cycle, bounding a link's live window to one flight time
-	// (+1 being pushed, +1 slack); a burst beyond the window falls back
-	// to a regular append-grown slice for that link. Stop & go sends at
-	// most one control flit per threshold crossing, but credit returns can
-	// reach two per cycle per link (a transfer plus a header strip from
-	// different lanes of the same input), so VC mode doubles the signal
-	// window to the flit one.
-	flCap := s.p.LinkFlightCycles + 2
-	sgCap := 4
+	// Give every cable's pipelines rings of one flight window, carved out
+	// of two shared backing arrays. A switch output or a NIC pushes at most
+	// one flit per cycle and a flit lives LinkFlightCycles cycles, so the
+	// flit ring never fills. Stop & go sends at most one control flit per
+	// threshold crossing, but credit returns can come more than one per
+	// cycle on a link (a transfer plus a header strip on different lanes
+	// of one input), so VC mode doubles the signal ring. A burst beyond a
+	// ring grows that ring alone.
+	flCap := ringSize(s.p.LinkFlightCycles)
+	sgCap := flCap
 	if s.vcMode {
-		sgCap = 2 * (s.p.LinkFlightCycles + 2)
+		sgCap = ringSize(2 * s.p.LinkFlightCycles)
 	}
 	flSlab := make([]flitInFlight, total*flCap)
 	sgSlab := make([]signalInFlight, total*sgCap)
 	for i := range s.links {
-		s.links[i].flits = flSlab[i*flCap : i*flCap : (i+1)*flCap]
-		s.links[i].signals = sgSlab[i*sgCap : i*sgCap : (i+1)*sgCap]
+		s.links[i].flits.buf = flSlab[i*flCap : (i+1)*flCap]
+		s.links[i].signals.buf = sgSlab[i*sgCap : (i+1)*sgCap]
 	}
 
 	// Virtual-channel state: per-lane buffers and connection slots at every

@@ -436,6 +436,32 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(c); err == nil {
 		t.Error("table/network mismatch accepted")
 	}
+
+	// The port masks are 32-bit words over a switch's local ports: a
+	// switch with 42 inputs and outputs (2 torus channels plus 40 hosts)
+	// is refused with a typed error, and one with exactly 32 runs.
+	wide := makeWideNet(t, 40, 48)
+	var ce *topology.ConfigError
+	if _, err := New(baseConfig(wide, makeTable(t, wide, routes.UpDown))); !errors.As(err, &ce) || ce.Field != "Net" {
+		t.Errorf("42-port switches: got %v, want a *topology.ConfigError for Net", err)
+	}
+	full := makeWideNet(t, 30, 32)
+	c = baseConfig(full, makeTable(t, full, routes.UpDown))
+	c.MeasureMessages = 100
+	if res, err := Run(c); err != nil || res.Truncated {
+		t.Errorf("32-port switches: got %v (truncated %v), want a completed run", err, res != nil && res.Truncated)
+	}
+}
+
+// makeWideNet builds a 2x2 torus of switches with the given port count,
+// each carrying hosts hosts.
+func makeWideNet(t *testing.T, hosts, ports int) *topology.Network {
+	t.Helper()
+	net, err := topology.NewTorus(2, 2, hosts, ports)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net
 }
 
 func TestParamsValidation(t *testing.T) {

@@ -95,8 +95,8 @@ func (s *Sim) stallDump(k int) *StallDump {
 	}
 	for i := range s.links {
 		l := &s.links[i]
-		for _, f := range l.flits[l.flHead:] {
-			note(f.pkt, fmt.Sprintf("link %d in flight", l.id), -1, -1)
+		for j := 0; j < l.flits.n; j++ {
+			note(l.flits.at(j).pkt, fmt.Sprintf("link %d in flight", l.id), -1, -1)
 		}
 	}
 	for h := range s.nics {

@@ -1,6 +1,9 @@
 package netsim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // inPort is the receiving side of a link that terminates at a switch: its
 // slack buffer plus the wormhole connection state of the packet currently
@@ -82,9 +85,10 @@ func (ip *inPort) requestRouting(s *Sim) {
 	}
 	oi := s.outPortOfLink[lnk]
 	ip.pendingOut = oi
-	s.outPorts[oi].reqMask |= 1 << uint(ip.localIdx)
-	s.switches[ip.sw].waiting++
-	// Sole waiting++ site: wake the control unit.
+	op := &s.outPorts[oi]
+	op.reqMask |= 1 << uint(ip.localIdx)
+	s.switches[ip.sw].reqOuts |= 1 << uint(op.localIdx)
+	// Sole request site: wake the control unit.
 	s.routingSet.add(ip.sw)
 }
 
@@ -122,8 +126,9 @@ const (
 // ports in demand-slotted round-robin order, spends RoutingCycles on each
 // header, and then streams the packet until its tail passes.
 type outPort struct {
-	sw   int
-	link int // outgoing link
+	sw       int
+	link     int // outgoing link
+	localIdx int // index within the owning switch's output list (for masks)
 
 	state     int
 	setupLeft int
@@ -142,6 +147,19 @@ type outPort struct {
 	txRR    int      // per-cycle flit round robin over connected lanes
 }
 
+// requested reports whether any input (on any lane) waits for this output.
+func (op *outPort) requested() bool {
+	if op.reqMask != 0 {
+		return true
+	}
+	for _, m := range op.vcReq {
+		if m != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // swtch groups the ports of one physical switch. The crossbar is implicit:
 // any number of distinct input→output connections stream simultaneously.
 type swtch struct {
@@ -149,10 +167,54 @@ type swtch struct {
 	ins  []int // global inPort indices, in port order
 	outs []int // global outPort indices, in port order
 
-	// Idle-skip counters.
-	waiting int // inputs with an ungranted routing request
-	setups  int // output ports in outSetup
-	conns   int // output ports in outConnected
+	// Port masks over local output indices (bit k stands for outs[k]): the
+	// port-level active sets. They are derived from the output ports' states
+	// and updated at every site that changes one (see activeset.go); the
+	// phase loops visit only the ports in them, lowest bit first, which is
+	// the order of a scan over outs.
+	setupOuts uint32 // outputs in outSetup
+	connOuts  uint32 // outputs streaming: outConnected, or at least one lane connected (VC)
+	reqOuts   uint32 // outputs with an ungranted request, on any lane
+}
+
+// portCounts derives from the output ports' states the three counters a
+// checkpoint carries per switch: inputs (lanes, in VC mode) with an
+// ungranted request, outputs in setup, and connections (connected lanes, in
+// VC mode).
+func (sw *swtch) portCounts(s *Sim) (waiting, setups, conns int) {
+	for _, oi := range sw.outs {
+		op := &s.outPorts[oi]
+		waiting += bits.OnesCount32(op.reqMask)
+		for _, m := range op.vcReq {
+			waiting += bits.OnesCount32(m)
+		}
+		switch op.state {
+		case outSetup:
+			setups++
+		case outConnected:
+			conns++
+		}
+		conns += op.nconn
+	}
+	return waiting, setups, conns
+}
+
+// rederiveMasks rebuilds the port masks from the output ports' states.
+func (sw *swtch) rederiveMasks(s *Sim) {
+	sw.setupOuts, sw.connOuts, sw.reqOuts = 0, 0, 0
+	for k, oi := range sw.outs {
+		op := &s.outPorts[oi]
+		bit := uint32(1) << uint(k)
+		if op.state == outSetup {
+			sw.setupOuts |= bit
+		}
+		if op.state == outConnected || op.nconn > 0 {
+			sw.connOuts |= bit
+		}
+		if op.requested() {
+			sw.reqOuts |= bit
+		}
+	}
 }
 
 // tickRouting advances the routing control units of one switch: finishes
@@ -164,63 +226,59 @@ func (sw *swtch) tickRouting(s *Sim) {
 		sw.tickRoutingVC(s)
 		return
 	}
-	if sw.setups > 0 {
-		for _, oi := range sw.outs {
-			op := &s.outPorts[oi]
-			if op.state != outSetup {
-				continue
-			}
-			op.setupLeft--
-			if op.setupLeft > 0 {
-				continue
-			}
-			// Routing done: strip the route byte and establish the
-			// connection through the crossbar.
-			ip := &s.inPorts[op.inp]
-			hs := ip.buf.headSeg()
-			if hs == nil || hs.flits < 1 {
-				panic("netsim: header flit vanished during routing setup")
-			}
-			pkt := hs.pkt
-			ip.buf.take(1)
-			pkt.wireFlits--
-			pkt.advanceCursor()
-			ip.consumed(s)
-			ip.conn = oi
-			ip.pendingOut = -1
-			op.state = outConnected
-			sw.setups--
-			sw.conns++
-			// Sole conns++ site: wake the crossbar.
-			s.transferSet.add(sw.id)
-			s.progress++
-			if s.cfg.Tracer != nil {
-				s.trace(Event{Kind: EvRoute, Packet: pkt.id, Switch: sw.id, Link: op.link})
-			}
+	for m := sw.setupOuts; m != 0; m &= m - 1 {
+		k := bits.TrailingZeros32(m)
+		oi := sw.outs[k]
+		op := &s.outPorts[oi]
+		op.setupLeft--
+		if op.setupLeft > 0 {
+			continue
+		}
+		// Routing done: strip the route byte and establish the
+		// connection through the crossbar.
+		ip := &s.inPorts[op.inp]
+		hs := ip.buf.headSeg()
+		if hs == nil || hs.flits < 1 {
+			panic("netsim: header flit vanished during routing setup")
+		}
+		pkt := hs.pkt
+		ip.buf.take(1)
+		pkt.wireFlits--
+		pkt.advanceCursor()
+		ip.consumed(s)
+		ip.conn = oi
+		ip.pendingOut = -1
+		op.state = outConnected
+		sw.setupOuts &^= 1 << uint(k)
+		sw.connOuts |= 1 << uint(k)
+		// Sole connect site: wake the crossbar.
+		s.transferSet.add(sw.id)
+		s.progress++
+		if s.cfg.Tracer != nil {
+			s.trace(Event{Kind: EvRoute, Packet: pkt.id, Switch: sw.id, Link: op.link})
 		}
 	}
-	if sw.waiting > 0 {
-		for _, oi := range sw.outs {
-			op := &s.outPorts[oi]
-			if op.state != outFree || op.reqMask == 0 {
+	// Free outputs with requests: neither in setup nor connected.
+	for m := sw.reqOuts &^ (sw.setupOuts | sw.connOuts); m != 0; m &= m - 1 {
+		k := bits.TrailingZeros32(m)
+		op := &s.outPorts[sw.outs[k]]
+		// Demand-slotted round robin over the requesting inputs.
+		n := len(sw.ins)
+		for j := 1; j <= n; j++ {
+			idx := (op.rr + j) % n
+			if op.reqMask&(1<<uint(idx)) == 0 {
 				continue
 			}
-			// Demand-slotted round robin over the requesting inputs.
-			n := len(sw.ins)
-			for k := 1; k <= n; k++ {
-				idx := (op.rr + k) % n
-				if op.reqMask&(1<<uint(idx)) == 0 {
-					continue
-				}
-				op.reqMask &^= 1 << uint(idx)
-				op.state = outSetup
-				op.setupLeft = s.p.RoutingCycles
-				op.inp = sw.ins[idx]
-				op.rr = idx
-				sw.setups++
-				sw.waiting--
-				break
+			op.reqMask &^= 1 << uint(idx)
+			if op.reqMask == 0 {
+				sw.reqOuts &^= 1 << uint(k)
 			}
+			op.state = outSetup
+			op.setupLeft = s.p.RoutingCycles
+			op.inp = sw.ins[idx]
+			op.rr = idx
+			sw.setupOuts |= 1 << uint(k)
+			break
 		}
 	}
 }
@@ -236,14 +294,9 @@ func (sw *swtch) tickTransfer(s *Sim) {
 		sw.tickTransferVC(s)
 		return
 	}
-	if sw.conns == 0 {
-		return
-	}
-	for _, oi := range sw.outs {
-		op := &s.outPorts[oi]
-		if op.state != outConnected {
-			continue
-		}
+	for m := sw.connOuts; m != 0; m &= m - 1 {
+		k := bits.TrailingZeros32(m)
+		op := &s.outPorts[sw.outs[k]]
 		ip := &s.inPorts[op.inp]
 		l := &s.links[op.link]
 		if l.stopped {
@@ -267,7 +320,7 @@ func (sw *swtch) tickTransfer(s *Sim) {
 			ip.buf.popIfDone()
 			ip.conn = -1
 			op.state = outFree
-			sw.conns--
+			sw.connOuts &^= 1 << uint(k)
 			if ip.buf.headSeg() != nil {
 				ip.requestRouting(s)
 			}

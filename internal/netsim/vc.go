@@ -1,6 +1,9 @@
 package netsim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Virtual-channel flow control (Params.VCs > 0). Every link is multiplexed
 // into numVCs lanes; each switch input port keeps one private buffer and
@@ -68,9 +71,10 @@ func (ip *inPort) requestRoutingVC(s *Sim, vc int) {
 	}
 	oi := s.outPortOfLink[hs.pkt.nextLink(s)]
 	vb.pendingOut = oi
-	s.outPorts[oi].vcReq[vc] |= 1 << uint(ip.localIdx)
-	s.switches[ip.sw].waiting++
-	// Sole waiting++ site in VC mode: wake the control unit.
+	op := &s.outPorts[oi]
+	op.vcReq[vc] |= 1 << uint(ip.localIdx)
+	s.switches[ip.sw].reqOuts |= 1 << uint(op.localIdx)
+	// Sole request site in VC mode: wake the control unit.
 	s.routingSet.add(ip.sw)
 }
 
@@ -80,73 +84,71 @@ func (ip *inPort) requestRoutingVC(s *Sim, vc int) {
 // already connected stays pending; a granted setup occupies the output's
 // single routing unit for RoutingCycles, serializing header processing per
 // output exactly as the stop & go model does.
+//
+//sim:hotpath
 func (sw *swtch) tickRoutingVC(s *Sim) {
-	if sw.setups > 0 {
-		for _, oi := range sw.outs {
-			op := &s.outPorts[oi]
-			if op.state != outSetup {
-				continue
-			}
-			op.setupLeft--
-			if op.setupLeft > 0 {
-				continue
-			}
-			// Routing done: strip the route byte, return its buffer slot's
-			// credit upstream, and connect lane to lane.
-			ip := &s.inPorts[op.inp]
-			vc := op.setupVC
-			vb := &ip.vcs[vc]
-			hs := vb.buf.headSeg()
-			if hs == nil || hs.flits < 1 {
-				panic("netsim: header flit vanished during VC routing setup")
-			}
-			pkt := hs.pkt
-			vb.buf.take(1)
-			pkt.wireFlits--
-			pkt.advanceCursor()
-			s.links[ip.link].pushCredit(s, vc)
-			vb.conn = oi
-			vb.pendingOut = -1
-			op.vconn[vc] = int32(op.inp)
-			op.nconn++
-			op.state = outFree
-			sw.setups--
-			sw.conns++
-			// Sole conns++ site in VC mode: wake the crossbar.
-			s.transferSet.add(sw.id)
-			s.progress++
-			if s.cfg.Tracer != nil {
-				s.trace(Event{Kind: EvRoute, Packet: pkt.id, Switch: sw.id, Link: op.link})
-			}
+	for m := sw.setupOuts; m != 0; m &= m - 1 {
+		k := bits.TrailingZeros32(m)
+		op := &s.outPorts[sw.outs[k]]
+		op.setupLeft--
+		if op.setupLeft > 0 {
+			continue
+		}
+		// Routing done: strip the route byte, return its buffer slot's
+		// credit upstream, and connect lane to lane.
+		ip := &s.inPorts[op.inp]
+		vc := op.setupVC
+		vb := &ip.vcs[vc]
+		hs := vb.buf.headSeg()
+		if hs == nil || hs.flits < 1 {
+			panic("netsim: header flit vanished during VC routing setup")
+		}
+		pkt := hs.pkt
+		vb.buf.take(1)
+		pkt.wireFlits--
+		pkt.advanceCursor()
+		s.links[ip.link].pushCredit(s, vc)
+		vb.conn = sw.outs[k]
+		vb.pendingOut = -1
+		op.vconn[vc] = int32(op.inp)
+		op.nconn++
+		op.state = outFree
+		sw.setupOuts &^= 1 << uint(k)
+		sw.connOuts |= 1 << uint(k)
+		// Sole connect site in VC mode: wake the crossbar.
+		s.transferSet.add(sw.id)
+		s.progress++
+		if s.cfg.Tracer != nil {
+			s.trace(Event{Kind: EvRoute, Packet: pkt.id, Switch: sw.id, Link: op.link})
 		}
 	}
-	if sw.waiting > 0 {
-		for _, oi := range sw.outs {
-			op := &s.outPorts[oi]
-			if op.state != outFree {
+	// Outputs with requests whose routing unit is free; connected lanes
+	// do not occupy the unit.
+	for m := sw.reqOuts &^ sw.setupOuts; m != 0; m &= m - 1 {
+		k := bits.TrailingZeros32(m)
+		op := &s.outPorts[sw.outs[k]]
+		// Demand-slotted round robin over the flattened (lane, input)
+		// request space; lanes already connected downstream are skipped,
+		// their requests left pending.
+		n := len(sw.ins)
+		total := len(op.vcReq) * n
+		for j := 1; j <= total; j++ {
+			slot := (op.rr + j) % total
+			vc, idx := slot/n, slot%n
+			if op.vconn[vc] >= 0 || op.vcReq[vc]&(1<<uint(idx)) == 0 {
 				continue
 			}
-			// Demand-slotted round robin over the flattened
-			// (lane, input) request space; lanes already connected
-			// downstream are skipped, their requests left pending.
-			n := len(sw.ins)
-			total := len(op.vcReq) * n
-			for k := 1; k <= total; k++ {
-				slot := (op.rr + k) % total
-				vc, idx := slot/n, slot%n
-				if op.vconn[vc] >= 0 || op.vcReq[vc]&(1<<uint(idx)) == 0 {
-					continue
-				}
-				op.vcReq[vc] &^= 1 << uint(idx)
-				op.state = outSetup
-				op.setupLeft = s.p.RoutingCycles
-				op.inp = sw.ins[idx]
-				op.setupVC = vc
-				op.rr = slot
-				sw.setups++
-				sw.waiting--
-				break
+			op.vcReq[vc] &^= 1 << uint(idx)
+			if !op.requested() {
+				sw.reqOuts &^= 1 << uint(k)
 			}
+			op.state = outSetup
+			op.setupLeft = s.p.RoutingCycles
+			op.inp = sw.ins[idx]
+			op.setupVC = vc
+			op.rr = slot
+			sw.setupOuts |= 1 << uint(k)
+			break
 		}
 	}
 }
@@ -158,20 +160,17 @@ func (sw *swtch) tickRoutingVC(s *Sim) {
 // When no lane can send but some lane was blocked purely by credits, the
 // cycle counts as flow-control idle time, the VC-mode analogue of the
 // paper's stop & go link-stopped statistic.
+//
+//sim:hotpath
 func (sw *swtch) tickTransferVC(s *Sim) {
-	if sw.conns == 0 {
-		return
-	}
-	for _, oi := range sw.outs {
-		op := &s.outPorts[oi]
-		if op.nconn == 0 {
-			continue
-		}
+	for m := sw.connOuts; m != 0; m &= m - 1 {
+		k := bits.TrailingZeros32(m)
+		op := &s.outPorts[sw.outs[k]]
 		l := &s.links[op.link]
 		V := len(op.vconn)
 		sent, starved := false, false
-		for k := 1; k <= V; k++ {
-			vc := (op.txRR + k) % V
+		for j := 1; j <= V; j++ {
+			vc := (op.txRR + j) % V
 			inp := op.vconn[vc]
 			if inp < 0 {
 				continue
@@ -196,7 +195,9 @@ func (sw *swtch) tickTransferVC(s *Sim) {
 				vb.conn = -1
 				op.vconn[vc] = -1
 				op.nconn--
-				sw.conns--
+				if op.nconn == 0 {
+					sw.connOuts &^= 1 << uint(k)
+				}
 				if vb.buf.headSeg() != nil {
 					ip.requestRoutingVC(s, vc)
 				}

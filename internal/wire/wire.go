@@ -5,9 +5,9 @@
 // fields, and the same walk serializes and restores it.
 //
 // The encoding is little-endian. Integers of any width travel as 8-byte
-// two's complement (Int); slices, queues and arrays carry a length prefix
-// whose width (4 or 8 bytes) is fixed when the Codec is made, so existing
-// formats keep their bytes.
+// two's complement (Int); slices, queues, rings and arrays carry a length
+// prefix whose width (4 or 8 bytes) is fixed when the Codec is made, so
+// existing formats keep their bytes.
 //
 // A reader never trusts a length: every decoded length is bounded by the
 // bytes left, because each element takes at least one byte, so a corrupt
@@ -35,7 +35,8 @@ type Codec struct {
 }
 
 // NewWriter returns a writer that appends to buf. lenSize is the width in
-// bytes (4 or 8) of the length prefix written by Slice, Queue and Array.
+// bytes (4 or 8) of the length prefix written by Slice, Queue, Ring and
+// Array.
 func NewWriter(buf []byte, lenSize int) *Codec {
 	return &Codec{buf: buf, lenSize: lenSize}
 }
@@ -224,6 +225,31 @@ func Queue[S ~[]T, T any](c *Codec, q *S, head *int, elem func(*Codec, *T)) {
 	}
 	for i := 0; i < n && c.err == nil; i++ {
 		elem(c, &(*q)[*head+i])
+	}
+}
+
+// Ring encodes or decodes the n live entries of a power-of-two circular
+// buffer, oldest first from buf[head] and wrapping at len(buf), under the
+// length prefix Queue writes: a ring and a queue holding the same entries
+// encode to the same bytes. A reader refills the ring from index 0, reusing
+// its storage or growing it to the next power of two that holds the
+// entries, and resets head.
+func Ring[S ~[]T, T any](c *Codec, buf *S, head, n *int, elem func(*Codec, *T)) {
+	cnt := c.length(*n)
+	if c.reading {
+		if cnt > len(*buf) {
+			size := 1
+			for size < cnt {
+				size <<= 1
+			}
+			*buf = make(S, size)
+		}
+		clear(*buf)
+		*head, *n = 0, cnt
+	}
+	mask := len(*buf) - 1
+	for i := 0; i < cnt && c.err == nil; i++ {
+		elem(c, &(*buf)[(*head+i)&mask])
 	}
 }
 

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -174,5 +175,54 @@ func TestStickyError(t *testing.T) {
 	r.Fail(nil)
 	if b != 9 || r.Err() != first {
 		t.Errorf("read after failure changed state: b=%d err=%v", b, r.Err())
+	}
+}
+
+// TestRingMatchesQueue pins the ring walk to the queue encoding: a ring
+// whose live entries wrap past the end of its buffer writes exactly the
+// bytes Queue writes for the same entries, and a reader whose ring is
+// smaller than the decoded count grows it to the next power of two.
+func TestRingMatchesQueue(t *testing.T) {
+	entries := []uint32{11, 12, 13, 14, 15, 16}
+	// Eight slots, head at 5: entries sit in slots 5, 6, 7, 0, 1, 2.
+	buf := make([]uint32, 8)
+	head, n := 5, len(entries)
+	for i, v := range entries {
+		buf[(head+i)&7] = v
+	}
+	queue := append([]uint32{99, 98}, entries...)
+	queueHead := 2
+	for _, lenSize := range []int{4, 8} {
+		rw := NewWriter(nil, lenSize)
+		Ring(rw, &buf, &head, &n, (*Codec).U32)
+		qw := NewWriter(nil, lenSize)
+		Queue(qw, &queue, &queueHead, (*Codec).U32)
+		if rw.Err() != nil || qw.Err() != nil || !bytes.Equal(rw.Bytes(), qw.Bytes()) {
+			t.Fatalf("lenSize %d: ring wrote % x, queue % x", lenSize, rw.Bytes(), qw.Bytes())
+		}
+
+		// Decode into a four-slot ring with a stale entry and a wrapped
+		// head: the six entries do not fit, so the ring grows to eight.
+		small, smallHead, smallN := []uint32{7, 7, 7, 7}, 3, 1
+		r := NewReader(rw.Bytes(), lenSize)
+		Ring(r, &small, &smallHead, &smallN, (*Codec).U32)
+		if err := r.Finish(); err != nil {
+			t.Fatalf("lenSize %d: %v", lenSize, err)
+		}
+		want := []uint32{11, 12, 13, 14, 15, 16, 0, 0}
+		if smallHead != 0 || smallN != n || len(small) != 8 || !slices.Equal(small, want) {
+			t.Errorf("lenSize %d: decoded ring %v head %d n %d, want %v head 0 n %d",
+				lenSize, small, smallHead, smallN, want, n)
+		}
+
+		// A ring that holds the entries is reused in place and cleared.
+		big := []uint32{5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5}
+		bigHead, bigN := 9, 0
+		r = NewReader(rw.Bytes(), lenSize)
+		Ring(r, &big, &bigHead, &bigN, (*Codec).U32)
+		if err := r.Finish(); err != nil || len(big) != 16 || bigHead != 0 || bigN != n ||
+			!slices.Equal(big[:n], entries) || big[n] != 0 {
+			t.Errorf("lenSize %d: decoded into 16 slots %v head %d n %d, err %v", lenSize, big, bigHead, bigN, err)
+		}
 	}
 }
