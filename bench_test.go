@@ -22,6 +22,7 @@ import (
 	"itbsim/internal/mapper"
 	"itbsim/internal/netsim"
 	"itbsim/internal/routes"
+	"itbsim/internal/runner"
 	"itbsim/internal/topology"
 	"itbsim/internal/traffic"
 )
@@ -71,7 +72,7 @@ func latencyFigure(b *testing.B, topo string, p experiments.Pattern, loads []flo
 		}
 	}
 	for i := 0; i < b.N; i++ {
-		cs, err := experiments.LatencyFigure(e, p, loads, 512, 1)
+		cs, err := experiments.LatencyFigure(e, p, loads, 512, 1, runner.Spec{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -108,10 +109,11 @@ func linkUtilFigure(b *testing.B, topo string, p experiments.Pattern, schemes []
 	e := benchEnv(b, topo)
 	for i := 0; i < b.N; i++ {
 		for j, sch := range schemes {
-			res, err := experiments.LinkUtilSnapshot(e, sch, p, loads[j], 512, 1)
+			snaps, _, err := experiments.LinkUtilSnapshot(e, []routes.Scheme{sch}, p, loads[j], 512, 1, 10, runner.Spec{})
 			if err != nil {
 				b.Fatal(err)
 			}
+			res := snaps[0]
 			if i == 0 {
 				fmt.Printf("\n### %s %s %s %s at %.4f flits/ns/switch (%s)\n%s",
 					b.Name(), topo, sch, p, loads[j], e.Scale, res.Report.String())
@@ -187,7 +189,7 @@ func hotspotTable(b *testing.B, topo string, fractions []float64, locations int)
 	loads := experiments.DefaultLoads(topo, e.Scale)
 	for i := 0; i < b.N; i++ {
 		for _, frac := range fractions {
-			rows, err := experiments.HotspotBattery(e, frac, locations, loads, 512, 1)
+			rows, _, err := experiments.HotspotBattery(e, frac, locations, loads, 512, 1, runner.Spec{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -780,7 +782,7 @@ func BenchmarkAblationMessageSize(b *testing.B) {
 		for _, size := range []int{32, 512, 1024} {
 			var sats []float64
 			for _, sch := range []routes.Scheme{routes.UpDown, routes.ITBRR} {
-				c, err := experiments.Sweep(e, sch, experiments.Pattern{Kind: "uniform"}, loads, size, 1)
+				c, err := experiments.Sweep(e, sch, experiments.Pattern{Kind: "uniform"}, loads, size, 1, runner.Spec{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -809,8 +811,8 @@ func BenchmarkRunnerParallelFigure7(b *testing.B) {
 	for _, par := range []int{1, runtime.NumCPU()} {
 		b.Run(fmt.Sprintf("parallel=%d", par), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cs, err := experiments.LatencyFigureOpts(e, experiments.Pattern{Kind: "uniform"},
-					loads, 512, 1, experiments.RunOptions{Parallel: par})
+				cs, err := experiments.LatencyFigure(e, experiments.Pattern{Kind: "uniform"},
+					loads, 512, 1, runner.Spec{Parallel: par})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -6,7 +6,8 @@
 // The locations × schemes sweeps run as independent jobs on the
 // experiment runner, sharing one routing-table build per scheme:
 // -parallel N spreads them over N workers, -progress streams per-point
-// progress to stderr, and -json emits the table as JSON. -checkpoint-dir
+// progress to stderr, -json emits the table as JSON, and -metrics <file>
+// writes the sweeps' windowed telemetry (docs/METRICS.md). -checkpoint-dir
 // journals the location × scheme jobs so a killed battery can be picked
 // back up with -resume (see docs/CHECKPOINT.md).
 //
@@ -54,12 +55,16 @@ func main() {
 		log.Fatal(err)
 	}
 	loads := experiments.DefaultLoads(env.Topo, env.Scale)
-	opt, err := cf.Options()
+	base, err := cf.Options()
 	if err != nil {
 		log.Fatal(err)
 	}
-	rows, err := experiments.HotspotBatteryOpts(env, *cf.Frac, *locations, loads,
-		*cf.Bytes, *cf.Seed, opt)
+	rows, rep, err := experiments.HotspotBattery(env, *cf.Frac, *locations, loads,
+		*cf.Bytes, *cf.Seed, base)
+	if err != nil {
+		log.Fatal(err)
+	}
+	mfile, err := cf.WriteMetrics(rep)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -71,6 +76,9 @@ func main() {
 	}
 	fmt.Printf("# %s %s, %d-byte messages, seed %d\n", env.Topo, env.Scale, *cf.Bytes, *cf.Seed)
 	fmt.Print(experiments.FormatHotspotTable(*cf.Frac, rows))
+	if mfile != "" {
+		fmt.Printf("# wrote telemetry to %s\n", mfile)
+	}
 }
 
 type jsonBattery struct {

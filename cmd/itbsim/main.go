@@ -6,13 +6,16 @@
 // windowed per-link/switch/host telemetry and writes it in the schema of
 // docs/METRICS.md (.csv for CSV, anything else JSON). -checkpoint-dir
 // journals the jobs and snapshots in-flight simulations so a killed run
-// can be picked up with -resume (see docs/CHECKPOINT.md).
+// can be picked up with -resume (see docs/CHECKPOINT.md). -trace N prints
+// the last N packet life-cycle events of a single-scheme run after its
+// point (on stderr with -json); the traced point is the untraced one.
 //
 // Examples:
 //
 //	itbsim -topo torus -scale medium -scheme itb-rr -traffic uniform -load 0.02
 //	itbsim -topo torus -scheme updown,itb-sp,itb-rr -load 0.02 -parallel 3
 //	itbsim -scale paper -scheme itb-rr -load 0.02 -checkpoint-dir ckpt
+//	itbsim -scale small -scheme itb-rr -load 0.05 -trace 20
 package main
 
 import (
@@ -23,7 +26,6 @@ import (
 
 	"itbsim/internal/cli"
 	"itbsim/internal/experiments"
-	"itbsim/internal/metrics"
 	"itbsim/internal/netsim"
 	"itbsim/internal/runner"
 )
@@ -62,50 +64,18 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opt, err := cf.Options()
+	base, err := cf.Options()
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	// The traced path runs one simulation directly: tracers are stateful
-	// and tied to a single run, so they bypass the worker pool.
-	if *trace > 0 {
-		if len(schemes) != 1 {
-			log.Fatal("-trace requires a single -scheme")
-		}
-		tracer := netsim.NewRingTracer(*trace)
-		if !opt.Faults.Empty() {
-			log.Fatal("-trace and -faults cannot be combined; run the faulted point without -trace")
-		}
-		// The optimizer lives on the runner path (it needs the profiling
-		// pre-pass); the traced direct path cannot honor it.
-		if opt.Optimize != nil {
-			log.Fatal("-trace and -optimize cannot be combined; run the optimized point without -trace")
-		}
-		res, err := experiments.RunOnePoint(env, schemes[0], pat, *load, *cf.Bytes, *cf.Seed,
-			experiments.PointOptions{CollectLinkUtil: *util, Metrics: opt.Metrics, Tracer: tracer})
-		if err != nil {
-			log.Fatal(err)
-		}
-		if *cf.Run.Metrics != "" {
-			pt := metrics.ExportPoint{Label: schemes[0].String(), Scheme: schemes[0].String(),
-				Pattern: pat.String(), Load: *load, Metrics: res.Metrics}
-			if err := cli.WriteMetricsFile(*cf.Run.Metrics, []metrics.ExportPoint{pt}); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("# wrote telemetry to %s\n", *cf.Run.Metrics)
-		}
-		printPoint(env, schemes[0].String(), pat, *load, *cf.Bytes, res, *util)
-		fmt.Printf("last %d of %d traced events:\n", len(tracer.Events()), tracer.Total())
-		for _, e := range tracer.Events() {
-			fmt.Printf("  %s\n", e)
-		}
-		return
-	}
-
 	spec := experiments.SpecFor(env, schemes, []experiments.Pattern{pat},
-		[]float64{*load}, *cf.Bytes, *cf.Seed, opt)
+		[]float64{*load}, *cf.Bytes, *cf.Seed, base)
 	spec.CollectLinkUtil = *util
+	var tracer *netsim.RingTracer
+	if *trace > 0 {
+		tracer = netsim.NewRingTracer(*trace)
+		spec.Tracer = tracer
+	}
 	rep, err := runner.Run(spec)
 	if err != nil {
 		log.Fatal(err)
@@ -114,18 +84,26 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	traceOut := os.Stdout
 	if *cf.JSON {
 		if err := rep.WriteJSON(os.Stdout); err != nil {
 			log.Fatal(err)
 		}
-		return
+		traceOut = os.Stderr // keep stdout one JSON document
+	} else {
+		if mfile != "" {
+			fmt.Printf("# wrote telemetry to %s\n", mfile)
+		}
+		for i := range rep.Curves {
+			cr := &rep.Curves[i]
+			printPoint(env, cr.Job.Scheme.String(), pat, *load, *cf.Bytes, cr.Curve.Points[0].Result, *util)
+		}
 	}
-	if mfile != "" {
-		fmt.Printf("# wrote telemetry to %s\n", mfile)
-	}
-	for i := range rep.Curves {
-		cr := &rep.Curves[i]
-		printPoint(env, cr.Job.Scheme.String(), pat, *load, *cf.Bytes, cr.Curve.Points[0].Result, *util)
+	if tracer != nil {
+		fmt.Fprintf(traceOut, "last %d of %d traced events:\n", len(tracer.Events()), tracer.Total())
+		for _, e := range tracer.Events() {
+			fmt.Fprintf(traceOut, "  %s\n", e)
+		}
 	}
 }
 

@@ -7,8 +7,12 @@
 // is visible directly in the output: past UP/DOWN saturation the root
 // links fill the UP/DOWN top of the list but not ITB-RR's.
 //
-// -top bounds the hottest-link list; -metrics <file> additionally collects
-// windowed telemetry and writes it in the schema of docs/METRICS.md.
+// The schemes run as independent jobs of one experiment-runner spec, so
+// every runner flag applies: -parallel, -progress, -faults, -optimize,
+// -checkpoint-dir/-resume, and -json, which replaces the text output with
+// the full runner report. -top bounds the hottest-link list; -metrics
+// <file> additionally collects windowed telemetry and writes it in the
+// schema of docs/METRICS.md.
 //
 // Examples:
 //
@@ -28,7 +32,6 @@ import (
 
 	"itbsim/internal/cli"
 	"itbsim/internal/experiments"
-	"itbsim/internal/metrics"
 	"itbsim/internal/viz"
 )
 
@@ -38,18 +41,12 @@ func main() {
 	fs := flag.NewFlagSet("linkutil", flag.ExitOnError)
 	cf := cli.AddCommonFlags(fs)
 	load := fs.Float64("load", 0.015, "injection rate in flits/ns/switch")
-	schemes := fs.String("schemes", "updown,itb-rr", "comma-separated routing schemes")
+	schemesFlag := fs.String("schemes", "updown,itb-rr", "comma-separated routing schemes")
 	topN := fs.Int("top", 10, "how many hottest links to report")
 	pngPrefix := fs.String("png", "", "also write heat maps as <prefix>-<scheme>.png (tori only)")
 	if err := fs.Parse(os.Args[1:]); err != nil {
 		log.Fatal(err)
 	}
-	// linkutil runs its snapshots directly, one scheme at a time; it
-	// honors -metrics but not the runner-execution flags.
-	if err := cf.RejectRunnerFlags("linkutil", true); err != nil {
-		log.Fatal(err)
-	}
-	metricsOut := cf.Run.Metrics
 	stopProf, err := cf.Start()
 	if err != nil {
 		log.Fatal(err)
@@ -69,26 +66,30 @@ func main() {
 		log.Fatal(err)
 	}
 
-	var mc *metrics.Config
-	if *metricsOut != "" {
-		mc = &metrics.Config{}
+	schemes, err := cli.Schemes(*schemesFlag)
+	if err != nil {
+		log.Fatal(err)
 	}
-	var points []metrics.ExportPoint
-	for _, name := range strings.Split(*schemes, ",") {
-		sch, err := cli.Scheme(strings.TrimSpace(name))
-		if err != nil {
+	base, err := cf.Options()
+	if err != nil {
+		log.Fatal(err)
+	}
+	snaps, rep, err := experiments.LinkUtilSnapshot(env, schemes, pat, *load, *cf.Bytes, *cf.Seed, *topN, base)
+	if err != nil {
+		log.Fatal(err)
+	}
+	mfile, err := cf.WriteMetrics(rep)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if *cf.JSON {
+		if err := rep.WriteJSON(os.Stdout); err != nil {
 			log.Fatal(err)
 		}
-		res, err := experiments.LinkUtilSnapshotOpts(env, sch, pat, *load, *cf.Bytes, *cf.Seed, *topN,
-			experiments.PointOptions{Metrics: mc})
-		if err != nil {
-			log.Fatal(err)
-		}
-		if mc != nil {
-			points = append(points, metrics.ExportPoint{Label: sch.String(), Scheme: sch.String(),
-				Pattern: pat.String(), Load: *load, Metrics: res.Result.Metrics})
-		}
-		fmt.Printf("# %s %s %s %s at %.4f flits/ns/switch\n", env.Topo, env.Scale, sch, pat, *load)
+		return
+	}
+	for _, res := range snaps {
+		fmt.Printf("# %s %s %s %s at %.4f flits/ns/switch\n", env.Topo, env.Scale, res.Scheme, pat, *load)
 		fmt.Print(res.Report.String())
 		if res.Grid != "" {
 			fmt.Println("per-switch max outgoing utilization (%):")
@@ -99,7 +100,7 @@ func main() {
 			if !ok {
 				log.Fatalf("-png requires a torus topology, got %s", env.Topo)
 			}
-			name := fmt.Sprintf("%s-%s.png", *pngPrefix, strings.ToLower(strings.ReplaceAll(sch.String(), "/", "")))
+			name := fmt.Sprintf("%s-%s.png", *pngPrefix, strings.ToLower(strings.ReplaceAll(res.Scheme.String(), "/", "")))
 			f, err := os.Create(name)
 			if err != nil {
 				log.Fatal(err)
@@ -114,10 +115,7 @@ func main() {
 		}
 		fmt.Println()
 	}
-	if *metricsOut != "" {
-		if err := cli.WriteMetricsFile(*metricsOut, points); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("# wrote telemetry to %s\n", *metricsOut)
+	if mfile != "" {
+		fmt.Printf("# wrote telemetry to %s\n", mfile)
 	}
 }

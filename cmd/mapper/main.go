@@ -26,7 +26,8 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("mapper: ")
 	fs := flag.NewFlagSet("mapper", flag.ExitOnError)
-	cf := cli.AddCommonFlags(fs)
+	cf := cli.AddCommon(fs)
+	prof := cli.AddProfile(fs)
 	failLink := fs.Int("fail-link", -1, "inject a link failure before the second mapping pass")
 	failSwitch := fs.Int("fail-switch", -1, "inject a switch failure before the second mapping pass")
 	failHost := fs.Int("fail-host", -1, "inject a host failure before the second mapping pass")
@@ -34,12 +35,7 @@ func main() {
 	if err := fs.Parse(os.Args[1:]); err != nil {
 		log.Fatal(err)
 	}
-	// The probe walks are sequential and use -fail-* rather than a fault
-	// plan; the shared runner flags are accepted for CLI uniformity only.
-	if err := cf.RejectRunnerFlags("mapper", false); err != nil {
-		log.Fatal(err)
-	}
-	stopProf, err := cf.Start()
+	stopProf, err := prof.Start()
 	if err != nil {
 		log.Fatal(err)
 	}

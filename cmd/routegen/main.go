@@ -46,7 +46,7 @@ func main() {
 	fmt.Print(report)
 
 	if *out != "" {
-		sch, err := cli.Scheme(*scheme)
+		sch, err := routes.ParseScheme(*scheme)
 		if err != nil {
 			log.Fatal(err)
 		}

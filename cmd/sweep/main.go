@@ -81,7 +81,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	opt, err := cf.Options()
+	base, err := cf.Options()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func main() {
 		}
 	}
 	spec := experiments.SpecFor(env, schemes, []experiments.Pattern{pat},
-		loads, *cf.Bytes, *cf.Seed, opt)
+		loads, *cf.Bytes, *cf.Seed, base)
 	rep, err := runner.Run(spec)
 	if err != nil {
 		log.Fatal(err)

@@ -69,9 +69,6 @@ func (c *Common) Pattern() (experiments.Pattern, error) {
 	return experiments.Pattern{}, fmt.Errorf("unknown traffic %q", *c.Traffic)
 }
 
-// Scheme parses a routing scheme name.
-func Scheme(name string) (routes.Scheme, error) { return routes.ParseScheme(name) }
-
 // Schemes parses a comma-separated list of routing scheme names.
 func Schemes(names string) ([]routes.Scheme, error) {
 	var out []routes.Scheme
@@ -189,10 +186,9 @@ func AddRun(fs *flag.FlagSet) *Run {
 // CommonFlags is the full shared flag surface of the simulation tools:
 // topology/scale/traffic selection (Common), runner execution (Run), and
 // profiling (Profile), registered by one builder so every tool presents
-// the identical surface in -h (TestCommonFlagsHelp pins the rendering). Tools that run their points
-// directly rather than on the experiment runner still register the whole
-// set and reject the runner flags they cannot honor, so a flag never
-// silently changes meaning between tools.
+// the identical surface in -h (TestCommonFlagsHelp pins the rendering).
+// Every tool that registers it simulates through the experiment runner,
+// so each flag means the same thing in every tool.
 type CommonFlags struct {
 	*Common
 	*Run
@@ -204,104 +200,75 @@ func AddCommonFlags(fs *flag.FlagSet) *CommonFlags {
 	return &CommonFlags{Common: AddCommon(fs), Run: AddRun(fs), Profile: AddProfile(fs)}
 }
 
-// Options assembles the harness run options from the shared flags,
-// including -vcs.
-func (cf *CommonFlags) Options() (experiments.RunOptions, error) {
-	opt, err := cf.Run.Options()
-	if err != nil {
-		return opt, err
-	}
-	opt.VCs = *cf.VCs
-	return opt, nil
-}
-
-// RejectRunnerFlags errors when a runner-execution flag was set on a tool
-// that does not execute on the experiment runner. keepMetrics exempts
-// -metrics for tools that honor it directly.
-func (cf *CommonFlags) RejectRunnerFlags(tool string, keepMetrics bool) error {
-	switch {
-	case *cf.Parallel != 0:
-		return fmt.Errorf("%s does not run on the experiment runner; -parallel is not supported", tool)
-	case *cf.JSON:
-		return fmt.Errorf("%s does not run on the experiment runner; -json is not supported", tool)
-	case *cf.Progress:
-		return fmt.Errorf("%s does not run on the experiment runner; -progress is not supported", tool)
-	case *cf.Faults != "":
-		return fmt.Errorf("%s does not support fault injection; -faults is not supported", tool)
-	case *cf.Optimize:
-		return fmt.Errorf("%s does not run on the experiment runner; -optimize is not supported", tool)
-	case *cf.CheckpointDir != "":
-		return fmt.Errorf("%s does not run on the experiment runner; -checkpoint-dir is not supported", tool)
-	case *cf.CheckpointEvery != 0:
-		return fmt.Errorf("%s does not run on the experiment runner; -checkpoint-every is not supported", tool)
-	case *cf.Resume:
-		return fmt.Errorf("%s does not run on the experiment runner; -resume is not supported", tool)
-	case !keepMetrics && *cf.Run.Metrics != "":
-		return fmt.Errorf("%s collects no windowed telemetry; -metrics is not supported", tool)
-	}
-	return nil
-}
-
-// Options assembles the harness run options from the flags. Setting
+// Options assembles the base runner spec from the shared flags: how to
+// run, which experiments.SpecFor completes with what to run. Setting
 // -metrics turns the observability collector on for every point; -faults
 // schedules failures on every point and enables online reconfiguration;
-// -checkpoint-dir/-checkpoint-every/-resume drive the crash-safe journal.
-func (r *Run) Options() (experiments.RunOptions, error) {
-	opt := experiments.RunOptions{
-		Parallel:        *r.Parallel,
-		CheckpointDir:   *r.CheckpointDir,
-		CheckpointEvery: *r.CheckpointEvery,
-		Resume:          *r.Resume,
+// -checkpoint-dir/-checkpoint-every/-resume drive the crash-safe journal;
+// and -vcs sets the VC scheme's lane count in the route configuration.
+func (cf *CommonFlags) Options() (runner.Spec, error) {
+	vcs := *cf.VCs
+	spec := runner.Spec{
+		Parallel:        *cf.Parallel,
+		CheckpointDir:   *cf.CheckpointDir,
+		CheckpointEvery: *cf.CheckpointEvery,
+		Resume:          *cf.Resume,
+		RouteConfig: func(s routes.Scheme) routes.Config {
+			return routeConfigFor(s, vcs)
+		},
 	}
-	if *r.Progress {
-		opt.Reporter = runner.NewLogReporter(os.Stderr)
+	if *cf.Progress {
+		spec.Reporter = runner.NewLogReporter(os.Stderr)
 	}
-	if *r.Metrics != "" {
-		opt.Metrics = &metrics.Config{}
+	if *cf.Run.Metrics != "" {
+		spec.Metrics = &metrics.Config{}
 	}
-	if *r.Faults != "" {
-		plan, err := faults.ParsePlan(*r.Faults)
+	if *cf.Faults != "" {
+		plan, err := faults.ParsePlan(*cf.Faults)
 		if err != nil {
-			return opt, err
+			return spec, err
 		}
-		opt.Faults = plan
+		spec.Faults = plan
 	}
-	if *r.Optimize {
-		strat, err := optimize.ParseStrategy(*r.OptimizeStrategy)
+	if *cf.Optimize {
+		strat, err := optimize.ParseStrategy(*cf.OptimizeStrategy)
 		if err != nil {
-			return opt, err
+			return spec, err
 		}
-		opt.Optimize = &optimize.Config{Strategy: strat}
-	} else if *r.OptimizeStrategy != "ripup" {
-		return opt, fmt.Errorf("-optimize-strategy requires -optimize")
+		spec.Optimize = &optimize.Config{Strategy: strat}
+	} else if *cf.OptimizeStrategy != "ripup" {
+		return spec, fmt.Errorf("-optimize-strategy requires -optimize")
 	}
-	return opt, nil
+	return spec, nil
+}
+
+// routeConfigFor maps a scheme to its table-construction config, applying
+// the VC lane-count override (0 keeps the scheme default); other schemes
+// ignore it.
+func routeConfigFor(scheme routes.Scheme, vcs int) routes.Config {
+	cfg := routes.DefaultConfig(scheme)
+	if vcs > 0 && scheme == routes.VC {
+		cfg.VCs = vcs
+	}
+	return cfg
 }
 
 // WriteMetrics exports a report's telemetry to the -metrics file (no-op
-// when the flag was not given) and returns the path written, if any.
+// when the flag was not given) and returns the path written, if any. The
+// extension picks the format: .csv for CSV, anything else JSON.
 func (r *Run) WriteMetrics(rep *runner.Report) (string, error) {
 	path := *r.Metrics
 	if path == "" {
 		return "", nil
 	}
-	if err := WriteMetricsFile(path, rep.MetricsPoints()); err != nil {
-		return "", err
-	}
-	return path, nil
-}
-
-// WriteMetricsFile writes telemetry export points to path, dispatching on
-// the extension (.csv for CSV, anything else JSON).
-func WriteMetricsFile(path string, points []metrics.ExportPoint) error {
 	f, err := os.Create(path)
 	if err != nil {
-		return err
+		return "", err
 	}
-	if err := metrics.WriteFile(f, path, points); err != nil {
+	if err := metrics.WriteFile(f, path, rep.MetricsPoints()); err != nil {
 		//lint:ignore errcheck-lite cleanup on the error path; the write error is what the caller needs
 		_ = f.Close()
-		return err
+		return "", err
 	}
-	return f.Close()
+	return path, f.Close()
 }

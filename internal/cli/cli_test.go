@@ -10,6 +10,7 @@ import (
 
 	"itbsim/internal/experiments"
 	"itbsim/internal/optimize"
+	"itbsim/internal/routes"
 	"itbsim/internal/runner"
 	"itbsim/internal/topology"
 )
@@ -82,11 +83,14 @@ func TestPatternFlags(t *testing.T) {
 }
 
 func TestScheme(t *testing.T) {
-	if _, err := Scheme("itb-rr"); err != nil {
-		t.Error(err)
+	got, err := Schemes("itb-rr, vc")
+	if err != nil || len(got) != 2 || got[0] != routes.ITBRR || got[1] != routes.VC {
+		t.Errorf("Schemes(\"itb-rr, vc\") = %v, %v", got, err)
 	}
-	if _, err := Scheme("nope"); err == nil {
-		t.Error("bad scheme accepted")
+	for _, bad := range []string{"nope", "itb-rr,nope", ""} {
+		if _, err := Schemes(bad); err == nil {
+			t.Errorf("bad scheme list %q accepted", bad)
+		}
 	}
 }
 
@@ -120,9 +124,9 @@ func TestProfileFlagsWriteFiles(t *testing.T) {
 // commonHelp is the full -h rendering of the shared flag surface. Every
 // simulation tool registers its common flags through AddCommonFlags, so
 // this one golden string pins the help text users see across cmd/sweep,
-// cmd/itbsim, cmd/hotspot, cmd/linkutil, and cmd/mapper (tool-specific
-// flags aside). flag.PrintDefaults sorts lexically, so the rendering is
-// insensitive to registration order.
+// cmd/itbsim, cmd/hotspot and cmd/linkutil (tool-specific flags aside).
+// flag.PrintDefaults sorts lexically, so the rendering is insensitive to
+// registration order.
 const commonHelp = "  -bytes int\n" +
 	"    \tmessage payload size in bytes (default 512)\n" +
 	"  -checkpoint-dir string\n" +
@@ -183,12 +187,15 @@ func TestCommonFlagsOptionsThreadVCs(t *testing.T) {
 	if err := fs.Parse([]string{"-parallel", "2", "-vcs", "4"}); err != nil {
 		t.Fatal(err)
 	}
-	opt, err := cf.Options()
+	spec, err := cf.Options()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opt.Parallel != 2 || opt.VCs != 4 {
-		t.Errorf("Options() = Parallel %d VCs %d, want 2/4", opt.Parallel, opt.VCs)
+	if spec.Parallel != 2 || spec.RouteConfig(routes.VC).VCs != 4 {
+		t.Errorf("Options() = Parallel %d, VC lanes %d, want 2/4", spec.Parallel, spec.RouteConfig(routes.VC).VCs)
+	}
+	if got, want := spec.RouteConfig(routes.ITBRR), routes.DefaultConfig(routes.ITBRR); got != want {
+		t.Errorf("-vcs changed the ITB-RR route config: %+v, want %+v", got, want)
 	}
 }
 
@@ -198,18 +205,18 @@ func TestCommonFlagsOptionsThreadCheckpointing(t *testing.T) {
 	if err := fs.Parse([]string{"-checkpoint-dir", "ckpt", "-checkpoint-every", "5000", "-resume"}); err != nil {
 		t.Fatal(err)
 	}
-	opt, err := cf.Options()
+	spec, err := cf.Options()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opt.CheckpointDir != "ckpt" || opt.CheckpointEvery != 5000 || !opt.Resume {
+	if spec.CheckpointDir != "ckpt" || spec.CheckpointEvery != 5000 || !spec.Resume {
 		t.Errorf("Options() = dir %q every %d resume %v, want ckpt/5000/true",
-			opt.CheckpointDir, opt.CheckpointEvery, opt.Resume)
+			spec.CheckpointDir, spec.CheckpointEvery, spec.Resume)
 	}
 }
 
 func TestOptimizeFlags(t *testing.T) {
-	options := func(t *testing.T, args ...string) (experiments.RunOptions, error) {
+	options := func(t *testing.T, args ...string) (runner.Spec, error) {
 		t.Helper()
 		fs := flag.NewFlagSet("tool", flag.ContinueOnError)
 		cf := AddCommonFlags(fs)
@@ -238,33 +245,6 @@ func TestOptimizeFlags(t *testing.T) {
 	}
 }
 
-func TestRejectRunnerFlags(t *testing.T) {
-	reject := func(t *testing.T, keepMetrics bool, args ...string) error {
-		t.Helper()
-		fs := flag.NewFlagSet("tool", flag.ContinueOnError)
-		cf := AddCommonFlags(fs)
-		if err := fs.Parse(args); err != nil {
-			t.Fatal(err)
-		}
-		return cf.RejectRunnerFlags("tool", keepMetrics)
-	}
-	if err := reject(t, false); err != nil {
-		t.Errorf("no runner flags set, got %v", err)
-	}
-	if err := reject(t, true, "-metrics", "out.json", "-vcs", "2"); err != nil {
-		t.Errorf("-metrics rejected despite keepMetrics: %v", err)
-	}
-	for _, args := range [][]string{
-		{"-parallel", "4"}, {"-json"}, {"-progress"},
-		{"-faults", "link:1@100"}, {"-metrics", "out.json"}, {"-optimize"},
-		{"-checkpoint-dir", "ckpt"}, {"-checkpoint-every", "1000"}, {"-resume"},
-	} {
-		if err := reject(t, false, args...); err == nil {
-			t.Errorf("%v accepted on a direct-run tool", args)
-		}
-	}
-}
-
 // TestVCWithFaultsMessage pins the error a user sees when asking a tool
 // for the VC scheme and fault injection together (e.g. `sweep -schemes
 // itb-rr,vc -faults link:1@100`): a typed ConfigError naming the offending
@@ -283,7 +263,7 @@ func TestVCWithFaultsMessage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := cf.Options()
+	base, err := cf.Options()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +272,7 @@ func TestVCWithFaultsMessage(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := experiments.SpecFor(env, schemes, []experiments.Pattern{pat},
-		[]float64{0.01}, *cf.Bytes, *cf.Seed, opt)
+		[]float64{0.01}, *cf.Bytes, *cf.Seed, base)
 	_, err = runner.Run(spec)
 	if err == nil {
 		t.Fatal("VC scheme with -faults accepted")

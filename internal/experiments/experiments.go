@@ -6,13 +6,8 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
-	"itbsim/internal/faults"
-	"itbsim/internal/metrics"
-	"itbsim/internal/netsim"
-	"itbsim/internal/optimize"
 	"itbsim/internal/routes"
 	"itbsim/internal/runner"
 	"itbsim/internal/stats"
@@ -140,8 +135,8 @@ func PresetFor(scale Scale) MeasurePreset {
 }
 
 // Env caches a network and its routing tables across the experiments that
-// share them. The table cache is the runner's, so harness runs and direct
-// RunOne calls on the same Env share builds.
+// share them. The table cache is the runner's, so every run on the same
+// Env shares builds.
 type Env struct {
 	Topo  string
 	Scale Scale
@@ -159,7 +154,7 @@ func NewEnv(topo string, scale Scale) (*Env, error) {
 }
 
 // Table returns the (cached) routing table for a scheme. The returned table
-// is the master copy; clone it before concurrent use.
+// is the shared master copy; never mutate it.
 func (e *Env) Table(s routes.Scheme) (*routes.Table, error) {
 	return e.Cache.Get(e.Net, routes.DefaultConfig(s))
 }
@@ -168,151 +163,38 @@ func (e *Env) Table(s routes.Scheme) (*routes.Table, error) {
 // runner's type, shared so harness call sites and RunSpecs interoperate.
 type Pattern = runner.Pattern
 
-// RunOptions tune how a harness executes on the runner: worker count,
-// cancellation, and progress reporting. The zero value runs with
-// GOMAXPROCS workers, no cancellation, and no reporter.
-type RunOptions struct {
-	Parallel int
-	Context  context.Context
-	Reporter runner.Reporter
-	// Metrics enables the windowed observability collector on every point
-	// (see docs/METRICS.md); telemetry lands in each Result and in
-	// Report.MetricsPoints.
-	Metrics *metrics.Config
-	// Faults schedules link/switch failures (and repairs) on every point;
-	// the runner attaches a per-curve reconfiguration controller that
-	// recovers by recomputing routes on the degraded topology (see
-	// docs/FAULTS.md).
-	Faults *faults.Plan
-	// VCs overrides the virtual-channel lane count of the VC routing
-	// scheme's tables (0 keeps the scheme default of 2). Other schemes
-	// ignore it.
-	VCs int
-	// Optimize enables the congestion-aware route optimizer on every
-	// curve: a profiling pre-pass measures link utilization, the
-	// rip-up/reroute (or escape-prune) pass rewrites the routing table
-	// around the hotspots, and the curve sweeps on the optimized table
-	// (see docs/OPTIMIZE.md). Nil sweeps the builder's static tables.
-	Optimize *optimize.Config
-	// CheckpointDir enables the crash-safe sweep journal in that
-	// directory (see docs/CHECKPOINT.md); CheckpointEvery is the
-	// in-flight snapshot period in cycles (0 = the runner default); and
-	// Resume picks a killed sweep back up from the directory's journal.
-	CheckpointDir   string
-	CheckpointEvery int64
-	Resume          bool
-}
-
-// routeConfigFor maps a scheme to its table-construction config, applying
-// the VC lane-count override; it is the RouteConfig every harness spec and
-// direct point share, so cached tables are keyed consistently.
-func routeConfigFor(scheme routes.Scheme, vcs int) routes.Config {
-	cfg := routes.DefaultConfig(scheme)
-	if vcs > 0 && scheme == routes.VC {
-		cfg.VCs = vcs
-	}
-	return cfg
-}
-
-// SpecFor assembles the runner spec the harnesses share: the environment's
-// network and table cache, the scale's measurement preset, and the grid of
-// schemes × patterns over the load grid.
-func SpecFor(e *Env, schemes []routes.Scheme, pats []Pattern, loads []float64, msgBytes int, seed int64, opt RunOptions) runner.Spec {
+// SpecFor completes a base runner spec for the environment. The base
+// carries how to run (workers, cancellation, reporting, metrics, faults,
+// the optimizer, checkpointing, tracing, and the route configuration);
+// SpecFor fills in what to run: the environment's network, table cache
+// and label, the schemes × patterns grid over the load grid, and the
+// scale's measurement preset. The zero base runs with the runner's
+// defaults.
+func SpecFor(e *Env, schemes []routes.Scheme, pats []Pattern, loads []float64, msgBytes int, seed int64, base runner.Spec) runner.Spec {
 	pre := PresetFor(e.Scale)
-	return runner.Spec{
-		Net:             e.Net,
-		Schemes:         schemes,
-		Patterns:        pats,
-		Loads:           loads,
-		MessageBytes:    msgBytes,
-		Seed:            seed,
-		WarmupMessages:  pre.Warmup,
-		MeasureMessages: pre.Measure,
-		MaxCycles:       pre.MaxCycles,
-		Label:           e.Topo,
-		Cache:           e.Cache,
-		Parallel:        opt.Parallel,
-		Context:         opt.Context,
-		Reporter:        opt.Reporter,
-		Metrics:         opt.Metrics,
-		Faults:          opt.Faults,
-		Optimize:        opt.Optimize,
-		CheckpointDir:   opt.CheckpointDir,
-		CheckpointEvery: opt.CheckpointEvery,
-		Resume:          opt.Resume,
-		RouteConfig: func(s routes.Scheme) routes.Config {
-			return routeConfigFor(s, opt.VCs)
-		},
-	}
-}
-
-// PointOptions tune a single direct simulation point (RunOnePoint): the
-// optional accounting and tracing attachments of netsim.Config.
-type PointOptions struct {
-	CollectLinkUtil bool
-	Metrics         *metrics.Config
-	Tracer          netsim.Tracer
-	// VCs overrides the VC scheme's lane count, as in RunOptions.VCs.
-	VCs int
-}
-
-// RunOne executes a single simulation point.
-func RunOne(e *Env, scheme routes.Scheme, p Pattern, load float64, msgBytes int, seed int64, collectUtil bool) (*netsim.Result, error) {
-	return RunOnePoint(e, scheme, p, load, msgBytes, seed, PointOptions{CollectLinkUtil: collectUtil})
-}
-
-// RunOneTraced is RunOne with an optional packet life-cycle tracer.
-func RunOneTraced(e *Env, scheme routes.Scheme, p Pattern, load float64, msgBytes int, seed int64, collectUtil bool, tracer netsim.Tracer) (*netsim.Result, error) {
-	return RunOnePoint(e, scheme, p, load, msgBytes, seed, PointOptions{CollectLinkUtil: collectUtil, Tracer: tracer})
-}
-
-// RunOnePoint executes a single simulation point with explicit options.
-func RunOnePoint(e *Env, scheme routes.Scheme, p Pattern, load float64, msgBytes int, seed int64, opt PointOptions) (*netsim.Result, error) {
-	tab, err := e.Cache.Get(e.Net, routeConfigFor(scheme, opt.VCs))
-	if err != nil {
-		return nil, err
-	}
-	dest, err := p.DestFn(e.Net)
-	if err != nil {
-		return nil, err
-	}
-	pre := PresetFor(e.Scale)
-	return netsim.Run(netsim.Config{
-		Net:             e.Net,
-		Table:           tab.Clone(),
-		Dest:            dest,
-		Load:            load,
-		MessageBytes:    msgBytes,
-		Seed:            seed,
-		WarmupMessages:  pre.Warmup,
-		MeasureMessages: pre.Measure,
-		MaxCycles:       pre.MaxCycles,
-		CollectLinkUtil: opt.CollectLinkUtil,
-		Metrics:         opt.Metrics,
-		Tracer:          opt.Tracer,
-	})
+	base.Net = e.Net
+	base.Schemes = schemes
+	base.Patterns = pats
+	base.Loads = loads
+	base.MessageBytes = msgBytes
+	base.Seed = seed
+	base.WarmupMessages = pre.Warmup
+	base.MeasureMessages = pre.Measure
+	base.MaxCycles = pre.MaxCycles
+	base.Label = e.Topo
+	base.Cache = e.Cache
+	return base
 }
 
 // Sweep runs ascending loads for one scheme, stopping one point after
 // saturation is first observed (accepted < 92% of injected), and returns
-// the latency/traffic curve. The load walk is sequential — the early stop
-// makes points order-dependent — so per-curve results are identical to a
-// parallel multi-curve run; use SweepOpts (or the runner directly) to run
-// several curves concurrently.
-func Sweep(e *Env, scheme routes.Scheme, p Pattern, loads []float64, msgBytes int, seed int64) (stats.Curve, error) {
-	return SweepOpts(e, scheme, p, loads, msgBytes, seed, RunOptions{})
-}
-
-// SweepOpts is Sweep with explicit runner options.
-func SweepOpts(e *Env, scheme routes.Scheme, p Pattern, loads []float64, msgBytes int, seed int64, opt RunOptions) (stats.Curve, error) {
-	rep, err := runner.Run(SpecFor(e, []routes.Scheme{scheme}, []Pattern{p}, loads, msgBytes, seed, opt))
-	if err != nil {
-		if rep != nil && len(rep.Curves) > 0 {
-			return rep.Curves[0].Curve, err
-		}
+// the latency/traffic curve; on error the partial curve comes with it.
+func Sweep(e *Env, scheme routes.Scheme, p Pattern, loads []float64, msgBytes int, seed int64, base runner.Spec) (stats.Curve, error) {
+	rep, err := runner.Run(SpecFor(e, []routes.Scheme{scheme}, []Pattern{p}, loads, msgBytes, seed, base))
+	if rep == nil {
 		return stats.Curve{}, err
 	}
-	return rep.Curves[0].Curve, nil
+	return rep.Curves[0].Curve, err
 }
 
 // DefaultLoads returns the sweep grid for a topology at a scale, covering

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"itbsim/internal/routes"
+	"itbsim/internal/runner"
 )
 
 func TestParseScale(t *testing.T) {
@@ -218,15 +219,26 @@ func TestRunOneSmallPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunOne(e, routes.ITBRR, Pattern{Kind: "uniform"}, 0.02, 128, 1, true)
+	snaps, rep, err := LinkUtilSnapshot(e, []routes.Scheme{routes.ITBRR}, Pattern{Kind: "uniform"}, 0.02, 128, 1, 5, runner.Spec{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(snaps) != 1 || len(rep.Curves) != 1 {
+		t.Fatalf("one scheme gave %d snapshots and %d curves", len(snaps), len(rep.Curves))
+	}
+	res := snaps[0].Result
+	if res != rep.Curves[0].Curve.Points[0].Result {
+		t.Error("snapshot result is not the runner report's point")
 	}
 	if res.Accepted <= 0 || res.AvgLatencyNs <= 0 {
 		t.Errorf("degenerate result: %+v", res)
 	}
 	if res.LinkBusy == nil {
 		t.Error("link utilization not collected")
+	}
+	if len(snaps[0].Report.Top) != 5 || snaps[0].Grid == "" {
+		t.Errorf("snapshot report has %d hottest links and grid %q, want 5 and a torus grid",
+			len(snaps[0].Report.Top), snaps[0].Grid)
 	}
 }
 
@@ -241,7 +253,7 @@ func TestSweepEarlyStops(t *testing.T) {
 	// A grid extending far beyond saturation: the sweep must not run all
 	// of it (early stop two points past first saturation).
 	loads := []float64{0.02, 0.05, 0.08, 0.11, 0.14, 0.17, 0.2, 0.23, 0.26, 0.29, 0.32, 0.35}
-	c, err := Sweep(e, routes.UpDown, Pattern{Kind: "uniform"}, loads, 256, 1)
+	c, err := Sweep(e, routes.UpDown, Pattern{Kind: "uniform"}, loads, 256, 1, runner.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}

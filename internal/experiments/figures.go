@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"strings"
 
-	"itbsim/internal/metrics"
 	"itbsim/internal/netsim"
 	"itbsim/internal/routes"
 	"itbsim/internal/runner"
@@ -25,16 +24,11 @@ type CurveSet struct {
 }
 
 // LatencyFigure produces the three curves of one latency-vs-accepted-traffic
-// figure (figures 7, 10, and 12 of the paper).
-func LatencyFigure(e *Env, p Pattern, loads []float64, msgBytes int, seed int64) (CurveSet, error) {
-	return LatencyFigureOpts(e, p, loads, msgBytes, seed, RunOptions{})
-}
-
-// LatencyFigureOpts is LatencyFigure with explicit runner options: the
-// three scheme curves run as independent jobs on the worker pool.
-func LatencyFigureOpts(e *Env, p Pattern, loads []float64, msgBytes int, seed int64, opt RunOptions) (CurveSet, error) {
+// figure (figures 7, 10, and 12 of the paper): the scheme curves run as
+// independent jobs of one runner spec.
+func LatencyFigure(e *Env, p Pattern, loads []float64, msgBytes int, seed int64, base runner.Spec) (CurveSet, error) {
 	cs := CurveSet{Topo: e.Topo, Pattern: p}
-	rep, err := runner.Run(SpecFor(e, AllSchemes, []Pattern{p}, loads, msgBytes, seed, opt))
+	rep, err := runner.Run(SpecFor(e, AllSchemes, []Pattern{p}, loads, msgBytes, seed, base))
 	if rep != nil {
 		for i := range rep.Curves {
 			cs.Curves = append(cs.Curves, rep.Curves[i].Curve)
@@ -87,33 +81,27 @@ type LinkUtilResult struct {
 	Result *netsim.Result
 }
 
-// LinkUtilSnapshot runs one scheme at one load with per-channel accounting,
-// reporting the 10 hottest links.
-func LinkUtilSnapshot(e *Env, scheme routes.Scheme, p Pattern, load float64, msgBytes int, seed int64) (LinkUtilResult, error) {
-	return LinkUtilSnapshotN(e, scheme, p, load, msgBytes, seed, 10, nil)
-}
-
-// LinkUtilSnapshotN is LinkUtilSnapshot with an explicit hottest-link count
-// and optional windowed metrics collection (the collected telemetry lands
-// in Result.Metrics).
-func LinkUtilSnapshotN(e *Env, scheme routes.Scheme, p Pattern, load float64, msgBytes int, seed int64, topN int, mc *metrics.Config) (LinkUtilResult, error) {
-	return LinkUtilSnapshotOpts(e, scheme, p, load, msgBytes, seed, topN, PointOptions{Metrics: mc})
-}
-
-// LinkUtilSnapshotOpts is LinkUtilSnapshotN with full point options
-// (CollectLinkUtil is forced on — the snapshot is the utilization).
-func LinkUtilSnapshotOpts(e *Env, scheme routes.Scheme, p Pattern, load float64, msgBytes int, seed int64, topN int, opt PointOptions) (LinkUtilResult, error) {
-	opt.CollectLinkUtil = true
-	res, err := RunOnePoint(e, scheme, p, load, msgBytes, seed, opt)
+// LinkUtilSnapshot runs the schemes at one load with per-channel
+// accounting: one runner spec with CollectLinkUtil, one single-point curve
+// per scheme. It returns a snapshot per scheme, reporting its topN hottest
+// links, and the runner report behind them.
+func LinkUtilSnapshot(e *Env, schemes []routes.Scheme, p Pattern, load float64, msgBytes int, seed int64, topN int, base runner.Spec) ([]LinkUtilResult, *runner.Report, error) {
+	base.CollectLinkUtil = true
+	rep, err := runner.Run(SpecFor(e, schemes, []Pattern{p}, []float64{load}, msgBytes, seed, base))
 	if err != nil {
-		return LinkUtilResult{}, err
+		return nil, rep, fmt.Errorf("link utilization: %w", err)
 	}
-	out := LinkUtilResult{Scheme: scheme, Load: load, Busy: res.LinkBusy, Result: res}
-	out.Report = stats.AnalyzeLinkUtil(e.Net, res.LinkBusy, RootSwitch(e.Net), topN)
-	if rows, cols, ok := GridShape(e); ok {
-		out.Grid = stats.UtilGrid(e.Net, res.LinkBusy, rows, cols)
+	rows, cols, grid := GridShape(e)
+	out := make([]LinkUtilResult, len(rep.Curves))
+	for i := range rep.Curves {
+		res := rep.Curves[i].Curve.Points[0].Result
+		out[i] = LinkUtilResult{Scheme: rep.Curves[i].Job.Scheme, Load: load, Busy: res.LinkBusy, Result: res,
+			Report: stats.AnalyzeLinkUtil(e.Net, res.LinkBusy, RootSwitch(e.Net), topN)}
+		if grid {
+			out[i].Grid = stats.UtilGrid(e.Net, res.LinkBusy, rows, cols)
+		}
 	}
-	return out, nil
+	return out, rep, nil
 }
 
 // LinkUtilFromBusy renders a utilization report (plus grid heat map for the
@@ -153,14 +141,10 @@ type HotspotRow struct {
 // random hotspot hosts, and for each location and scheme the saturation
 // throughput under the hotspot pattern. Locations are drawn deterministically
 // from the seed, as the paper draws its "10 different hotspot locations".
-func HotspotBattery(e *Env, fraction float64, nLocations int, loads []float64, msgBytes int, seed int64) ([]HotspotRow, error) {
-	return HotspotBatteryOpts(e, fraction, nLocations, loads, msgBytes, seed, RunOptions{})
-}
-
-// HotspotBatteryOpts is HotspotBattery with explicit runner options: the
-// nLocations × len(AllSchemes) sweeps run as independent jobs on the
-// worker pool, sharing one routing-table build per scheme.
-func HotspotBatteryOpts(e *Env, fraction float64, nLocations int, loads []float64, msgBytes int, seed int64, opt RunOptions) ([]HotspotRow, error) {
+// The nLocations × len(AllSchemes) sweeps run as independent jobs of one
+// runner spec, sharing one routing-table build per scheme; the runner
+// report behind the rows is returned with them.
+func HotspotBattery(e *Env, fraction float64, nLocations int, loads []float64, msgBytes int, seed int64, base runner.Spec) ([]HotspotRow, *runner.Report, error) {
 	rng := rand.New(rand.NewSource(seed))
 	rows := make([]HotspotRow, 0, nLocations)
 	pats := make([]Pattern, 0, nLocations)
@@ -174,15 +158,15 @@ func HotspotBatteryOpts(e *Env, fraction float64, nLocations int, loads []float6
 		rows = append(rows, HotspotRow{Location: h, Throughput: make([]float64, len(AllSchemes))})
 		pats = append(pats, Pattern{Kind: "hotspot", HotspotHost: h, HotspotFraction: fraction})
 	}
-	rep, err := runner.Run(SpecFor(e, AllSchemes, pats, loads, msgBytes, seed, opt))
+	rep, err := runner.Run(SpecFor(e, AllSchemes, pats, loads, msgBytes, seed, base))
 	if err != nil {
-		return nil, fmt.Errorf("hotspot battery: %w", err)
+		return nil, rep, fmt.Errorf("hotspot battery: %w", err)
 	}
 	for i := range rep.Curves {
 		cr := &rep.Curves[i]
 		rows[cr.Job.PatternIdx].Throughput[cr.Job.SchemeIdx] = cr.Curve.SaturationThroughput()
 	}
-	return rows, nil
+	return rows, rep, nil
 }
 
 // HotspotAverages reduces a battery to its "Avg" table row.
@@ -220,59 +204,6 @@ func FormatHotspotTable(fraction float64, rows []HotspotRow) string {
 	}
 	b.WriteByte('\n')
 	return b.String()
-}
-
-// SaturationSearch refines a scheme's saturation throughput by bisection:
-// it first sweeps the coarse grid to bracket the saturation load (last
-// accepted ≈ injected point vs first saturated point), then bisects the
-// bracket for the given number of iterations, returning the highest
-// accepted traffic observed. This gives the paper-style "throughput
-// achieved" with finer resolution than the grid alone.
-func SaturationSearch(e *Env, scheme routes.Scheme, p Pattern, loads []float64, msgBytes int, seed int64, iters int) (float64, error) {
-	best := 0.0
-	lo, hi := 0.0, 0.0
-	// Grid points use the runner's seed derivation, so this pass
-	// reproduces a Sweep over the same grid point for point.
-	for i, load := range loads {
-		res, err := RunOne(e, scheme, p, load, msgBytes, runner.PointSeed(seed, scheme, p, 0, i), false)
-		if err != nil {
-			return 0, err
-		}
-		if res.Accepted > best {
-			best = res.Accepted
-		}
-		if res.Accepted < 0.92*res.Injected {
-			if hi == 0 {
-				hi = load
-			}
-			// Keep scanning: accepted traffic is not monotone around the
-			// knee, so the global maximum may sit past the first
-			// saturated point.
-		} else if hi == 0 {
-			lo = load
-		}
-	}
-	if hi == 0 {
-		// Never saturated within the grid; the best observed stands.
-		return best, nil
-	}
-	for i := 0; i < iters; i++ {
-		mid := (lo + hi) / 2
-		// Bisection points sit past the grid's index space.
-		res, err := RunOne(e, scheme, p, mid, msgBytes, runner.PointSeed(seed, scheme, p, 0, len(loads)+i), false)
-		if err != nil {
-			return 0, err
-		}
-		if res.Accepted > best {
-			best = res.Accepted
-		}
-		if res.Accepted < 0.92*res.Injected {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return best, nil
 }
 
 // StaticRouteReport reproduces the static route statistics quoted in

@@ -3,7 +3,7 @@ package experiments
 import (
 	"testing"
 
-	"itbsim/internal/routes"
+	"itbsim/internal/runner"
 )
 
 // TestSmokeTorusUniform is the headline qualitative check at small scale:
@@ -17,7 +17,7 @@ func TestSmokeTorusUniform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := LatencyFigure(e, Pattern{Kind: "uniform"}, DefaultLoads(TopoTorus, ScaleSmall), 512, 1)
+	cs, err := LatencyFigure(e, Pattern{Kind: "uniform"}, DefaultLoads(TopoTorus, ScaleSmall), 512, 1, runner.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,36 +49,6 @@ func TestSmokeTorusUniform(t *testing.T) {
 	}
 }
 
-// TestSaturationSearchRefines verifies the bisection search returns at
-// least the coarse grid's saturation estimate and stays below the physical
-// injection limit.
-func TestSaturationSearchRefines(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep too slow for -short")
-	}
-	e, err := NewEnv(TopoTorus, ScaleSmall)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loads := DefaultLoads(TopoTorus, ScaleSmall)
-	coarse, err := Sweep(e, routes.UpDown, Pattern{Kind: "uniform"}, loads, 512, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fine, err := SaturationSearch(e, routes.UpDown, Pattern{Kind: "uniform"}, loads, 512, 1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fine < coarse.SaturationThroughput()*0.99 {
-		t.Errorf("bisection %.4f below coarse estimate %.4f", fine, coarse.SaturationThroughput())
-	}
-	// Physical bound: per-switch injection cannot exceed hosts/switch x
-	// link rate = 2 x 0.16 flits/ns.
-	if fine > 0.32 {
-		t.Errorf("bisection %.4f above the physical injection bound", fine)
-	}
-}
-
 // TestSmokeTorusUniformMedium checks the paper's headline claim on the
 // paper's own switch fabric (8x8 torus): the in-transit buffer mechanism
 // roughly doubles up*/down* throughput under uniform traffic.
@@ -90,7 +60,7 @@ func TestSmokeTorusUniformMedium(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := LatencyFigure(e, Pattern{Kind: "uniform"}, DefaultLoads(TopoTorus, ScaleMedium), 512, 1)
+	cs, err := LatencyFigure(e, Pattern{Kind: "uniform"}, DefaultLoads(TopoTorus, ScaleMedium), 512, 1, runner.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func TestActiveSetMatchesDense(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				dense := goldenConfig(t, net, sch, faulted)
-				dense.DenseStep = true
+				dense.denseStep = true
 				want, err := Run(dense)
 				if err != nil {
 					t.Fatal(err)

@@ -45,7 +45,7 @@ const (
 
 // configHash digests every configuration field that influences results into
 // one value, so Restore can refuse a checkpoint written under a different
-// experiment. The execution-mechanism knob DenseStep is deliberately
+// experiment. The execution-mechanism knob denseStep is deliberately
 // excluded — results are proven byte-identical across both step loops, so a
 // checkpoint written under one may resume under the other. Config.Dest is also
 // excluded (functions cannot be hashed): callers must resume with the same
@@ -610,8 +610,8 @@ func (s *Sim) Snapshot() ([]byte, error) {
 // Restore builds a fresh Sim from cfg and overwrites its dynamic state with
 // a checkpoint written by Snapshot. The configuration must describe the same
 // experiment (a header hash over every result-relevant field is verified);
-// DenseStep may differ, and the restored Sim then continues
-// byte-identically under the other step loop.
+// the step loop (Config.denseStep) may differ, and the restored Sim then
+// continues byte-identically under the other step loop.
 // Restoring a checkpoint taken mid-reconfiguration (or after a table swap)
 // requires cfg.Reconfigurer, which re-derives the swapped tables
 // deterministically instead of the checkpoint carrying them.
@@ -812,7 +812,7 @@ var checkpointFields = map[string][]string{
 var checkpointExempt = map[string][]string{
 	// Functions, callbacks, and execution-mechanism knobs: not part of the
 	// experiment's identity (Dest is the caller's obligation to repeat).
-	"netsim.Config": {"Dest", "Tracer", "Reconfigurer", "DenseStep",
+	"netsim.Config": {"Dest", "Tracer", "Reconfigurer", "denseStep",
 		"CheckpointEvery", "CheckpointSink"},
 	// Rebuilt from the configuration by New. Active sets are re-derived
 	// from component state; the dead-route list is empty at every cycle

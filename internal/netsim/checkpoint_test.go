@@ -198,7 +198,7 @@ func TestResumeEverySnapshot(t *testing.T) {
 // TestResumeCrossMechanism proves a snapshot is step-loop-portable: state
 // written under the active-set loop restores under the dense scan and vice
 // versa, because active sets are re-derived rather than serialized and the
-// config hash excludes DenseStep.
+// config hash excludes denseStep.
 func TestResumeCrossMechanism(t *testing.T) {
 	net := makeNet(t, 4, 4, 2)
 	mk := func() Config { return matrixConfig(t, net, routes.ITBRR, false) }
@@ -208,11 +208,11 @@ func TestResumeCrossMechanism(t *testing.T) {
 	}
 	_, activeSnaps := runCheckpointed(t, mk(), 10_000)
 	denseCfg := mk()
-	denseCfg.DenseStep = true
+	denseCfg.denseStep = true
 	_, denseSnaps := runCheckpointed(t, denseCfg, 10_000)
 
 	resume := mk()
-	resume.DenseStep = true
+	resume.denseStep = true
 	expectResume(t, resume, activeSnaps[len(activeSnaps)/2], want, "active-set snapshot, dense resume")
 	expectResume(t, mk(), denseSnaps[len(denseSnaps)/2], want, "dense snapshot, active-set resume")
 }

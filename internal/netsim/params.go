@@ -32,7 +32,7 @@
 // and deregister when idle, and sleeping NICs park their next generation
 // time on a timer heap (activeset.go). The sets iterate in ascending
 // component ID — the same order as a dense scan — so results are
-// byte-identical to visiting everything every cycle (Config.DenseStep runs
+// byte-identical to visiting everything every cycle (Config.denseStep runs
 // that legacy loop for comparison) while nearly idle cycles, the common
 // case at the low-load points of every curve and in fault drain windows,
 // cost almost nothing.

@@ -35,7 +35,7 @@ func benchTorusPoint(b *testing.B, hostsPerSwitch int, scheme routes.Scheme, loa
 			WarmupMessages:  100,
 			MeasureMessages: 500,
 			MaxCycles:       10_000_000,
-			DenseStep:       dense,
+			denseStep:       dense,
 		}
 		if _, err := Run(cfg); err != nil {
 			b.Fatal(err)

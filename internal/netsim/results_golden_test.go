@@ -109,7 +109,7 @@ var stepLoops = []struct {
 	name  string
 	apply func(*Config)
 }{
-	{"dense", func(c *Config) { c.DenseStep = true }},
+	{"dense", func(c *Config) { c.denseStep = true }},
 	{"active-set", func(c *Config) {}},
 }
 

@@ -70,11 +70,12 @@ type Config struct {
 	// dropped and retried until RetryLimit abandons them.
 	Reconfigurer Reconfigurer
 
-	// DenseStep runs the legacy dense per-cycle scan (every link, switch,
+	// denseStep runs the legacy dense per-cycle scan (every link, switch,
 	// and NIC visited every cycle) instead of the active-set scheduler.
-	// Results are byte-identical either way; the flag exists so
-	// equivalence tests and benchmarks can compare the two loops.
-	DenseStep bool
+	// Results are byte-identical either way; the field exists so this
+	// package's equivalence tests and benchmarks can compare the two
+	// loops, and is unexported because nothing else should pick a loop.
+	denseStep bool
 
 	// CheckpointEvery, when positive, snapshots the full simulator state
 	// every that many cycles and hands the bytes to CheckpointSink. The
@@ -321,7 +322,7 @@ func New(cfg Config) (*Sim, error) {
 	// the same *Table cannot perturb each other's route choices, and the
 	// selector that picks a route is the one deliver reports back to.
 	s := &Sim{cfg: cfg, p: cfg.Params, net: cfg.Net, table: cfg.Table.Clone(),
-		dense: cfg.DenseStep, vcMode: cfg.Params.VCs > 0, numVCs: cfg.Params.VCs}
+		dense: cfg.denseStep, vcMode: cfg.Params.VCs > 0, numVCs: cfg.Params.VCs}
 	s.numChannels = cfg.Net.NumChannels()
 	s.numHosts = cfg.Net.NumHosts()
 	s.latHist = metrics.NewHistogram()
@@ -626,7 +627,7 @@ func (s *Sim) step() {
 }
 
 // stepDense is the legacy loop: every component visited every cycle. Kept
-// (behind Config.DenseStep) as the executable specification the active-set
+// (behind Config.denseStep) as the executable specification the active-set
 // scheduler is tested against.
 func (s *Sim) stepDense() {
 	// 1. Links deliver arrived flits and control signals.

@@ -106,7 +106,7 @@ func TestVCLoopEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			dense := vcConfig(t, net, 2)
-			dense.DenseStep = true
+			dense.denseStep = true
 			if got, err := Run(dense); err != nil {
 				t.Fatalf("dense: %v", err)
 			} else if !reflect.DeepEqual(want, got) {

@@ -11,8 +11,8 @@ import (
 // TableCache memoizes routing-table construction across jobs. Tables
 // depend only on (network, routing config), so a multi-curve spec — many
 // traffic patterns, replicas, or load grids over the same scheme — needs
-// each table built exactly once; jobs then Clone() the shared master copy
-// for their private round-robin state.
+// each table built exactly once; every simulation then clones the shared
+// master copy (netsim.New does) for its private round-robin state.
 //
 // The cache is safe for concurrent use. Concurrent Gets for the same key
 // are single-flighted: one caller builds while the others wait, and
@@ -39,8 +39,8 @@ type tableEntry struct {
 func NewTableCache() *TableCache { return &TableCache{} }
 
 // Get returns the memoized table for (net, cfg), building it on first use.
-// The returned table is the shared master copy: clone it before handing it
-// to a simulator.
+// The returned table is the shared master copy: never mutate it. A
+// simulator may be handed it as is, since netsim.New clones its table.
 func (c *TableCache) Get(net *topology.Network, cfg routes.Config) (*routes.Table, error) {
 	c.mu.Lock()
 	if c.entries == nil {

@@ -49,7 +49,8 @@ type Spec struct {
 	// per pattern and replica, with its table built through the cache.
 	Schemes []routes.Scheme
 	// Table is the single-curve alternative to Schemes: a prebuilt routing
-	// table (the runner clones it per load point). Set one or the other.
+	// table (each simulation clones it for its private selection state).
+	// Set one or the other.
 	Table *routes.Table
 
 	// Patterns lists the traffic patterns to sweep.
@@ -97,6 +98,13 @@ type Spec struct {
 	// (see netsim.Config.Metrics); the per-point telemetry lands in each
 	// Result and is flattened across replicas by Report.MetricsPoints.
 	Metrics *metrics.Config
+
+	// Tracer receives the packet life-cycle events of every simulated load
+	// point (see netsim.Config.Tracer). A tracer is stateful, so a traced
+	// spec must expand to exactly one job, whose points run in load order
+	// on one goroutine; the optimizer's profiling run is not traced, and
+	// points served from a resume journal emit no events.
+	Tracer netsim.Tracer
 
 	// Params overrides the Myrinet timing constants; zero means defaults.
 	Params netsim.Params
@@ -204,9 +212,15 @@ func (s Spec) normalized() (Spec, []Job, error) {
 	if len(s.Loads) == 0 {
 		return s, nil, fmt.Errorf("runner: Spec needs at least one load")
 	}
-	for _, l := range s.Loads {
+	for i, l := range s.Loads {
 		if !(l >= 0) || math.IsInf(l, 1) {
 			return s, nil, &topology.ConfigError{Field: "Loads", Value: l, Reason: "every load must be a finite number >= 0"}
+		}
+		// The saturation early stop assumes the walk climbs: on a
+		// descending grid it would end the curve on the wrong points.
+		if i > 0 && l < s.Loads[i-1] {
+			return s, nil, &topology.ConfigError{Field: "Loads", Value: l,
+				Reason: fmt.Sprintf("loads must be ascending; %g follows %g", l, s.Loads[i-1])}
 		}
 	}
 	if !s.Faults.Empty() {
@@ -331,22 +345,18 @@ func (s Spec) normalized() (Spec, []Job, error) {
 			}
 		}
 	}
+	if s.Tracer != nil && len(jobs) > 1 {
+		return s, nil, &topology.ConfigError{Field: "Tracer", Value: fmt.Sprintf("for %d jobs", len(jobs)),
+			Reason: "a tracer observes one job; trace a single scheme, pattern and replica"}
+	}
 	return s, jobs, nil
 }
 
-// PointSeed is the per-point seed derivation of a Run: root seed mixed
-// with the job's stable coordinates (scheme, pattern, replica, load-point
-// index). It is exported so harnesses running points outside a Run — the
-// bisection refinement of SaturationSearch, ad-hoc reproduction of a
-// single curve point — draw exactly the streams the runner would.
-func PointSeed(root int64, scheme routes.Scheme, p Pattern, replica, point int) int64 {
-	return DeriveSeed(root, int64(scheme), p.salt(), int64(replica), int64(point))
-}
-
-// pointSeed derives the simulation seed of one load point from stable job
-// coordinates, independent of worker count and scheduling order.
+// pointSeed derives the simulation seed of one load point from the root
+// seed and the job's stable coordinates (scheme, pattern, replica,
+// load-point index), independent of worker count and scheduling order.
 func (s *Spec) pointSeed(j Job, point int) int64 {
-	return PointSeed(s.Seed, j.Scheme, j.Pattern, j.Replica, point)
+	return DeriveSeed(s.Seed, int64(j.Scheme), j.Pattern.salt(), int64(j.Replica), int64(point))
 }
 
 // Run expands the spec and executes its jobs on the worker pool. The
@@ -500,11 +510,7 @@ func (s *Spec) optimizeTable(j Job, table *routes.Table, dest netsim.DestFn) (*r
 	ocfg := *s.Optimize
 	load := ocfg.ProfileLoad
 	if load == 0 {
-		for _, l := range s.Loads {
-			if l > load {
-				load = l
-			}
-		}
+		load = s.Loads[len(s.Loads)-1] // the top load: normalized keeps the grid ascending
 	}
 	maxCycles := int64(ocfg.ProfileCycles)
 	if maxCycles == 0 {
@@ -512,7 +518,7 @@ func (s *Spec) optimizeTable(j Job, table *routes.Table, dest netsim.DestFn) (*r
 	}
 	cfg := netsim.Config{
 		Net:             s.Net,
-		Table:           table.Clone(),
+		Table:           table,
 		Dest:            dest,
 		Load:            load,
 		MessageBytes:    s.MessageBytes,
@@ -642,7 +648,7 @@ func (s *Spec) runJob(j Job, reporter *lockedReporter, jl *journal) (cr CurveRes
 		} else {
 			cfg := netsim.Config{
 				Net:             s.Net,
-				Table:           table.Clone(),
+				Table:           table,
 				Dest:            dest,
 				Load:            load,
 				MessageBytes:    s.MessageBytes,
@@ -652,6 +658,7 @@ func (s *Spec) runJob(j Job, reporter *lockedReporter, jl *journal) (cr CurveRes
 				MaxCycles:       s.MaxCycles,
 				CollectLinkUtil: s.CollectLinkUtil,
 				Metrics:         s.Metrics,
+				Tracer:          s.Tracer,
 				Params:          s.Params,
 				Faults:          s.Faults,
 				Reconfigurer:    reconf,

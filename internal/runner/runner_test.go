@@ -335,11 +335,12 @@ func uniformDest(numHosts int) netsim.DestFn {
 }
 
 // TestNonFiniteLoadsRejected pins the Loads gate: a NaN, infinite or
-// negative entry fails the whole spec with a typed error before any table
-// is built or any sibling curve runs.
+// negative entry, or one below its predecessor (the early stop would end
+// a descending walk on the wrong points), fails the whole spec with a
+// typed error before any table is built or any sibling curve runs.
 func TestNonFiniteLoadsRejected(t *testing.T) {
 	net := testNet(t)
-	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.01} {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.01, 0.005} {
 		cache := NewTableCache()
 		_, err := Run(Spec{Net: net, Schemes: []routes.Scheme{routes.ITBRR}, Patterns: []Pattern{{Kind: "uniform"}},
 			Loads: []float64{0.01, bad}, Cache: cache})
@@ -349,6 +350,69 @@ func TestNonFiniteLoadsRejected(t *testing.T) {
 		}
 		if cache.Builds() != 0 {
 			t.Errorf("load %g: %d tables built before the spec was refused", bad, cache.Builds())
+		}
+	}
+}
+
+// TestTracerObservesUnperturbedRun: tracing a one-job, two-load spec
+// leaves its report equal to the untraced run's, and the tracer sees
+// every delivery of both points.
+func TestTracerObservesUnperturbedRun(t *testing.T) {
+	spec := testSpec(t, testNet(t))
+	spec.Schemes = []routes.Scheme{routes.ITBRR}
+	spec.Patterns = spec.Patterns[:1]
+	plain, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct := &netsim.CountTracer{}
+	spec.Tracer = ct
+	traced, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stripTiming(plain)
+	stripTiming(traced)
+	if !reflect.DeepEqual(plain, traced) {
+		t.Errorf("tracing changed the report:\nuntraced: %+v\ntraced:   %+v", plain, traced)
+	}
+	points := traced.Curves[0].Curve.Points
+	if len(points) != 2 {
+		t.Fatalf("traced curve has %d points, want 2", len(points))
+	}
+	var delivered int64
+	for _, p := range points {
+		delivered += p.Result.DeliveredMessages
+	}
+	if got := ct.Counts[netsim.EvDeliver]; got != delivered {
+		t.Errorf("tracer saw %d deliveries, the points delivered %d", got, delivered)
+	}
+}
+
+// TestTracerNeedsOneJob: a tracer on a spec that expands to several jobs
+// is refused with a typed error before any table is built.
+func TestTracerNeedsOneJob(t *testing.T) {
+	net := testNet(t)
+	for _, tc := range []struct {
+		name string
+		mut  func(*Spec)
+	}{
+		{"two schemes", func(s *Spec) { s.Schemes = []routes.Scheme{routes.UpDown, routes.ITBRR} }},
+		{"two replicas", func(s *Spec) { s.Replicas = 2 }},
+	} {
+		spec := testSpec(t, net)
+		spec.Schemes = []routes.Scheme{routes.ITBRR}
+		spec.Patterns = spec.Patterns[:1]
+		spec.Tracer = &netsim.CountTracer{}
+		spec.Cache = NewTableCache()
+		tc.mut(&spec)
+		_, err := Run(spec)
+		var ce *topology.ConfigError
+		if !errors.As(err, &ce) || ce.Field != "Tracer" {
+			t.Errorf("%s: got %v, want a *topology.ConfigError for Tracer", tc.name, err)
+		}
+		if n := spec.Cache.Builds(); n != 0 {
+			t.Errorf("%s: %d tables built before the spec was refused", tc.name, n)
 		}
 	}
 }
