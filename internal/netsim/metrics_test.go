@@ -103,25 +103,42 @@ func TestMetricsContents(t *testing.T) {
 	}
 }
 
-// TestMetricsBackpressurePastSaturation drives a small network far past
-// saturation and expects injection backpressure stalls to be recorded.
-func TestMetricsBackpressurePastSaturation(t *testing.T) {
+// backpressureConfig drives the 4x4 UP/DOWN torus far past saturation, so
+// source queues fill (injection backpressure) and links sit stopped by
+// stop & go flow control with packets waiting to advance.
+func backpressureConfig(t testing.TB) Config {
+	t.Helper()
 	net := makeNet(t, 4, 4, 2)
 	tab := makeTable(t, net, routes.UpDown)
 	cfg := baseConfig(net, tab)
 	cfg.Load = 0.5 // far beyond up*/down* saturation on a 4x4 torus
 	cfg.WarmupMessages = 20
 	cfg.MeasureMessages = 100
+	cfg.CollectLinkUtil = true
 	cfg.Metrics = &metrics.Config{WindowCycles: 256}
-	res, err := Run(cfg)
+	return cfg
+}
+
+// stallTotals sums a run's backpressure cycles over hosts and its
+// stop & go idle fractions over channels.
+func stallTotals(res *Result) (backpressure int64, stopped float64) {
+	for _, hm := range res.Metrics.Hosts {
+		backpressure += hm.BackpressureCycles
+	}
+	for _, f := range res.LinkStopped {
+		stopped += f
+	}
+	return backpressure, stopped
+}
+
+// TestMetricsBackpressurePastSaturation drives a small network far past
+// saturation and expects injection backpressure stalls to be recorded.
+func TestMetricsBackpressurePastSaturation(t *testing.T) {
+	res, err := Run(backpressureConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stalls int64
-	for _, hm := range res.Metrics.Hosts {
-		stalls += hm.BackpressureCycles
-	}
-	if stalls == 0 {
+	if stalls, _ := stallTotals(res); stalls == 0 {
 		t.Error("no backpressure stalls recorded far past saturation")
 	}
 }

@@ -300,6 +300,27 @@ func goldenResults(t *testing.T) []byte {
 	snapshots("torus-4x4/ITB-RR/adaptive/fault-storm", 20_000, func(t *testing.T) Config {
 		return selectorConfig(t, newSelector["adaptive"](), true)
 	})
+
+	// Far past saturation: source queues stay full and links sit stopped,
+	// so the backpressure and stop & go idle counters (and their values in
+	// mid-run snapshots) are pinned. A run that records neither pins
+	// nothing, so the case fails then.
+	t.Run("backpressure", func(t *testing.T) {
+		const name = "torus-4x4/UP/DOWN/backpressure"
+		for _, loop := range stepLoops {
+			cfg := backpressureConfig(t)
+			loop.apply(&cfg)
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", loop.name, err)
+			}
+			if bp, stopped := stallTotals(res); bp == 0 || stopped == 0 {
+				t.Fatalf("%s: backpressure cycles %d, stopped-link fraction sum %g; the case pins no stall", loop.name, bp, stopped)
+			}
+			fmt.Fprintf(&b, "%s/%s %s\n", name, loop.name, valueDigest(t, res))
+		}
+	})
+	snapshots("torus-4x4/UP/DOWN/backpressure", 2_000, func(t *testing.T) Config { return backpressureConfig(t) })
 	return b.Bytes()
 }
 
