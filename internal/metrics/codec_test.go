@@ -61,7 +61,7 @@ func runCollector() *Collector {
 	}
 	c.Eject(1)
 	c.Reinject(0)
-	c.BackpressureStall(1)
+	c.BackpressureStalls(1, 1)
 	return c
 }
 

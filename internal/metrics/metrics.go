@@ -72,7 +72,7 @@ func (c Config) maxWindows() int {
 //     SampleLink for every channel (cumulative busy/stopped counters),
 //     SampleSwitchOcc and SampleHostPool for every switch/host, then
 //     CloseWindow(cycle).
-//  4. Eject/Reinject/BackpressureStall at event time.
+//  4. Eject/Reinject/BackpressureStalls at event time.
 //  5. Finalize(cycle, cycleNs, ends) to produce the immutable Metrics.
 type Collector struct {
 	windowCycles int64
@@ -324,10 +324,10 @@ func (c *Collector) Eject(host int) { c.ejects[host]++ }
 // Reinject counts one in-transit re-injection start at a host.
 func (c *Collector) Reinject(host int) { c.reinjects[host]++ }
 
-// BackpressureStall counts one cycle in which a host's generation process
+// BackpressureStalls counts n cycles in which a host's generation process
 // was due to inject but stalled because its source queue was full — the
 // network pushing back beyond saturation.
-func (c *Collector) BackpressureStall(host int) { c.backpressure[host]++ }
+func (c *Collector) BackpressureStalls(host int, n int64) { c.backpressure[host] += n }
 
 // Finalize freezes the collector into an immutable Metrics. measuredCycles
 // is the length of the measurement period; ends maps a channel to its

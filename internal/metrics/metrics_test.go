@@ -39,7 +39,7 @@ func driveCollector(t *testing.T, cfg Config, windows int) (*Collector, *Metrics
 	c.Eject(1)
 	c.Eject(1)
 	c.Reinject(1)
-	c.BackpressureStall(0)
+	c.BackpressureStalls(0, 1)
 	measured := cycle - 100
 	m := c.Finalize(measured, 6.25,
 		func(ch int) (int, int) { return ch, ch + 1 },

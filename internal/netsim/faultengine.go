@@ -242,6 +242,7 @@ func (fe *faultEngine) recomputeWake() {
 // events, advance the reconfiguration machine, and fire due retry timers.
 func (fe *faultEngine) wake(s *Sim) {
 	if fe.planIdx < len(fe.plan) && fe.plan[fe.planIdx].Cycle <= s.now {
+		s.settleParked(s.now - 1)
 		fe.applyDueEvents(s)
 	}
 	if fe.phase != phaseIdle && s.now >= fe.phaseEnd {
@@ -511,6 +512,7 @@ func (fe *faultEngine) swapTables(s *Sim) {
 		}
 		if purge {
 			n.purgeSendQ()
+			s.wakeNIC(h) // room in a full queue lets generation resume
 		}
 	}
 }

@@ -92,10 +92,12 @@ func (l *link) pushCredit(s *Sim, vc int) {
 	s.linkSet.add(l.id)
 }
 
-// deliverSignals applies arrived control flits to the sender-side state.
+// deliverSignals applies arrived control flits to the sender-side state. A
+// go signal wakes the sender if it parked on the stopped link.
 //
 //sim:hotpath
 func (l *link) deliverSignals(s *Sim) {
+	wasStopped := l.stopped
 	for l.signals.n > 0 && l.signals.front().arrive <= s.now {
 		g := l.signals.pop()
 		if l.credits != nil {
@@ -106,6 +108,9 @@ func (l *link) deliverSignals(s *Sim) {
 		} else {
 			l.stopped = g.stop
 		}
+	}
+	if wasStopped && !l.stopped {
+		s.wakeSender(l.id)
 	}
 }
 

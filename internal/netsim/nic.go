@@ -68,9 +68,16 @@ type nic struct {
 	// genSeq*numHosts + host so every host mints IDs independently of the
 	// others.
 	genSeq int64
-	// genArmed marks a parked wake-up on Sim.genTimers while the NIC is
-	// out of the active set (see activeset.go).
+	// genArmed marks a generation wake-up on Sim.genTimers while the NIC
+	// is out of the active set (see activeset.go).
 	genArmed bool
+
+	// parkedAt is the first cycle a parked NIC (in Sim.parkedNICs, asleep
+	// on its stopped up-link) skipped; parkedFull records that its source
+	// queue was full and generation on, so skipped cycles from its next
+	// generation time also count as backpressure stalls.
+	parkedAt   int64
+	parkedFull bool
 
 	// Bubble accounting for Params.SourceBubblePeriod.
 	sinceBubble int
@@ -184,7 +191,7 @@ func (n *nic) tick(s *Sim) {
 				// Injection backpressure: a message is due but the source
 				// queue is full — the network is pushing back.
 				if s.mx != nil && s.measuring {
-					s.mx.BackpressureStall(n.host)
+					s.mx.BackpressureStalls(n.host, 1)
 				}
 				break
 			}
@@ -262,6 +269,9 @@ func (n *nic) tickTransfer(s *Sim) {
 	} else if l.stopped {
 		if s.measuring {
 			l.idleStopped++
+		}
+		if !s.dense {
+			s.parkNIC(n)
 		}
 		return
 	}

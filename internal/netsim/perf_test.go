@@ -10,10 +10,16 @@ import (
 
 // benchTorusPoint measures simulator throughput on an 8x8 torus of 16-port
 // switches with hostsPerSwitch hosts each, under scheme at the given
-// injection rate: one full Run per op. dense selects the legacy per-cycle
-// full scan instead of the active-set scheduler, so the Dense variants are
-// the reference loop's numbers for the same point.
+// injection rate with uniform traffic: one full Run per op. dense selects
+// the legacy per-cycle full scan instead of the active-set scheduler, so
+// the Dense variants are the reference loop's numbers for the same point.
 func benchTorusPoint(b *testing.B, hostsPerSwitch int, scheme routes.Scheme, load float64, dense bool) {
+	benchTorus(b, hostsPerSwitch, scheme, load, dense, uniformDest)
+}
+
+// benchTorus is benchTorusPoint under the traffic pattern dest builds for
+// the fabric's host count.
+func benchTorus(b *testing.B, hostsPerSwitch int, scheme routes.Scheme, load float64, dense bool, dest func(numHosts int) DestFn) {
 	b.Helper()
 	net, err := topology.NewTorus(8, 8, hostsPerSwitch, 16)
 	if err != nil {
@@ -28,7 +34,7 @@ func benchTorusPoint(b *testing.B, hostsPerSwitch int, scheme routes.Scheme, loa
 		cfg := Config{
 			Net:             net,
 			Table:           tab.Clone(),
-			Dest:            uniformDest(net.NumHosts()),
+			Dest:            dest(net.NumHosts()),
 			Load:            load,
 			MessageBytes:    512,
 			Seed:            int64(i + 1),
@@ -85,6 +91,31 @@ func BenchmarkPaperTorusITBRRLow(b *testing.B) { benchTorusPoint(b, 8, routes.IT
 
 // BenchmarkPaperTorusITBRRKnee is ITB-RR at its saturation knee.
 func BenchmarkPaperTorusITBRRKnee(b *testing.B) { benchTorusPoint(b, 8, routes.ITBRR, 0.024, false) }
+
+// hotspotDest sends 10% of the messages of every other host to host 0 and
+// the rest uniformly, the distribution of traffic.Hotspot(numHosts, 0,
+// 0.10), which this package's tests cannot import.
+func hotspotDest(numHosts int) DestFn {
+	return func(src int, rng *RNG) int {
+		if src != 0 && rng.Float64() < 0.10 {
+			return 0
+		}
+		d := rng.Intn(numHosts - 1)
+		if d >= src {
+			d++
+		}
+		return d
+	}
+}
+
+// BenchmarkPaperTorusHotspotSat is ITB-RR under 10% hotspot traffic at the
+// top load of the benchmark's hotspot workload, far past the knee: source
+// queues stay full and most injecting NICs and many switch outputs wait on
+// stopped links, the regime in which stalled components park until their
+// go signal.
+func BenchmarkPaperTorusHotspotSat(b *testing.B) {
+	benchTorus(b, 8, routes.ITBRR, 0.031, false, hotspotDest)
+}
 
 // The VC benchmarks compare the two deadlock-avoidance mechanisms on the
 // same fabric and workload: ITB-RR (in-transit buffers, the paper's

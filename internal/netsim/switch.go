@@ -145,6 +145,8 @@ type outPort struct {
 	nconn   int      // connected lanes on this output
 	setupVC int      // lane the current outSetup serves
 	txRR    int      // per-cycle flit round robin over connected lanes
+
+	parkedAt int64 // first cycle a parked output (swtch.parkedOuts) skipped
 }
 
 // requested reports whether any input (on any lane) waits for this output.
@@ -175,6 +177,12 @@ type swtch struct {
 	setupOuts uint32 // outputs in outSetup
 	connOuts  uint32 // outputs streaming: outConnected, or at least one lane connected (VC)
 	reqOuts   uint32 // outputs with an ungranted request, on any lane
+
+	// parkedOuts is the subset of connOuts asleep on a stopped link with
+	// flits waiting in their input until the go signal (see activeset.go);
+	// the transfer walk skips them. Never set by the dense loop or in VC
+	// mode.
+	parkedOuts uint32
 }
 
 // portCounts derives from the output ports' states the three counters a
@@ -294,7 +302,7 @@ func (sw *swtch) tickTransfer(s *Sim) {
 		sw.tickTransferVC(s)
 		return
 	}
-	for m := sw.connOuts; m != 0; m &= m - 1 {
+	for m := sw.connOuts &^ sw.parkedOuts; m != 0; m &= m - 1 {
 		k := bits.TrailingZeros32(m)
 		op := &s.outPorts[sw.outs[k]]
 		ip := &s.inPorts[op.inp]
@@ -302,8 +310,13 @@ func (sw *swtch) tickTransfer(s *Sim) {
 		if l.stopped {
 			// The paper (§4.7.1) tracks time links sit idle due to the
 			// stop & go flow control while a packet wants to advance.
-			if s.measuring && ip.buf.occ > 0 {
-				l.idleStopped++
+			if ip.buf.occ > 0 {
+				if s.measuring {
+					l.idleStopped++
+				}
+				if !s.dense {
+					s.parkOut(sw, k)
+				}
 			}
 			continue
 		}
