@@ -29,13 +29,15 @@
 //
 // Each stage visits only the components that currently have work: links,
 // switches, and NICs register in per-class active sets when they gain work
-// and deregister when idle, and sleeping NICs park their next generation
-// time on a timer heap (activeset.go). The sets iterate in ascending
-// component ID — the same order as a dense scan — so results are
-// byte-identical to visiting everything every cycle (Config.denseStep runs
-// that legacy loop for comparison) while nearly idle cycles, the common
-// case at the low-load points of every curve and in fault drain windows,
-// cost almost nothing.
+// and deregister when idle, and sleeping NICs arm their next generation
+// time on a timer heap (activeset.go). NICs and switch outputs stalled on
+// a stopped stop & go link park until its go signal and add the stall
+// cycles they skipped in one step when they wake. The sets iterate in
+// ascending component ID — the same order as a dense scan — so results
+// are byte-identical to visiting everything every cycle (Config.denseStep
+// runs that legacy loop for comparison) while nearly idle cycles, the
+// common case at the low-load points of every curve and in fault drain
+// windows, cost almost nothing.
 //
 // Observability is layered on without touching that loop: cumulative
 // hardware-style counters (link busy/stopped cycles, ITB pool bytes,
