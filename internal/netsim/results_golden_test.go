@@ -321,7 +321,51 @@ func goldenResults(t *testing.T) []byte {
 		}
 	})
 	snapshots("torus-4x4/UP/DOWN/backpressure", 2_000, func(t *testing.T) Config { return backpressureConfig(t) })
+
+	// Cable regimes on the 4×4 ITB-RR torus, each with mid-run snapshots
+	// every 2,000 cycles: short messages at a higher load (several packets
+	// in one slack buffer, in-transit packets shorter than the ITB
+	// detection delay),
+	// gapped source injection, flights that are not a power of two, and
+	// stop & go thresholds close together.
+	for _, rc := range cableRegimes {
+		name := "torus-4x4/ITB-RR/" + rc.name
+		mk := func(t *testing.T) Config { return regimeConfig(t, rc.apply) }
+		runCase(name, mk)
+		snapshots(name, 2_000, mk)
+	}
 	return b.Bytes()
+}
+
+// cableRegimes are the parameter regimes the cable cases pin.
+var cableRegimes = []struct {
+	name  string
+	apply func(*Config)
+}{
+	{"msg32", func(c *Config) {
+		c.MessageBytes = 32
+		c.Load = 0.06
+		c.MeasureMessages = 3000
+	}},
+	{"bubble16", func(c *Config) { c.Params.SourceBubblePeriod = 16 }},
+	{"flight5", func(c *Config) { c.Params.LinkFlightCycles = 5 }},
+	{"flight11", func(c *Config) { c.Params.LinkFlightCycles = 11 }},
+	{"tight-stop-go", func(c *Config) {
+		c.Params.GoThreshold = 8
+		c.Params.StopThreshold = 12
+		c.Params.SlackBufferFlits = 12 + 2*c.Params.LinkFlightCycles
+	}},
+}
+
+// regimeConfig is the 4×4 ITB-RR torus at a load with contention and
+// stop & go activity, with the default parameters changed by apply.
+func regimeConfig(t testing.TB, apply func(*Config)) Config {
+	t.Helper()
+	cfg := matrixConfig(t, makeNet(t, 4, 4, 2), routes.ITBRR, false)
+	cfg.Load = 0.02
+	cfg.Params = DefaultParams()
+	apply(&cfg)
+	return cfg
 }
 
 // TestResultGolden pins the simulator's behaviour bit for bit: the
