@@ -19,9 +19,12 @@ var checkpointedTypes = []interface{}{
 	Params{},
 	Sim{},
 	link{},
-	ring[flitInFlight]{},
+	ring[flitRun]{},
 	ring[signalInFlight]{},
-	flitInFlight{},
+	runQueue{},
+	flitRun{},
+	cableFlit{},
+	bufferSeg{},
 	signalInFlight{},
 	inPort{},
 	outPort{},
@@ -32,8 +35,6 @@ var checkpointedTypes = []interface{}{
 	packet{},
 	msgState{},
 	retryTimer{},
-	fifo{},
-	flitSeg{},
 	vcIn{},
 	vcRx{},
 	genTimer{},

@@ -272,6 +272,66 @@ func TestRestoreRejects(t *testing.T) {
 	}
 }
 
+// badCables are the cable entries Restore must refuse, each made by
+// rewriting one run of a restored Sim's busiest lane before it snapshots
+// again: arrival cycles that do not strictly increase (a run repeated
+// behind itself) and arrival cycles past the flight after the snapshot.
+var badCables = []struct {
+	name   string
+	mutate func(s *Sim, q *runQueue, r *flitRun)
+}{
+	{"non-increasing", func(s *Sim, q *runQueue, r *flitRun) { q.runs.push(*r) }},
+	{"beyond-flight", func(s *Sim, q *runQueue, r *flitRun) { r.arrive = s.now + int64(s.p.LinkFlightCycles) }},
+}
+
+// corruptCable restores snap under cfg, applies mutate to the last run in
+// flight on the lane with the most flits in flight, and snapshots again.
+func corruptCable(tb testing.TB, cfg Config, snap []byte, mutate func(s *Sim, q *runQueue, r *flitRun)) []byte {
+	tb.Helper()
+	s, err := Restore(cfg, snap)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var busiest *runQueue
+	most := 0
+	for i := range s.links {
+		for v := range s.links[i].lanes {
+			q := &s.links[i].lanes[v]
+			n := 0
+			for k := 0; k < q.runs.n; k++ {
+				n += q.runs.at(k).arrived(s.now+int64(s.p.LinkFlightCycles)) - q.runs.at(k).arrived(s.seen)
+			}
+			if n > most {
+				busiest, most = q, n
+			}
+		}
+	}
+	if busiest == nil {
+		tb.Fatal("no flit in flight to corrupt")
+	}
+	mutate(s, busiest, busiest.runs.at(busiest.runs.n-1))
+	bad, err := s.Snapshot()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return bad
+}
+
+// TestRestoreRejectsBadCable pins that Restore refuses, with an error and
+// no panic, cable entries a run queue cannot hold.
+func TestRestoreRejectsBadCable(t *testing.T) {
+	cfg := stormConfig(t, routes.ITBRR)
+	_, snaps := runCheckpointed(t, cfg, 30_000)
+	for _, bc := range badCables {
+		t.Run(bc.name, func(t *testing.T) {
+			bad := corruptCable(t, cfg, snaps[0], bc.mutate)
+			if _, err := Restore(cfg, bad); err == nil || !strings.Contains(err.Error(), "flit arriving at cycle") {
+				t.Errorf("corrupt cable accepted: %v", err)
+			}
+		})
+	}
+}
+
 // TestRestoreRejectsDifferentTable pins the table-fingerprint gate: a
 // checkpoint written under the static builder table must refuse to restore
 // under an optimizer-rewritten table of the same scheme and shape (and vice

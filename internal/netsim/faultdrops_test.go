@@ -63,9 +63,8 @@ func scheduleNow(s *Sim, evs ...faults.Event) {
 
 // onLink reports whether any of p's flits are in flight on channel c.
 func onLink(s *Sim, p *packet, c int) bool {
-	l := &s.links[c]
-	for i := 0; i < l.flits.n; i++ {
-		if l.flits.at(i).pkt == p {
+	for _, f := range s.links[c].cable(s.seen) {
+		if f.pkt == p {
 			return true
 		}
 	}
@@ -81,7 +80,7 @@ func headerAt(s *Sim, p *packet, c int) bool {
 		return false
 	}
 	ip := &s.inPorts[rp]
-	hs := ip.buf.headSeg()
+	hs := bufferHead(ip.buf, s.seen)
 	return hs != nil && hs.pkt == p && ip.conn < 0
 }
 

@@ -40,7 +40,7 @@ func TestStopGoSignalsObserved(t *testing.T) {
 			}
 		}
 		for pi := range s.inPorts {
-			if occ := s.inPorts[pi].buf.occ; occ > maxOcc {
+			if occ := s.inPorts[pi].buf.occ(s.seen); occ > maxOcc {
 				maxOcc = occ
 			}
 		}

@@ -12,8 +12,9 @@ import (
 // corrupt length. The seeds are mid-run snapshots the target takes itself,
 // of the 4×4 ITB-RR fault storm (retries, re-injections, table swaps), of
 // the two-lane VC dragonfly (lane buffers, credits, per-lane reception)
-// and of the fault storm under the adaptive selector (its EWMA table); the
-// first argument picks the configuration an input is restored under.
+// and of the fault storm under the adaptive selector (its EWMA table), plus
+// the storm seed with each of the cable corruptions of badCables; the first
+// argument picks the configuration an input is restored under.
 func FuzzRestore(f *testing.F) {
 	df, err := topology.NewDragonfly(4, 3, 1, 2, 8)
 	if err != nil {
@@ -40,6 +41,11 @@ func FuzzRestore(f *testing.F) {
 			f.Fatalf("config %d: seed does not restore: %v", i, err)
 		}
 		f.Add(uint8(i), seed)
+		if i == 0 {
+			for _, bc := range badCables {
+				f.Add(uint8(i), corruptCable(f, configs[i], seed, bc.mutate))
+			}
+		}
 	}
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
 		s, err := Restore(configs[int(which)%len(configs)], data)

@@ -27,10 +27,17 @@
 // injection pushes one flit. The fixed order makes runs reproducible: the
 // only randomness is the per-NIC generation RNG seeded from Config.Seed.
 //
-// Each stage visits only the components that currently have work: links,
-// switches, and NICs register in per-class active sets when they gain work
-// and deregister when idle, and sleeping NICs arm their next generation
-// time on a timer heap (activeset.go). NICs and switch outputs stalled on
+// A cable and its receiver's input buffer are one queue of packet runs per
+// lane, each stamped with the arrival cycle of its first flit (cable.go):
+// a switch reads its buffer's occupancy and head packet from the stamps,
+// so a flit needs no delivery step to join the buffer.
+//
+// Each stage visits only the components that currently have work: links
+// sit on an arrival wheel at the cycles their signals and the flit
+// arrivals that act reach the far end, switches and NICs register in
+// per-class active sets when they gain work and deregister when idle, and
+// sleeping NICs arm their next generation time on a timer heap
+// (activeset.go). NICs and switch outputs stalled on
 // a stopped stop & go link park until its go signal and add the stall
 // cycles they skipped in one step when they wake. The sets iterate in
 // ascending component ID — the same order as a dense scan — so results
@@ -63,7 +70,7 @@ type Params struct {
 
 	SlackBufferFlits int // input slack buffer per switch port (80 bytes)
 	StopThreshold    int // send stop when occupancy rises over this (56 bytes)
-	GoThreshold      int // send go when occupancy falls to this (40 bytes)
+	GoThreshold      int // send go when occupancy falls below this (40 bytes); at least 1
 
 	ITBDetectFlits int // bytes received before an in-transit packet is recognised (44)
 	ITBDMAFlits    int // further bytes received while the re-injection DMA is programmed (32)
@@ -194,6 +201,11 @@ func (p Params) Validate() error {
 	}
 	if p.RoutingCycles < 0 {
 		return fmt.Errorf("netsim: RoutingCycles must be >= 0")
+	}
+	// Occupancy never falls below 0, so a go threshold below 1 never
+	// restarts a stopped link.
+	if p.GoThreshold < 1 {
+		return fmt.Errorf("netsim: go threshold %d must be >= 1", p.GoThreshold)
 	}
 	if p.GoThreshold >= p.StopThreshold {
 		return fmt.Errorf("netsim: go threshold %d must be below stop threshold %d", p.GoThreshold, p.StopThreshold)

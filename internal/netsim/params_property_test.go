@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -13,7 +14,10 @@ import (
 // random (valid) parameter settings — buffer sizes, thresholds, routing
 // latencies, flight times, ITB delays, bubbles — every generated message is
 // still delivered and the slack buffers never overflow (the overflow panic
-// inside inPort.receive is the assertion).
+// inside inPort.arrive is the assertion). Each setting runs under both step
+// loops, whose results must be identical: an arrival the active-set loop
+// skips but that acts under some flight, threshold, bubble or ITB delay
+// shows up as a difference.
 func TestConservationUnderRandomParams(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulations too slow for -short")
@@ -40,9 +44,9 @@ func TestConservationUnderRandomParams(t *testing.T) {
 		if err := p.Validate(); err != nil {
 			return true // rejected combinations are fine
 		}
-		res, err := Run(Config{
+		cfg := Config{
 			Net:   net,
-			Table: tab.Clone(),
+			Table: tab,
 			Dest: func(src int, r *RNG) int {
 				d := r.Intn(net.NumHosts() - 1)
 				if d >= src {
@@ -57,12 +61,23 @@ func TestConservationUnderRandomParams(t *testing.T) {
 			MeasureMessages: 80,
 			MaxCycles:       10_000_000,
 			Params:          p,
-		})
-		if err != nil {
-			t.Logf("seed %d params %+v: %v", seed, p, err)
+		}
+		var results [2]*Result
+		for i, loop := range stepLoops {
+			c := cfg
+			loop.apply(&c)
+			res, err := Run(c)
+			if err != nil {
+				t.Logf("seed %d params %+v, %s loop: %v", seed, p, loop.name, err)
+				return false
+			}
+			results[i] = res
+		}
+		if !reflect.DeepEqual(results[0], results[1]) {
+			t.Logf("seed %d params %+v: the loops' results differ", seed, p)
 			return false
 		}
-		return res.DeliveredMeasured >= 80
+		return results[0].DeliveredMeasured >= 80
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)
