@@ -215,7 +215,9 @@ func enqueueDrain(t *testing.T, loop func(*Config)) *Result {
 // bytes). Every case runs under both step loops.
 func goldenResults(t *testing.T) []byte {
 	var b bytes.Buffer
-	runCase := func(name string, mk func(t *testing.T) Config) {
+	// runCase pins one case; each check, when given, must pass on the
+	// Result of both loops.
+	runCase := func(name string, mk func(t *testing.T) Config, checks ...func(*Result) error) {
 		t.Run(name, func(t *testing.T) {
 			for _, loop := range stepLoops {
 				cfg := mk(t)
@@ -223,6 +225,11 @@ func goldenResults(t *testing.T) []byte {
 				res, err := Run(cfg)
 				if err != nil {
 					t.Fatalf("%s: %v", loop.name, err)
+				}
+				for _, check := range checks {
+					if err := check(res); err != nil {
+						t.Fatalf("%s: %v", loop.name, err)
+					}
 				}
 				fmt.Fprintf(&b, "%s/%s %s\n", name, loop.name, valueDigest(t, res))
 			}
@@ -334,7 +341,55 @@ func goldenResults(t *testing.T) []byte {
 		runCase(name, mk)
 		snapshots(name, 2_000, mk)
 	}
+
+	// Virtual-channel regimes, each with mid-run snapshots: the 4×4 torus
+	// on one lane (credits on a single lane, the shape stop & go takes)
+	// and on three, and the dragonfly's two lanes past saturation and with
+	// lane buffers below the 18-flit credit round trip. Links sitting idle
+	// on exhausted credits must show in the last two, or they pin no credit
+	// stall.
+	vcTorus := vcNets(t)[1]
+	for _, vcs := range []int{1, 3} {
+		name := fmt.Sprintf("%s/VC%d", vcTorus.Name, vcs)
+		mk := func(t *testing.T) Config { return vcConfig(t, vcTorus, vcs) }
+		runCase(name, mk)
+		snapshots(name, 40_000, mk)
+	}
+	creditStalls := func(res *Result) error {
+		if _, stopped := stallTotals(res); stopped == 0 {
+			return fmt.Errorf("no link idle on exhausted credits; the case pins no credit stall")
+		}
+		return nil
+	}
+	for _, vr := range vcRegimes {
+		name := df.Name + "/VC2/" + vr.name
+		mk := func(t *testing.T) Config {
+			cfg := vcConfig(t, df, 2)
+			vr.apply(&cfg)
+			return cfg
+		}
+		runCase(name, mk, creditStalls)
+		snapshots(name, 10_000, mk)
+	}
 	return b.Bytes()
+}
+
+// vcRegimes are the dragonfly's credit-stall regimes the VC cases pin:
+// TestVCSaturation's load far past saturation, and a moderate load on
+// lane buffers shallower than the credit round trip.
+var vcRegimes = []struct {
+	name  string
+	apply func(*Config)
+}{
+	{"saturated", func(c *Config) {
+		c.Load = 0.15
+		c.MeasureMessages = 300
+	}},
+	{"shallow-buffers", func(c *Config) {
+		c.Load = 0.05
+		c.Params = DefaultParams()
+		c.Params.VCBufFlits = 12
+	}},
 }
 
 // cableRegimes are the parameter regimes the cable cases pin.
