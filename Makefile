@@ -42,13 +42,14 @@ test:
 # Full suite under the race detector. Slow; it covers the runner pool,
 # the table cache, and the reporter serialization. The explicit second
 # line forces the simulator-core checks to re-run uncached: the
-# stranded-work property scan, the dense-scan equivalence goldens, the
-# shared-table round-robin isolation, the results golden (every
-# scheme x topology x faults x step loop pinned bit for bit), and random
-# parameter sets under both step loops.
+# stranded-work property scan, the dense-scan equivalence goldens (stop &
+# go and, through the same switch pipeline, credits), the shared-table
+# round-robin isolation, the results golden (every scheme x topology x
+# faults x step loop pinned bit for bit), and random parameter sets under
+# both step loops.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=1 -run 'ActiveSetNeverStrandsWork|ActiveSetMatchesDense|SharedTableConcurrentRuns|ResultGolden|ConservationUnderRandomParams' ./internal/netsim/
+	$(GO) test -race -count=1 -run 'ActiveSetNeverStrandsWork|ActiveSetMatchesDense|VCLoopEquivalence|SharedTableConcurrentRuns|ResultGolden|ConservationUnderRandomParams' ./internal/netsim/
 
 # The parallel-correctness core: byte-identical results across worker
 # counts, single-flight table builds, and cancellation — all under -race.

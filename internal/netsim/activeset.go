@@ -50,7 +50,7 @@ func trailingZeros(w uint64) int { return bits.TrailingZeros64(w) }
 //     (up-link in service), or has message generation due (nextGen <= now).
 //     Added by Enqueue, dispatch, startReception, link revival, and every
 //     wake of a parked NIC; removed after tickTransfer once no reason
-//     remains, at which point the generation timer is armed on the genHeap
+//     remains, at which point the generation timer is armed on genTimers
 //     instead.
 //
 // A component whose only work is waiting on a stopped stop & go link parks
@@ -102,27 +102,30 @@ func (b *bitset) fill(n int) {
 	}
 }
 
-// genTimer is one generation wake-up: the NIC's next message is due at
-// cycle at (ceil of its fractional nextGen), so the NIC sleeps until then
-// instead of ticking every cycle.
-type genTimer struct {
-	at   int64
-	host int
+// timer is one wake-up on a timerHeap, due at cycle at. key orders timers
+// due at the same cycle: the host of a generation wake-up (the NIC's next
+// message is due at the ceil of its fractional nextGen, so it sleeps until
+// then instead of ticking every cycle), or the message sequence number of
+// a retry timer, whose message m is.
+type timer struct {
+	at  int64
+	key int64
+	m   *msgState
 }
 
-// genHeap is a binary min-heap ordered by (at, host): deterministic pop
-// order regardless of how NICs went to sleep. Pops only set bits in nicSet,
-// which commutes, but the fixed order keeps the structure auditable.
-type genHeap []genTimer
+// timerHeap is a binary min-heap ordered by (at, key): the pop order is
+// deterministic regardless of insertion order. It serves the generation
+// wake-ups (genTimers, parkTimers) and the fault engine's retry timers.
+type timerHeap []timer
 
-func (h genHeap) less(i, j int) bool {
+func (h timerHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
-	return h[i].host < h[j].host
+	return h[i].key < h[j].key
 }
 
-func (h *genHeap) push(t genTimer) {
+func (h *timerHeap) push(t timer) {
 	*h = append(*h, t)
 	i := len(*h) - 1
 	for i > 0 {
@@ -135,11 +138,14 @@ func (h *genHeap) push(t genTimer) {
 	}
 }
 
-func (h *genHeap) pop() genTimer {
+// pop removes the earliest timer, zeroing the vacated slot so the heap
+// holds no stale message pointers.
+func (h *timerHeap) pop() timer {
 	old := *h
 	top := old[0]
 	n := len(old) - 1
 	old[0] = old[n]
+	old[n] = timer{}
 	*h = old[:n]
 	i := 0
 	for {
@@ -186,7 +192,7 @@ func (s *Sim) armGen(n *nic) {
 	if n.genArmed || n.stopGen || math.IsInf(s.genIntervalCycles, 1) {
 		return
 	}
-	s.genTimers.push(genTimer{at: int64(math.Ceil(n.nextGen)), host: n.host})
+	s.genTimers.push(timer{at: int64(math.Ceil(n.nextGen)), key: int64(n.host)})
 	n.genArmed = true
 }
 
@@ -227,7 +233,7 @@ func (s *Sim) parkNIC(n *nic) {
 	n.parkedAt = s.now + 1
 	n.parkedFull = gen && !room
 	if gen && room && !n.genArmed {
-		s.parkTimers.push(genTimer{at: int64(math.Ceil(n.nextGen)), host: n.host})
+		s.parkTimers.push(timer{at: int64(math.Ceil(n.nextGen)), key: int64(n.host)})
 	}
 }
 
@@ -369,13 +375,13 @@ func (s *Sim) stepActive() {
 	// tick the active ones. A parkTimers entry whose NIC has woken since is
 	// stale and dropped.
 	for len(s.genTimers) > 0 && s.genTimers[0].at <= s.now {
-		t := s.genTimers.pop()
-		s.nics[t.host].genArmed = false
-		s.wakeNIC(t.host)
+		h := int(s.genTimers.pop().key)
+		s.nics[h].genArmed = false
+		s.wakeNIC(h)
 	}
 	for len(s.parkTimers) > 0 && s.parkTimers[0].at <= s.now {
-		if t := s.parkTimers.pop(); s.parkedNICs.has(t.host) {
-			s.unparkNIC(&s.nics[t.host], s.now-1)
+		if h := int(s.parkTimers.pop().key); s.parkedNICs.has(h) {
+			s.unparkNIC(&s.nics[h], s.now-1)
 		}
 	}
 	for w, word := range s.nicSet.words {

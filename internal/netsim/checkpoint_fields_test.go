@@ -27,17 +27,17 @@ var checkpointedTypes = []interface{}{
 	bufferSeg{},
 	signalInFlight{},
 	inPort{},
+	inLane{},
 	outPort{},
+	outLane{},
 	swtch{},
 	nic{},
 	injection{},
 	reinjState{},
 	packet{},
 	msgState{},
-	retryTimer{},
-	vcIn{},
+	timer{},
 	vcRx{},
-	genTimer{},
 	bitset{},
 	faultEngine{},
 	RNG{},

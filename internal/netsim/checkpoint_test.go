@@ -508,3 +508,53 @@ func TestResumeManualStepping(t *testing.T) {
 		t.Errorf("manual-stepping resume diverges:\nwant: %+v\ngot:  %+v", want, got)
 	}
 }
+
+// TestDrainCheckpoints pins the periodic checkpoint under RunUntilDrained:
+// a drain hands the sink a snapshot every CheckpointEvery cycles, as
+// RunContext does, and each snapshot restored and drained again gives the
+// uninterrupted drain's Result.
+func TestDrainCheckpoints(t *testing.T) {
+	net := makeNet(t, 4, 4, 2)
+	for _, sch := range []routes.Scheme{routes.UpDown, routes.ITBRR} {
+		t.Run(sch.String(), func(t *testing.T) {
+			cfg := baseConfig(net, makeTable(t, net, sch))
+			cfg.Load = 0 // Enqueue-driven
+			cfg.CheckpointEvery = 100
+			var snaps [][]byte
+			cfg.CheckpointSink = func(_ int64, snap []byte) error {
+				snaps = append(snaps, snap)
+				return nil
+			}
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 10; i++ {
+				if _, err := s.Enqueue(i, i+10, 256); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := s.RunUntilDrained()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(snaps) == 0 {
+				t.Fatalf("a drain of %d cycles handed the sink no snapshot", want.Cycles)
+			}
+			cfg.CheckpointSink = func(int64, []byte) error { return nil }
+			for i, snap := range snaps {
+				r, err := Restore(cfg, snap)
+				if err != nil {
+					t.Fatalf("snapshot %d: %v", i, err)
+				}
+				got, err := r.RunUntilDrained()
+				if err != nil {
+					t.Fatalf("snapshot %d: %v", i, err)
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Errorf("snapshot %d: restored drain diverges:\nwant: %+v\ngot:  %+v", i, want, got)
+				}
+			}
+		})
+	}
+}

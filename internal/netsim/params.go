@@ -90,18 +90,12 @@ type Params struct {
 	// avoids them.
 	SourceBubblePeriod int
 
-	// VCs switches the flow-control model from stop & go to virtual
-	// channels: every link is multiplexed into VCs lanes, each backed by a
-	// private VCBufFlits input buffer governed by credit-based flow
-	// control. 0 (the default) keeps the paper's stop & go model. When a
-	// VC-scheme routing table is in use the simulator fills this from
-	// Table.NumVCs automatically; setting it explicitly must at least
-	// cover the table. See docs/VC.md.
-	VCs int
 	// VCBufFlits is the per-VC input buffer (and so the credit count) of
-	// every link in VC mode; 0 means DefaultVCBufFlits. Full link
-	// throughput on one lane needs at least the credit round-trip,
-	// 2*LinkFlightCycles + 2 flits.
+	// every link under virtual-channel flow control, which a routing table
+	// with NumVCs > 0 selects, one lane per virtual channel (see
+	// docs/VC.md); 0 means DefaultVCBufFlits, and stop & go ignores it.
+	// Full link throughput on one lane needs at least the credit
+	// round-trip, 2*LinkFlightCycles + 2 flits.
 	VCBufFlits int
 
 	// WatchdogCycles aborts the run if no flit moves for this long while
@@ -229,14 +223,8 @@ func (p Params) Validate() error {
 	if p.SourceBubblePeriod < 0 {
 		return fmt.Errorf("netsim: source bubble period must be >= 0")
 	}
-	if p.VCs < 0 || p.VCs > 8 {
-		return fmt.Errorf("netsim: VCs must be in [0, 8], got %d", p.VCs)
-	}
 	if p.VCBufFlits < 0 {
 		return fmt.Errorf("netsim: VCBufFlits must be >= 0")
-	}
-	if p.VCs > 0 && p.VCBufFlits > 0 && p.VCBufFlits < 2 {
-		return fmt.Errorf("netsim: VCBufFlits %d cannot hold a header flit and make progress", p.VCBufFlits)
 	}
 	if p.WatchdogCycles < 1000 {
 		return fmt.Errorf("netsim: watchdog below 1000 cycles would misfire")

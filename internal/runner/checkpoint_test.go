@@ -257,7 +257,6 @@ func TestVCWithFaultsRejected(t *testing.T) {
 		field string
 	}{
 		{"scheme list", func(s *Spec) { s.Schemes = []routes.Scheme{routes.UpDown, routes.VC} }, "Schemes"},
-		{"params", func(s *Spec) { s.Params.VCs = 2 }, "Params.VCs"},
 		{"prebuilt table", func(s *Spec) {
 			s.Schemes = nil
 			s.Patterns = nil

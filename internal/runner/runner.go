@@ -232,10 +232,6 @@ func (s Spec) normalized() (Spec, []Job, error) {
 		// so reject the combination up front — before any table is built
 		// or any sibling curve has run — naming the field that asked for
 		// virtual channels.
-		if s.Params.VCs > 0 {
-			return s, nil, &topology.ConfigError{Field: "Params.VCs", Value: s.Params.VCs,
-				Reason: "virtual-channel flow control excludes Faults; drop the fault plan or the virtual channels"}
-		}
 		if s.Table != nil && s.Table.NumVCs > 0 {
 			return s, nil, &topology.ConfigError{Field: "Table", Value: s.Table.Scheme.String(),
 				Reason: "a virtual-channel routing table excludes Faults; drop the fault plan or use a non-VC table"}

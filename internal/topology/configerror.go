@@ -9,7 +9,7 @@ import "fmt"
 // distinguish bad parameters from construction failures.
 type ConfigError struct {
 	// Field names the rejected configuration field or parameter group,
-	// e.g. "rows/cols" or "Params.VCs".
+	// e.g. "rows/cols" or "Table".
 	Field string
 	// Value is the rejected value, rendered with %v in the message.
 	Value any
