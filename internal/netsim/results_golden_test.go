@@ -371,6 +371,28 @@ func goldenResults(t *testing.T) []byte {
 		runCase(name, mk, creditStalls)
 		snapshots(name, 10_000, mk)
 	}
+
+	// Windows and snapshots off every power of two: metrics samples,
+	// checkpoints and the opening of the measurement window land at every
+	// offset of a stop & go output's one-flight streaming run. The paper
+	// fabric at ITB-RR's knee is where outputs stream longest.
+	oddWindows := func(t *testing.T) Config {
+		return regimeConfig(t, func(c *Config) { c.Metrics = &metrics.Config{WindowCycles: 1001} })
+	}
+	runCase("torus-4x4/ITB-RR/odd-windows", oddWindows)
+	snapshots("torus-4x4/ITB-RR/odd-windows", 1001, oddWindows)
+	knee := func(t *testing.T) Config {
+		net := makeNet(t, 8, 8, 8)
+		cfg := baseConfig(net, makeTable(t, net, routes.ITBRR))
+		cfg.Load = 0.024
+		cfg.WarmupMessages = 100
+		cfg.MeasureMessages = 300
+		cfg.CollectLinkUtil = true
+		cfg.Metrics = &metrics.Config{WindowCycles: 1001}
+		return cfg
+	}
+	runCase("torus-8x8-h8/ITB-RR/knee", knee)
+	snapshots("torus-8x8-h8/ITB-RR/knee", 2003, knee)
 	return b.Bytes()
 }
 
