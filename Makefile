@@ -45,11 +45,11 @@ test:
 # stranded-work property scan, the dense-scan equivalence goldens (stop &
 # go and, through the same switch pipeline, credits), the shared-table
 # round-robin isolation, the results golden (every scheme x topology x
-# faults x step loop pinned bit for bit), and random parameter sets under
-# both step loops.
+# faults x step loop pinned bit for bit), random parameter sets under
+# both step loops, and the deadlock watchdog's report under both loops.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=1 -run 'ActiveSetNeverStrandsWork|ActiveSetMatchesDense|VCLoopEquivalence|SharedTableConcurrentRuns|ResultGolden|ConservationUnderRandomParams' ./internal/netsim/
+	$(GO) test -race -count=1 -run 'ActiveSetNeverStrandsWork|ActiveSetMatchesDense|VCLoopEquivalence|SharedTableConcurrentRuns|ResultGolden|ConservationUnderRandomParams|DeadlockWatchdogFires' ./internal/netsim/
 
 # The parallel-correctness core: byte-identical results across worker
 # counts, single-flight table builds, and cancellation — all under -race.

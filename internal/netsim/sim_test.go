@@ -237,10 +237,13 @@ func TestStopGoNeverOverflows(t *testing.T) {
 	}
 }
 
+// TestDeadlockWatchdogFires hand-builds a cyclic route set on a 4-switch
+// ring: each host sends two hops clockwise, so four long messages hold
+// each other's links in a cycle. The watchdog must detect the deadlock,
+// and both step loops must report it at the same cycle with the same
+// stall dump: progress the active-set loop counts late must still count
+// at the cycle it happened.
 func TestDeadlockWatchdogFires(t *testing.T) {
-	// Hand-build a cyclic route set on a 4-switch ring: each host sends
-	// two hops clockwise, so four long messages hold each other's links
-	// in a cycle. The watchdog must detect the deadlock.
 	net, err := topology.NewFromEdges("ring4", 4,
 		[][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}}, 1, 4)
 	if err != nil {
@@ -266,41 +269,50 @@ func TestDeadlockWatchdogFires(t *testing.T) {
 			tab.Alts[sw][d] = []*routes.Route{{SrcSwitch: sw, DstSwitch: d, Segs: segs, Hops: len(segs[0].Channels)}}
 		}
 	}
-	cfg := Config{
-		Net:   net,
-		Table: tab,
-		Dest: func(src int, rng *RNG) int {
-			return (src + 2) % 4 // two hops clockwise, closing the cycle
-		},
-		Load:            1e-9, // no background generation
-		MessageBytes:    512,
-		Seed:            7,
-		WarmupMessages:  0,
-		MeasureMessages: 4,
-		MaxCycles:       5_000_000,
+	var reports []string
+	for _, loop := range stepLoops {
+		cfg := Config{
+			Net:   net,
+			Table: tab,
+			Dest: func(src int, rng *RNG) int {
+				return (src + 2) % 4 // two hops clockwise, closing the cycle
+			},
+			Load:            1e-9, // no background generation
+			MessageBytes:    512,
+			Seed:            7,
+			WarmupMessages:  0,
+			MeasureMessages: 4,
+			MaxCycles:       5_000_000,
+		}
+		cfg.Params = DefaultParams()
+		cfg.Params.WatchdogCycles = 20_000
+		loop.apply(&cfg)
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Inject all four packets at cycle 0: each immediately acquires its
+		// first ring channel and then waits for the channel its clockwise
+		// neighbour holds; the messages are far longer than the path
+		// buffering, so no tail ever releases a channel.
+		for src := 0; src < 4; src++ {
+			dst := (src + 2) % 4
+			r := tab.Alts[src][dst][0]
+			p := &packet{id: int64(src), srcHost: src, dstHost: dst, route: r, payload: 512}
+			p.wireFlits = 512 + headerFlits(r)
+			s.outstanding++
+			s.nics[src].sendQ = append(s.nics[src].sendQ, p)
+			s.wakeNIC(src)
+		}
+		_, err = s.Run()
+		if !errors.Is(err, ErrDeadlock) {
+			t.Fatalf("%s: expected ErrDeadlock, got %v", loop.name, err)
+		}
+		reports = append(reports, err.Error())
 	}
-	cfg.Params = DefaultParams()
-	cfg.Params.WatchdogCycles = 20_000
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Inject all four packets at cycle 0: each immediately acquires its
-	// first ring channel and then waits for the channel its clockwise
-	// neighbour holds; the messages are far longer than the path
-	// buffering, so no tail ever releases a channel.
-	for src := 0; src < 4; src++ {
-		dst := (src + 2) % 4
-		r := tab.Alts[src][dst][0]
-		p := &packet{id: int64(src), srcHost: src, dstHost: dst, route: r, payload: 512}
-		p.wireFlits = 512 + headerFlits(r)
-		s.outstanding++
-		s.nics[src].sendQ = append(s.nics[src].sendQ, p)
-		s.wakeNIC(src)
-	}
-	_, err = s.Run()
-	if !errors.Is(err, ErrDeadlock) {
-		t.Fatalf("expected ErrDeadlock, got %v", err)
+	if reports[0] != reports[1] {
+		t.Errorf("the step loops report the deadlock differently:\n%s: %s\n%s: %s",
+			stepLoops[0].name, reports[0], stepLoops[1].name, reports[1])
 	}
 }
 
