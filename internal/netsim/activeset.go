@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 )
@@ -167,9 +168,10 @@ func (h *timerHeap) pop() timer {
 }
 
 // wheelSlot is one cycle of the arrival wheel: the links a signal reaches
-// then, and the links a flit that acts reaches then.
+// then, the links a flit that acts reaches then, and the links whose
+// committed sender wakes then.
 type wheelSlot struct {
-	signals, flits bitset
+	signals, flits, wakes bitset
 }
 
 // scheduleSignal puts link lid on the arrival wheel for a signal arriving
@@ -257,7 +259,7 @@ func (s *Sim) unparkNIC(n *nic, through int64) {
 // waiting in its input, to sleep until the go signal; swtch.tickTransfer
 // calls it under the active-set loop.
 func (s *Sim) parkOut(sw *swtch, k int) {
-	sw.parkedOuts |= 1 << uint(k)
+	sw.sleepOuts |= 1 << uint(k)
 	s.outPorts[sw.outs[k]].parkedAt = s.now + 1
 }
 
@@ -265,19 +267,20 @@ func (s *Sim) parkOut(sw *swtch, k int) {
 // skipped measured cycle is stop & go idle time on its link. The caller
 // puts the switch back in the transfer set.
 func (s *Sim) unparkOut(sw *swtch, k int, through int64) {
-	sw.parkedOuts &^= 1 << uint(k)
+	sw.sleepOuts &^= 1 << uint(k)
 	op := &s.outPorts[sw.outs[k]]
 	s.links[op.link].idleStopped += s.measuredCycles(op.parkedAt, through)
 }
 
 // wakeSender wakes the component parked on link lid, whose go signal has
 // just arrived: the switch output that drives it, or the NIC of a host
-// up-link.
+// up-link. A committed output never waits on a stopped link: its
+// commitment ends before the first signal on the link arrives.
 func (s *Sim) wakeSender(lid int) {
 	if oi := s.outPortOfLink[lid]; oi >= 0 {
 		op := &s.outPorts[oi]
 		sw := &s.switches[op.sw]
-		if sw.parkedOuts&(1<<uint(op.localIdx)) != 0 {
+		if sw.sleepOuts&(1<<uint(op.localIdx)) != 0 {
 			s.unparkOut(sw, op.localIdx, s.now-1)
 			s.transferSet.add(op.sw)
 		}
@@ -286,11 +289,160 @@ func (s *Sim) wakeSender(lid int) {
 	}
 }
 
+// commitOut commits the departures that output k of sw, on stop & go link
+// l, makes in the rest of one flight after moving a flit of pkt from input
+// lane q at the current cycle. swtch.tickTransfer calls it under the
+// active-set loop when the input has sent no stop and its lane holds at
+// most StopThreshold flits, in flight and buffered.
+//
+// Nothing the output's per-cycle visits read can change before one flight
+// has passed: a signal sent on l from now on arrives a flight later, and
+// every flit that reaches the input by then is already on its cable, so
+// its occupancy stays at most the stop threshold (no stop, no go, no
+// overflow) and its head packet stays pkt. The commitment therefore takes
+// pkt's next flits up to cycle now+LinkFlightCycles-1, before the tail
+// flit and before the first signal already on l, each leaving at the later
+// of its arrival and one cycle after the previous departure. They go onto
+// l at once with their real arrival stamps (push eagerly) but stay in q
+// until settleOut removes them at their departure cycles (take lazily).
+// The output sleeps in sleepOuts until the wake the arrival wheel holds
+// for the cycle after its last departure.
+//
+//sim:hotpath
+func (s *Sim) commitOut(sw *swtch, k int, op *outPort, l *link, q *runQueue, pkt *packet) {
+	flight := int64(s.p.LinkFlightCycles)
+	limit := s.now + int64(min(s.p.LinkFlightCycles-1, runWindow-1))
+	if l.signals.n > 0 && l.signals.front().arrive <= limit {
+		limit = l.signals.front().arrive - 1
+	}
+	dst := &l.lanes[0]
+	t := s.now
+	var mask uint64
+scan:
+	for i := 0; i < q.runs.n; i++ {
+		r := q.runs.at(i)
+		if r.pkt != pkt {
+			break
+		}
+		for m := r.mask; m != 0; m &= m - 1 {
+			if r.tail && m&(m-1) == 0 {
+				break scan // the tail leaves on a visit, which disconnects
+			}
+			d := max(r.arrive+int64(trailingZeros(m)), t+1)
+			if d > limit {
+				break scan
+			}
+			t = d
+			mask |= 1 << uint(d-s.now)
+			if first := dst.push(pkt, false, d+flight); l.acts(s, dst, first) {
+				s.scheduleFlit(l.id, d+flight)
+			}
+		}
+	}
+	if mask == 0 {
+		return
+	}
+	op.commitAt, op.commitMask = s.now, mask
+	sw.sleepOuts |= 1 << uint(k)
+	s.wheel[(t+1)&s.wheelMask].wakes.add(l.id)
+}
+
+// settleOut carries out the departures committed output op makes through
+// cycle through: it takes their flits from the input lane, counts them as
+// the link's busy time and as progress, and wakes the output once the
+// commitment is spent.
+//
+//sim:hotpath
+func (s *Sim) settleOut(op *outPort, through int64) {
+	d := through - op.commitAt
+	if d <= 0 {
+		return
+	}
+	m := op.commitMask
+	if d < 63 {
+		m &= 2<<uint(d) - 1
+	}
+	if m == 0 {
+		return
+	}
+	op.commitMask &^= m
+	n := bits.OnesCount64(m)
+	q := s.inPorts[op.one[0].conn].one[0].buf
+	for i := 0; i < n; i++ {
+		if r := q.runs.front(); r.mask == 0 || r.arrive > through {
+			s.commitLost(op, through)
+		}
+		q.take()
+	}
+	s.progress += int64(n)
+	s.lateMoves += int64(n)
+	s.outFlits += int64(n)
+	if s.measuring {
+		s.links[op.link].busy += int64(n)
+	}
+	s.lastLateMove = max(s.lastLateMove, op.commitAt+int64(63-bits.LeadingZeros64(m)))
+	if op.commitMask == 0 {
+		s.switches[op.sw].sleepOuts &^= 1 << uint(op.localIdx)
+		s.transferSet.add(op.sw)
+	}
+}
+
+// commitLost fails the check that a committed flit has arrived in its input
+// lane by its departure, kept out of line so settleOut holds no allocation
+// site.
+//
+//go:noinline
+func (s *Sim) commitLost(op *outPort, through int64) {
+	panic(fmt.Sprintf("netsim: output on link %d committed a flit its input lane has not received by cycle %d", op.link, through))
+}
+
+// wakeOut is the arrival wheel's wake for the output that drives link lid,
+// due the cycle after its last committed departure: it settles the
+// commitment, which wakes the output. A wake left behind by a revoked
+// commitment finds nothing to settle.
+//
+//sim:hotpath
+func (s *Sim) wakeOut(lid int) {
+	if op := &s.outPorts[s.outPortOfLink[lid]]; op.commitMask != 0 {
+		s.settleOut(op, s.now-1)
+	}
+}
+
+// endCommit settles committed output op through cycle through, revokes the
+// departures after it, whose flits are the newest on its link's lane, and
+// wakes the output.
+func (s *Sim) endCommit(op *outPort, through int64) {
+	s.settleOut(op, through)
+	if op.commitMask == 0 {
+		return
+	}
+	s.links[op.link].lanes[0].unpush(bits.OnesCount64(op.commitMask))
+	op.commitMask = 0
+	s.switches[op.sw].sleepOuts &^= 1 << uint(op.localIdx)
+	s.transferSet.add(op.sw)
+}
+
+// settleCommits settles every committed output through cycle through,
+// leaving the rest of each commitment in place. It runs before code that
+// reads what a commitment defers: the opening of the measurement window,
+// metrics sampling and the deadlock watchdog.
+func (s *Sim) settleCommits(through int64) {
+	for i := range s.switches {
+		sw := &s.switches[i]
+		for m := sw.sleepOuts; m != 0; m &= m - 1 {
+			if op := &s.outPorts[sw.outs[bits.TrailingZeros32(m)]]; op.commitMask != 0 {
+				s.settleOut(op, through)
+			}
+		}
+	}
+}
+
 // settleParked settles every parked NIC and switch output through cycle
-// through and wakes it. It runs before any cycle-edge code that could change
-// what a parked component waits on or read what it counts: plan events, the
-// end-of-cycle kill and purge (through the current cycle, whose visits were
-// skipped too), Snapshot and finalize.
+// through and wakes it, and ends every commitment there (endCommit). It
+// runs before any cycle-edge code that could change what a sleeping
+// component waits on or read what it counts: plan events, the end-of-cycle
+// kill and purge (through the current cycle, whose visits were skipped
+// too), the stall dump, Snapshot and finalize.
 func (s *Sim) settleParked(through int64) {
 	for w, word := range s.parkedNICs.words {
 		for word != 0 {
@@ -301,11 +453,16 @@ func (s *Sim) settleParked(through int64) {
 	}
 	for i := range s.switches {
 		sw := &s.switches[i]
-		if sw.parkedOuts == 0 {
+		if sw.sleepOuts == 0 {
 			continue
 		}
-		for m := sw.parkedOuts; m != 0; m &= m - 1 {
-			s.unparkOut(sw, bits.TrailingZeros32(m), through)
+		for m := sw.sleepOuts; m != 0; m &= m - 1 {
+			k := bits.TrailingZeros32(m)
+			if op := &s.outPorts[sw.outs[k]]; op.commitMask != 0 {
+				s.endCommit(op, through)
+			} else {
+				s.unparkOut(sw, k, through)
+			}
 		}
 		s.transferSet.add(i)
 	}
@@ -337,20 +494,24 @@ func (s *Sim) nicNeedsTick(n *nic) bool {
 //
 //sim:hotpath
 func (s *Sim) stepActive() {
-	// 1. Links on this cycle's wheel slot deliver their signals, then the
-	// flit that acts; pushes during the walk land on later slots.
+	// 1. Links on this cycle's wheel slot wake their committed sender, then
+	// deliver their signals and the flit that acts; pushes during the walk
+	// land on later slots.
 	s.seen = s.now
 	slot := &s.wheel[s.now&s.wheelMask]
 	for w, sg := range slot.signals.words {
-		fl := slot.flits.words[w]
-		if sg|fl == 0 {
+		fl, wk := slot.flits.words[w], slot.wakes.words[w]
+		if sg|fl|wk == 0 {
 			continue
 		}
-		slot.signals.words[w], slot.flits.words[w] = 0, 0
-		for word := sg | fl; word != 0; word &= word - 1 {
+		slot.signals.words[w], slot.flits.words[w], slot.wakes.words[w] = 0, 0, 0
+		for word := sg | fl | wk; word != 0; word &= word - 1 {
 			i := w<<6 + trailingZeros(word)
 			bit := uint64(1) << uint(i&63)
 			l := &s.links[i]
+			if wk&bit != 0 {
+				s.wakeOut(i)
+			}
 			if sg&bit != 0 {
 				l.deliverSignals(s)
 			}
@@ -399,7 +560,7 @@ func (s *Sim) stepActive() {
 			word &= word - 1
 			sw := &s.switches[i]
 			sw.tickTransfer(s)
-			if sw.connOuts&^sw.parkedOuts == 0 {
+			if sw.connOuts&^sw.sleepOuts == 0 {
 				s.transferSet.remove(i)
 			}
 		}

@@ -145,17 +145,26 @@ func checkActiveCover(t *testing.T, s *Sim, cycle int64) {
 			t.Fatalf("cycle %d: switch %d has setups %b and requests %b but is not in the routing set",
 				cycle, i, setup, req)
 		}
-		if awake := conn &^ sw.parkedOuts; awake != 0 && !s.transferSet.has(i) {
-			t.Fatalf("cycle %d: switch %d has unparked connections %b but is not in the transfer set",
+		if awake := conn &^ sw.sleepOuts; awake != 0 && !s.transferSet.has(i) {
+			t.Fatalf("cycle %d: switch %d has awake connections %b but is not in the transfer set",
 				cycle, i, awake)
 		}
-		if sw.parkedOuts&^conn != 0 {
-			t.Fatalf("cycle %d: switch %d parks outputs %b that are not connected (connections %b)",
-				cycle, i, sw.parkedOuts, conn)
+		if sw.sleepOuts&^conn != 0 {
+			t.Fatalf("cycle %d: switch %d puts outputs %b to sleep that are not connected (connections %b)",
+				cycle, i, sw.sleepOuts, conn)
 		}
-		for m := sw.parkedOuts; m != 0; m &= m - 1 {
+		for k, oi := range sw.outs {
+			if s.outPorts[oi].commitMask != 0 && sw.sleepOuts&(1<<uint(k)) == 0 {
+				t.Fatalf("cycle %d: switch %d output %d holds a commitment but is on the transfer walk", cycle, i, k)
+			}
+		}
+		for m := sw.sleepOuts; m != 0; m &= m - 1 {
 			k := bits.TrailingZeros32(m)
 			op := &s.outPorts[sw.outs[k]]
+			if op.commitMask != 0 {
+				checkCommit(t, s, cycle, op)
+				continue
+			}
 			if !s.links[op.link].stopped || op.nconn != 1 || len(op.lanes()) != 1 ||
 				s.inPorts[op.one[0].conn].one[0].buf.occ(s.seen) == 0 {
 				t.Fatalf("cycle %d: switch %d output %d is parked but its link is not stopped or its input is empty",
@@ -221,12 +230,101 @@ func checkActiveCover(t *testing.T, s *Sim, cycle int64) {
 	}
 }
 
+// checkCommit is checkActiveCover's scan of a committed output. Its
+// departures lie within one flight of the visit that committed them, and
+// its wake sits on the wheel slot after the last one. The flits of the
+// departures it has not settled are still the first of its input lane's
+// head packet, not its tail, and each has arrived by its departure; the
+// input has sent no stop. They are also the newest flits on the output's
+// link, each stamped at its departure plus the flight.
+func checkCommit(t *testing.T, s *Sim, cycle int64, op *outPort) {
+	t.Helper()
+	l := &s.links[op.link]
+	flight := int64(s.p.LinkFlightCycles)
+	var deps []int64
+	for m := op.commitMask; m != 0; m &= m - 1 {
+		deps = append(deps, op.commitAt+int64(bits.TrailingZeros64(m)))
+	}
+	end := deps[len(deps)-1]
+	if l.credits != nil || l.stopped || deps[0] <= op.commitAt || end >= op.commitAt+flight || end < s.now-1 {
+		t.Fatalf("cycle %d: link %d's output commits departures %v at cycle %d on a stopped or credit link, or outside (%d, %d) with the wake before cycle %d",
+			cycle, op.link, deps, op.commitAt, op.commitAt, op.commitAt+flight, s.now)
+	}
+	if !s.wheel[(end+1)&s.wheelMask].wakes.has(op.link) {
+		t.Fatalf("cycle %d: link %d's committed output is not on the wake slot of cycle %d", cycle, op.link, end+1)
+	}
+	ip := &s.inPorts[op.one[0].conn]
+	if ip.lastSignalStop {
+		t.Fatalf("cycle %d: link %d's output is committed but its input on link %d has sent a stop", cycle, op.link, ip.link)
+	}
+	q := ip.one[0].buf
+	var pkt *packet
+	j := 0
+	for k := 0; k < q.runs.n && j < len(deps); k++ {
+		r := q.runs.at(k)
+		if pkt == nil {
+			pkt = r.pkt
+		}
+		if r.pkt != pkt || r.stale {
+			break
+		}
+		for m := r.mask; m != 0 && j < len(deps); m &= m - 1 {
+			at := r.arrive + int64(bits.TrailingZeros64(m))
+			if at > deps[j] || (r.tail && m&(m-1) == 0) {
+				t.Fatalf("cycle %d: link %d's output commits a departure at cycle %d of a flit arriving at %d (tail %v)",
+					cycle, op.link, deps[j], at, r.tail && m&(m-1) == 0)
+			}
+			j++
+		}
+	}
+	if j < len(deps) {
+		t.Fatalf("cycle %d: link %d's output commits %d departures, its input lane holds %d flits of its head packet",
+			cycle, op.link, len(deps), j)
+	}
+	var stamps []int64
+	q = &l.lanes[0]
+	for k := 0; k < q.runs.n; k++ {
+		r := q.runs.at(k)
+		for m := r.mask; m != 0; m &= m - 1 {
+			stamps = append(stamps, r.arrive+int64(bits.TrailingZeros64(m)))
+		}
+	}
+	if len(stamps) < len(deps) {
+		t.Fatalf("cycle %d: link %d carries %d flits, fewer than its output's %d committed", cycle, op.link, len(stamps), len(deps))
+	}
+	newest := stamps[len(stamps)-len(deps):]
+	for j, d := range deps {
+		if newest[j] != d+flight {
+			t.Fatalf("cycle %d: link %d's newest flits arrive at %v, its output commits departures %v", cycle, op.link, newest, deps)
+		}
+	}
+}
+
+// undeparted counts the flits on link i that a committed output has pushed
+// ahead of their departures at or after the current cycle.
+func undeparted(s *Sim, i int) int {
+	oi := s.outPortOfLink[i]
+	if oi < 0 {
+		return 0
+	}
+	op := &s.outPorts[oi]
+	n := 0
+	for m := op.commitMask; m != 0; m &= m - 1 {
+		if op.commitAt+int64(bits.TrailingZeros64(m)) >= s.now {
+			n++
+		}
+	}
+	return n
+}
+
 // checkCable is checkActiveCover's scan of link i. An arrival acts when
 // it reaches a NIC, is a signal, or brings a live flit to a switch input
 // lane that is its packet's first there or could lift the lane's buffer
 // over the stop threshold (the VC buffer depth, in VC mode) — counted as
 // every live flit that has arrived by then, as if none left before. Every
-// arrival that acts must sit on the wheel slot of its cycle.
+// arrival that acts must sit on the wheel slot of its cycle. The flits of
+// departures committed from the current cycle on (checkCommit) arrive up
+// to a flight later than the rest.
 func checkCable(t *testing.T, s *Sim, cycle int64, i int) {
 	t.Helper()
 	l := &s.links[i]
@@ -287,10 +385,11 @@ func checkCable(t *testing.T, s *Sim, cycle int64, i int) {
 		}
 	}
 	slices.Sort(stamps)
+	ahead := len(stamps) - undeparted(s, i)
 	for j, at := range stamps {
-		if at < s.now || at >= s.now+flight || (j > 0 && at == stamps[j-1]) {
-			t.Fatalf("cycle %d: link %d has flits in flight arriving at %v, not distinct cycles in [%d, %d)",
-				cycle, i, stamps, s.now, s.now+flight)
+		if (j < ahead && at >= s.now+flight) || at < s.now || (j > 0 && at == stamps[j-1]) {
+			t.Fatalf("cycle %d: link %d has flits in flight arriving at %v, not distinct cycles in [%d, %d) but for %d committed",
+				cycle, i, stamps, s.now, s.now+flight, len(stamps)-ahead)
 		}
 	}
 }

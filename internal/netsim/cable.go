@@ -294,6 +294,31 @@ func (q *runQueue) purgeDead(seen int64) {
 	q.runs.n = kept
 }
 
+// unpush removes the n newest flits of the lane, a revoked commitment's
+// (see Sim.endCommit), which are all still in flight. A run they empty is
+// dropped, unless it is open: the packet then keeps the buffer head as an
+// empty placeholder.
+func (q *runQueue) unpush(n int) {
+	q.n -= n
+	for n > 0 {
+		r := q.runs.at(q.runs.n - 1)
+		if c := r.count(); c > n {
+			for ; n > 0; n-- {
+				r.mask &^= 1 << uint(63-bits.LeadingZeros64(r.mask))
+			}
+			return
+		} else {
+			n -= c
+		}
+		if r.open {
+			r.mask = 0
+			return
+		}
+		*r = flitRun{}
+		q.runs.n--
+	}
+}
+
 // dropInFlight discards every flit still in flight at cycle seen: a failed
 // cable loses what it carries, whose packets the caller has killed.
 func (q *runQueue) dropInFlight(seen int64) {

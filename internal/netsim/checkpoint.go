@@ -1146,11 +1146,16 @@ var checkpointExempt = map[string][]string{
 	// wheel are re-derived from component state, and seen is now-1 at every
 	// cycle boundary; the dead-route list is empty at every cycle boundary;
 	// the packet arena is an allocator, not state.
-	// Parking state (parkedNICs, parkTimers and the per-component parking
-	// fields below) is settled and emptied before every walk.
+	// Parking and commitment state (parkedNICs, parkTimers and the
+	// per-component fields below) is settled and emptied before every walk,
+	// so a restored run starts with nothing parked or committed.
+	// lateMoves and lastLateMove only offset the watchdog, which a resumed
+	// run starts afresh; the work counters are benchmark instrumentation
+	// outside the Result.
 	"netsim.Sim": {"cfg", "p", "net", "outPortOfLink", "seen", "wheel", "wheelMask",
 		"actLimit", "routingSet", "transferSet", "nicSet", "parkedNICs", "parkTimers",
-		"dense", "deadRouteReqs", "pktChunk", "pktUsed", "numChannels", "numHosts",
+		"dense", "commits", "lateMoves", "lastLateMove", "outVisits", "outFlits",
+		"deadRouteReqs", "pktChunk", "pktUsed", "numChannels", "numHosts",
 		"vcMode", "numVCs", "laneFlits", "genIntervalCycles"},
 	// The flit count follows from the runs, which store only holds. An open
 	// head comes back as an empty buffer segment and stale runs as flits of
@@ -1161,8 +1166,8 @@ var checkpointExempt = map[string][]string{
 	// switch port masks from the output ports' states.
 	"netsim.link":    {"id", "recvPort", "recvNIC", "down"},
 	"netsim.inPort":  {"sw", "link", "localIdx"},
-	"netsim.outPort": {"sw", "link", "localIdx", "parkedAt"},
-	"netsim.swtch":   {"id", "ins", "outs", "setupOuts", "connOuts", "fullOuts", "reqOuts", "parkedOuts"},
+	"netsim.outPort": {"sw", "link", "localIdx", "parkedAt", "commitAt", "commitMask"},
+	"netsim.swtch":   {"id", "ins", "outs", "setupOuts", "connOuts", "fullOuts", "reqOuts", "sleepOuts"},
 	"netsim.nic":     {"host", "upLink", "parkedAt", "parkedFull"},
 	"netsim.bitset":  {"words"},
 	// plan/rec come from the configuration; set/down/pendingRc/nextWake are

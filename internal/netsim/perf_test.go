@@ -18,7 +18,9 @@ func benchTorusPoint(b *testing.B, hostsPerSwitch int, scheme routes.Scheme, loa
 }
 
 // benchTorus is benchTorusPoint under the traffic pattern dest builds for
-// the fabric's host count.
+// the fabric's host count. It reports the transfer stage's work as
+// visits/flit: switch-output transfer visits per flit a switch output
+// moved, which the active-set loop's committed runs keep well below 1.
 func benchTorus(b *testing.B, hostsPerSwitch int, scheme routes.Scheme, load float64, dense bool, dest func(numHosts int) DestFn) {
 	b.Helper()
 	net, err := topology.NewTorus(8, 8, hostsPerSwitch, 16)
@@ -29,9 +31,10 @@ func benchTorus(b *testing.B, hostsPerSwitch int, scheme routes.Scheme, load flo
 	if err != nil {
 		b.Fatal(err)
 	}
+	var visits, flits int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg := Config{
+		s, err := New(Config{
 			Net:             net,
 			Table:           tab.Clone(),
 			Dest:            dest(net.NumHosts()),
@@ -42,10 +45,18 @@ func benchTorus(b *testing.B, hostsPerSwitch int, scheme routes.Scheme, load flo
 			MeasureMessages: 500,
 			MaxCycles:       10_000_000,
 			denseStep:       dense,
-		}
-		if _, err := Run(cfg); err != nil {
+		})
+		if err != nil {
 			b.Fatal(err)
 		}
+		if _, err := s.Run(); err != nil {
+			b.Fatal(err)
+		}
+		visits += s.outVisits
+		flits += s.outFlits
+	}
+	if flits > 0 {
+		b.ReportMetric(float64(visits)/float64(flits), "visits/flit")
 	}
 }
 

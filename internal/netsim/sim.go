@@ -202,7 +202,9 @@ type Sim struct {
 	// on a stopped up-link and parkTimers the generation wake-ups of those
 	// not armed on genTimers; a checkpoint leaves both out (they are settled
 	// before its walk). actLimit is the lane occupancy above which every
-	// flit arrival at a switch input acts (see link.acts).
+	// flit arrival at a switch input acts (see link.acts). commits is set
+	// when streaming stop & go outputs commit runs of departures (the
+	// active-set loop under stop & go; see commitOut).
 	wheel       []wheelSlot
 	wheelMask   int64
 	actLimit    int
@@ -213,6 +215,20 @@ type Sim struct {
 	parkedNICs  bitset
 	parkTimers  timerHeap
 	dense       bool
+	commits     bool
+
+	// lateMoves counts the flit moves settled after their departure cycle
+	// (committed runs), which the progress counter includes; the watchdog
+	// subtracts them and takes lastLateMove, the latest departure cycle
+	// settled so, as progress at that cycle instead.
+	lateMoves    int64
+	lastLateMove int64
+
+	// Work counters of the transfer stage: switch-output visits, and flits
+	// switch outputs moved. Deterministic for a seed; the point benchmarks
+	// report their ratio, and Result leaves them out.
+	outVisits int64
+	outFlits  int64
 
 	// deadRouteReqs lists the input ports whose head packet requested a
 	// dead output this cycle; endCycle kills those packets.
@@ -524,12 +540,15 @@ func (s *Sim) build() {
 	// Active sets start with every NIC awake (each either generates on its
 	// first due cycle or arms itself on the generation heap after one
 	// no-op tick); links and switches wake on their first work. The arrival
-	// wheel has a slot for every cycle of a flight and one more, so a push
-	// never lands in the slot being walked.
+	// wheel has a slot for every cycle of two flights, so a committed
+	// flit, which arrives up to 2*LinkFlightCycles-1 cycles ahead, never
+	// lands in the slot being walked.
 	s.seen = -1
-	s.wheel = make([]wheelSlot, ringSize(s.p.LinkFlightCycles+1))
+	s.lastLateMove = -1
+	s.commits = !s.dense && !s.vcMode
+	s.wheel = make([]wheelSlot, ringSize(2*s.p.LinkFlightCycles))
 	for i := range s.wheel {
-		s.wheel[i] = wheelSlot{signals: newBitset(total), flits: newBitset(total)}
+		s.wheel[i] = wheelSlot{signals: newBitset(total), flits: newBitset(total), wakes: newBitset(total)}
 	}
 	s.wheelMask = int64(len(s.wheel) - 1)
 	s.actLimit, s.laneFlits = s.p.StopThreshold, s.p.SlackBufferFlits
@@ -675,6 +694,7 @@ func (s *Sim) stepDense() {
 	s.seen = s.now
 	clear(s.wheel[s.now&s.wheelMask].signals.words)
 	clear(s.wheel[s.now&s.wheelMask].flits.words)
+	clear(s.wheel[s.now&s.wheelMask].wakes.words)
 	for i := range s.links {
 		l := &s.links[i]
 		if !l.idle(s) {
@@ -744,6 +764,7 @@ func (s *Sim) endCycle() {
 // channels per switch (express tori) or irregular wiring (CPLANT);
 // TestLinkSeriesChannelAlignment pins the alignment there.
 func (s *Sim) sampleMetrics() {
+	s.settleCommits(s.now - 1)
 	for c := 0; c < s.numChannels; c++ {
 		s.mx.SampleLink(c, s.links[c].busy)
 	}
@@ -836,6 +857,9 @@ func (s *Sim) run(ctx context.Context, drain bool) (*Result, error) {
 
 	for {
 		if !s.measuring && (drain || s.deliveredTotal >= int64(s.cfg.WarmupMessages)) {
+			// Departures committed before the window opens are not
+			// measured.
+			s.settleCommits(s.now - 1)
 			s.measuring = true
 			s.measureStart = s.now
 			if s.mx != nil {
@@ -865,11 +889,16 @@ func (s *Sim) run(ctx context.Context, drain bool) (*Result, error) {
 			default:
 			}
 		}
-		if s.progress != lastProgress {
-			lastProgress = s.progress
+		if p := s.progress - s.lateMoves; p != lastProgress {
+			lastProgress = p
 			lastProgressAt = s.now
 		} else if s.outstanding > 0 && s.now-lastProgressAt > s.p.WatchdogCycles {
-			return nil, s.deadlockError()
+			// A committed flit is progress at its departure cycle.
+			s.settleCommits(s.now - 1)
+			lastProgressAt = max(lastProgressAt, s.lastLateMove+1)
+			if s.now-lastProgressAt > s.p.WatchdogCycles {
+				return nil, s.deadlockError()
+			}
 		}
 		s.step()
 		if s.cfg.CheckpointEvery > 0 && s.now%s.cfg.CheckpointEvery == 0 {

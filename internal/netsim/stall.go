@@ -163,5 +163,6 @@ func (s *Sim) stallDump(k int) *StallDump {
 
 // deadlockError wraps ErrDeadlock with the stalled-packet diagnostic.
 func (s *Sim) deadlockError() error {
+	s.settleParked(s.now - 1)
 	return fmt.Errorf("%w: %s", ErrDeadlock, s.stallDump(maxStalledReported))
 }

@@ -59,7 +59,9 @@ type inLane struct {
 // go and credits guarantee it, and the overflow panic is the conservation
 // check. The active-set loop calls arrive on every arrival that acts (see
 // link.acts), the dense loop on every arrival; on any other arrival it has
-// nothing to do.
+// nothing to do. Stage 1 runs before stage 4, so a committed output the
+// port streams through first settles its departures through the previous
+// cycle: the buffer then holds what the per-cycle visits would have left.
 //
 //sim:hotpath
 func (ip *inPort) arrive(s *Sim, v int, q *runQueue, r *flitRun) {
@@ -67,6 +69,9 @@ func (ip *inPort) arrive(s *Sim, v int, q *runQueue, r *flitRun) {
 		// Trailing flits of a killed packet drain into the void; the
 		// buffered part was removed when the packet was killed.
 		return
+	}
+	if c := ip.one[0].conn; c >= 0 && s.outPorts[c].commitMask != 0 {
+		s.settleOut(&s.outPorts[c], s.now-1)
 	}
 	headless := r.arrive == s.now && !r.open && q.head(s.now) == r
 	occ := 0
@@ -196,7 +201,14 @@ type outPort struct {
 	// granted, lane*len(ins) + input.
 	rr int
 
-	parkedAt int64 // first cycle a parked output (swtch.parkedOuts) skipped
+	parkedAt int64 // first cycle a parked output (swtch.sleepOuts) skipped
+
+	// commitMask holds the departures a streaming stop & go output has
+	// committed and not yet settled: bit i stands for one flit leaving at
+	// cycle commitAt+i (see commitOut). Non-zero only while the output
+	// sleeps in swtch.sleepOuts on a commitment.
+	commitAt   int64
+	commitMask uint64
 }
 
 // lanes returns the output's lanes.
@@ -277,11 +289,12 @@ type swtch struct {
 	fullOuts  uint32 // outputs with every lane connected: nothing to grant
 	reqOuts   uint32 // outputs with an ungranted request, on any lane
 
-	// parkedOuts is the subset of connOuts asleep on a stopped link with
-	// flits waiting in their input until the go signal (see activeset.go);
-	// the transfer walk skips them. Never set by the dense loop or under
-	// VC flow control.
-	parkedOuts uint32
+	// sleepOuts is the subset of connOuts off the transfer walk (see
+	// activeset.go): outputs parked on a stopped link with flits waiting in
+	// their input until the go signal, and outputs whose next departures
+	// are committed (commitMask non-zero) until their wake. Never set by
+	// the dense loop or under VC flow control.
+	sleepOuts uint32
 }
 
 // portCounts derives from the output ports' states the three counters a
@@ -414,14 +427,16 @@ func (sw *swtch) tickRouting(s *Sim) {
 // count as the link's stopped time (the paper's §4.7.1 statistic). On a
 // credit link the output's connected lanes take turns (nextSender); on a
 // stop & go link its one lane sends whenever its buffer has a flit at the
-// head.
+// head. Under the active-set loop a stop & go output that moved a flit may
+// commit its next departures and sleep (commitOut).
 //
 //sim:hotpath
 func (sw *swtch) tickTransfer(s *Sim) {
-	for m := sw.connOuts &^ sw.parkedOuts; m != 0; m &= m - 1 {
+	for m := sw.connOuts &^ sw.sleepOuts; m != 0; m &= m - 1 {
 		k := bits.TrailingZeros32(m)
 		op := &s.outPorts[sw.outs[k]]
 		l := &s.links[op.link]
+		s.outVisits++
 		if l.stopped {
 			// Only a stop & go link stops, and its output has one lane.
 			if s.inPorts[op.one[0].conn].one[0].buf.occ(s.seen) > 0 {
@@ -449,12 +464,15 @@ func (sw *swtch) tickTransfer(s *Sim) {
 		pkt := hs.pkt
 		last := in.buf.take()
 		l.pushFlit(s, pkt, last)
+		s.outFlits++
 		ip.consumed(s, v)
 		if last {
 			sw.disconnect(op, k, v, in)
 			if in.buf.head(s.seen) != nil {
 				ip.requestRouting(s, v)
 			}
+		} else if s.commits && !ip.lastSignalStop && in.buf.n <= s.p.StopThreshold {
+			s.commitOut(sw, k, op, l, in.buf, pkt)
 		}
 	}
 }
