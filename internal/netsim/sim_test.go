@@ -241,9 +241,34 @@ func TestStopGoNeverOverflows(t *testing.T) {
 // ring: each host sends two hops clockwise, so four long messages hold
 // each other's links in a cycle. The watchdog must detect the deadlock,
 // and both step loops must report it at the same cycle with the same
-// stall dump: progress the active-set loop counts late must still count
-// at the cycle it happened.
+// stall dump: flits the active-set loop moves in committed runs count as
+// progress at their departure cycles, not when they settle. Besides the
+// default parameters, a 5-cycle flight and a low stop threshold end the
+// run on such flits.
 func TestDeadlockWatchdogFires(t *testing.T) {
+	regimes := []struct {
+		name  string
+		apply func(*Params)
+	}{
+		{"default", func(*Params) {}},
+		{"flight5", func(p *Params) {
+			p.LinkFlightCycles = 5
+			p.SlackBufferFlits = p.StopThreshold + 2*p.LinkFlightCycles
+		}},
+		{"stop20", func(p *Params) {
+			p.StopThreshold, p.GoThreshold = 20, 4
+			p.SlackBufferFlits = p.StopThreshold + 2*p.LinkFlightCycles
+		}},
+	}
+	for _, rg := range regimes {
+		t.Run(rg.name, func(t *testing.T) { ringDeadlock(t, rg.apply) })
+	}
+}
+
+// ringDeadlock runs TestDeadlockWatchdogFires' ring under both step loops
+// with the default parameters changed by apply.
+func ringDeadlock(t *testing.T, apply func(*Params)) {
+	t.Helper()
 	net, err := topology.NewFromEdges("ring4", 4,
 		[][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}}, 1, 4)
 	if err != nil {
@@ -286,6 +311,7 @@ func TestDeadlockWatchdogFires(t *testing.T) {
 		}
 		cfg.Params = DefaultParams()
 		cfg.Params.WatchdogCycles = 20_000
+		apply(&cfg.Params)
 		loop.apply(&cfg)
 		s, err := New(cfg)
 		if err != nil {
