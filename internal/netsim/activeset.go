@@ -241,12 +241,23 @@ func (s *Sim) parkNIC(n *nic) {
 
 // unparkNIC settles a parked NIC through cycle through and puts it back in
 // the tick set. Each skipped measured cycle is one the NIC's transfer visit
-// would have counted as stop & go idle time on its up-link; with a full
-// queue, each one from its generation time on is also a backpressure stall.
+// would have counted as stop & go idle time on its up-link. A committed NIC
+// sleeps in the same set; it ends its commitment instead (endCommitNIC).
 func (s *Sim) unparkNIC(n *nic, through int64) {
+	if n.commitMask != 0 {
+		s.endCommitNIC(n, through)
+		return
+	}
+	s.links[n.upLink].idleStopped += s.measuredCycles(n.parkedAt, through)
+	s.wakeSleeper(n, through)
+}
+
+// wakeSleeper puts a parked or committed NIC back in the tick set. With a
+// full queue, each measured cycle it skipped from its generation time on
+// through cycle through is a backpressure stall.
+func (s *Sim) wakeSleeper(n *nic, through int64) {
 	s.parkedNICs.remove(n.host)
 	s.nicSet.add(n.host)
-	s.links[n.upLink].idleStopped += s.measuredCycles(n.parkedAt, through)
 	if n.parkedFull && s.mx != nil {
 		from := max(n.parkedAt, int64(math.Ceil(n.nextGen)))
 		if stalls := s.measuredCycles(from, through); stalls > 0 {
@@ -311,7 +322,7 @@ func (s *Sim) wakeSender(lid int) {
 //sim:hotpath
 func (s *Sim) commitOut(sw *swtch, k int, op *outPort, l *link, q *runQueue, pkt *packet) {
 	flight := int64(s.p.LinkFlightCycles)
-	limit := s.now + int64(min(s.p.LinkFlightCycles-1, runWindow-1))
+	limit := s.now + min(int64(s.p.LinkFlightCycles)-1, runWindow-1)
 	if l.signals.n > 0 && l.signals.front().arrive <= limit {
 		limit = l.signals.front().arrive - 1
 	}
@@ -396,16 +407,103 @@ func (s *Sim) commitLost(op *outPort, through int64) {
 	panic(fmt.Sprintf("netsim: output on link %d committed a flit its input lane has not received by cycle %d", op.link, through))
 }
 
-// wakeOut is the arrival wheel's wake for the output that drives link lid,
-// due the cycle after its last committed departure: it settles the
-// commitment, which wakes the output. A wake left behind by a revoked
-// commitment finds nothing to settle.
+// wakeCommit is the arrival wheel's wake for the sender of link lid, due
+// the cycle after its last committed departure: it settles the commitment
+// of the switch output or the NIC, which wakes it. A wake left behind by a
+// revoked commitment finds nothing to settle.
 //
 //sim:hotpath
-func (s *Sim) wakeOut(lid int) {
-	if op := &s.outPorts[s.outPortOfLink[lid]]; op.commitMask != 0 {
-		s.settleOut(op, s.now-1)
+func (s *Sim) wakeCommit(lid int) {
+	if oi := s.outPortOfLink[lid]; oi >= 0 {
+		if op := &s.outPorts[oi]; op.commitMask != 0 {
+			s.settleOut(op, s.now-1)
+		}
+	} else if n := &s.nics[lid-s.numChannels]; n.commitMask != 0 {
+		s.settleNIC(n, s.now-1)
 	}
+}
+
+// commitNIC is commitOut for a NIC streaming a source injection on stop &
+// go up-link l: nothing but a signal already on l can stop it within one
+// flight, and the whole packet is in NIC memory, so the next departures
+// follow one per cycle up to now+LinkFlightCycles-1, before the tail flit,
+// before the first signal on l and, with room in the source queue, before
+// the next message is due. The flits go onto l at once, the injection
+// counts them sent as they settle (settleNIC), and the NIC sleeps like a
+// parked one until the wake after its last departure; work handed to it
+// from outside ends the commitment (unparkNIC). nic.tickTransfer calls it
+// under the active-set loop with no DMA pending and no source bubbles.
+//
+//sim:hotpath
+func (s *Sim) commitNIC(n *nic, l *link) {
+	limit := s.now + min(int64(s.p.LinkFlightCycles)-1, runWindow-1)
+	if l.signals.n > 0 && l.signals.front().arrive <= limit {
+		limit = l.signals.front().arrive - 1
+	}
+	gen := !n.stopGen && !math.IsInf(s.genIntervalCycles, 1)
+	room := n.sendQLen() < s.p.SourceQueueCap
+	if gen && room {
+		limit = min(limit, int64(math.Ceil(n.nextGen))-1)
+	}
+	k := min(int(limit-s.now), n.cur.toSend-1-n.cur.sent)
+	if k <= 0 {
+		return
+	}
+	flight := int64(s.p.LinkFlightCycles)
+	q := &l.lanes[0]
+	for d := s.now + 1; d <= s.now+int64(k); d++ {
+		if first := q.push(n.cur.pkt, false, d+flight); l.acts(s, q, first) {
+			s.scheduleFlit(l.id, d+flight)
+		}
+	}
+	n.commitAt, n.commitMask = s.now, (2<<uint(k)-1)&^1
+	s.nicSet.remove(n.host)
+	s.parkedNICs.add(n.host)
+	n.parkedAt = s.now + 1
+	n.parkedFull = gen && !room
+	s.wheel[(s.now+int64(k)+1)&s.wheelMask].wakes.add(l.id)
+}
+
+// settleNIC is settleOut for a committed NIC: the departures through cycle
+// through count as sent, as busy time on its up-link and as progress, and
+// the NIC wakes once the commitment is spent.
+//
+//sim:hotpath
+func (s *Sim) settleNIC(n *nic, through int64) {
+	d := through - n.commitAt
+	if d <= 0 {
+		return
+	}
+	m := n.commitMask
+	if d < 63 {
+		m &= 2<<uint(d) - 1
+	}
+	if m == 0 {
+		return
+	}
+	n.commitMask &^= m
+	k := bits.OnesCount64(m)
+	n.cur.sent += k
+	s.progress += int64(k)
+	s.lateMoves += int64(k)
+	if s.measuring {
+		s.links[n.upLink].busy += int64(k)
+	}
+	s.lastLateMove = max(s.lastLateMove, n.commitAt+int64(63-bits.LeadingZeros64(m)))
+	if n.commitMask == 0 {
+		s.wakeSleeper(n, through)
+	}
+}
+
+// endCommitNIC is endCommit for a committed NIC.
+func (s *Sim) endCommitNIC(n *nic, through int64) {
+	s.settleNIC(n, through)
+	if n.commitMask == 0 {
+		return
+	}
+	s.links[n.upLink].lanes[0].unpush(bits.OnesCount64(n.commitMask))
+	n.commitMask = 0
+	s.wakeSleeper(n, through)
 }
 
 // endCommit settles committed output op through cycle through, revokes the
@@ -422,11 +520,20 @@ func (s *Sim) endCommit(op *outPort, through int64) {
 	s.transferSet.add(op.sw)
 }
 
-// settleCommits settles every committed output through cycle through,
-// leaving the rest of each commitment in place. It runs before code that
-// reads what a commitment defers: the opening of the measurement window,
-// metrics sampling and the deadlock watchdog.
+// settleCommits settles every committed output and NIC through cycle
+// through, leaving the rest of each commitment in place. It runs before
+// code that reads what a commitment defers: the opening of the measurement
+// window, metrics sampling and the deadlock watchdog.
 func (s *Sim) settleCommits(through int64) {
+	for w, word := range s.parkedNICs.words {
+		for word != 0 {
+			n := &s.nics[w<<6+trailingZeros(word)]
+			word &= word - 1
+			if n.commitMask != 0 {
+				s.settleNIC(n, through)
+			}
+		}
+	}
 	for i := range s.switches {
 		sw := &s.switches[i]
 		for m := sw.sleepOuts; m != 0; m &= m - 1 {
@@ -438,7 +545,8 @@ func (s *Sim) settleCommits(through int64) {
 }
 
 // settleParked settles every parked NIC and switch output through cycle
-// through and wakes it, and ends every commitment there (endCommit). It
+// through and wakes it, and ends every commitment there (endCommit,
+// endCommitNIC). It
 // runs before any cycle-edge code that could change what a sleeping
 // component waits on or read what it counts: plan events, the end-of-cycle
 // kill and purge (through the current cycle, whose visits were skipped
@@ -510,7 +618,7 @@ func (s *Sim) stepActive() {
 			bit := uint64(1) << uint(i&63)
 			l := &s.links[i]
 			if wk&bit != 0 {
-				s.wakeOut(i)
+				s.wakeCommit(i)
 			}
 			if sg&bit != 0 {
 				l.deliverSignals(s)

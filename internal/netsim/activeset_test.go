@@ -193,7 +193,15 @@ func checkActiveCover(t *testing.T, s *Sim, cycle int64) {
 		armed := n.genArmed && wakes(s.genTimers)
 		if s.parkedNICs.has(h) {
 			l := &s.links[n.upLink]
-			if !n.active || l.credits != nil || l.down || !l.stopped || len(n.pending) > 0 {
+			if n.commitMask != 0 {
+				checkCommitNIC(t, s, cycle, n)
+				wake := n.commitAt + int64(63-bits.LeadingZeros64(n.commitMask)) + 1
+				if gen && n.sendQLen() < s.p.SourceQueueCap && wake > due {
+					t.Fatalf("cycle %d: committed host %d has room in its queue and wakes at cycle %d, after its next message is due at %d",
+						cycle, h, wake, due)
+				}
+				continue
+			} else if !n.active || l.credits != nil || l.down || !l.stopped || len(n.pending) > 0 {
 				t.Fatalf("cycle %d: host %d is parked but not injecting on a live, stopped stop & go up-link with no DMA pending",
 					cycle, h)
 			}
@@ -300,17 +308,61 @@ func checkCommit(t *testing.T, s *Sim, cycle int64, op *outPort) {
 	}
 }
 
-// undeparted counts the flits on link i that a committed output has pushed
-// ahead of their departures at or after the current cycle.
-func undeparted(s *Sim, i int) int {
-	oi := s.outPortOfLink[i]
-	if oi < 0 {
-		return 0
+// checkCommitNIC is checkCommit for a committed NIC: it streams a source
+// injection with no DMA pending, its departures follow one per cycle
+// within one flight of the visit that committed them and stop before the
+// tail, its wake sits on the wheel slot after the last one, and their
+// flits are the newest on its up-link, stamped at departure plus flight.
+func checkCommitNIC(t *testing.T, s *Sim, cycle int64, n *nic) {
+	t.Helper()
+	l := &s.links[n.upLink]
+	flight := int64(s.p.LinkFlightCycles)
+	var deps []int64
+	for m := n.commitMask; m != 0; m &= m - 1 {
+		deps = append(deps, n.commitAt+int64(bits.TrailingZeros64(m)))
 	}
-	op := &s.outPorts[oi]
+	end := deps[len(deps)-1]
+	if !n.active || n.cur.reinj != nil || len(n.pending) > 0 || l.credits != nil || l.down || l.stopped ||
+		end >= n.commitAt+flight || end < s.now-1 || int(end-deps[0])+1 != len(deps) ||
+		n.cur.sent+len(deps) >= n.cur.toSend {
+		t.Fatalf("cycle %d: host %d commits departures %v at cycle %d, %d of %d flits sent, not a source injection's next flits before its tail within one flight on a live stop & go up-link",
+			cycle, n.host, deps, n.commitAt, n.cur.sent, n.cur.toSend)
+	}
+	if !s.wheel[(end+1)&s.wheelMask].wakes.has(n.upLink) {
+		t.Fatalf("cycle %d: committed host %d is not on the wake slot of cycle %d", cycle, n.host, end+1)
+	}
+	var stamps []int64
+	q := &l.lanes[0]
+	for k := 0; k < q.runs.n; k++ {
+		r := q.runs.at(k)
+		for m := r.mask; m != 0; m &= m - 1 {
+			stamps = append(stamps, r.arrive+int64(bits.TrailingZeros64(m)))
+		}
+	}
+	if len(stamps) < len(deps) {
+		t.Fatalf("cycle %d: host %d's up-link carries %d flits, fewer than its %d committed", cycle, n.host, len(stamps), len(deps))
+	}
+	newest := stamps[len(stamps)-len(deps):]
+	for j, d := range deps {
+		if newest[j] != d+flight {
+			t.Fatalf("cycle %d: host %d's up-link's newest flits arrive at %v, it commits departures %v", cycle, n.host, newest, deps)
+		}
+	}
+}
+
+// undeparted counts the flits on link i that a committed switch output or
+// NIC has pushed ahead of their departures at or after the current cycle.
+func undeparted(s *Sim, i int) int {
+	var at int64
+	var mask uint64
+	if oi := s.outPortOfLink[i]; oi >= 0 {
+		at, mask = s.outPorts[oi].commitAt, s.outPorts[oi].commitMask
+	} else if h := i - s.numChannels; h < s.numHosts {
+		at, mask = s.nics[h].commitAt, s.nics[h].commitMask
+	}
 	n := 0
-	for m := op.commitMask; m != 0; m &= m - 1 {
-		if op.commitAt+int64(bits.TrailingZeros64(m)) >= s.now {
+	for m := mask; m != 0; m &= m - 1 {
+		if at+int64(bits.TrailingZeros64(m)) >= s.now {
 			n++
 		}
 	}

@@ -1168,7 +1168,7 @@ var checkpointExempt = map[string][]string{
 	"netsim.inPort":  {"sw", "link", "localIdx"},
 	"netsim.outPort": {"sw", "link", "localIdx", "parkedAt", "commitAt", "commitMask"},
 	"netsim.swtch":   {"id", "ins", "outs", "setupOuts", "connOuts", "fullOuts", "reqOuts", "sleepOuts"},
-	"netsim.nic":     {"host", "upLink", "parkedAt", "parkedFull"},
+	"netsim.nic":     {"host", "upLink", "parkedAt", "parkedFull", "commitAt", "commitMask"},
 	"netsim.bitset":  {"words"},
 	// plan/rec come from the configuration; set/down/pendingRc/nextWake are
 	// re-derived on restore.

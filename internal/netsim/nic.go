@@ -73,11 +73,18 @@ type nic struct {
 	genArmed bool
 
 	// parkedAt is the first cycle a parked NIC (in Sim.parkedNICs, asleep
-	// on its stopped up-link) skipped; parkedFull records that its source
-	// queue was full and generation on, so skipped cycles from its next
-	// generation time also count as backpressure stalls.
+	// on its stopped up-link or on a commitment) skipped; parkedFull
+	// records that its source queue was full and generation on, so skipped
+	// cycles from its next generation time also count as backpressure
+	// stalls.
 	parkedAt   int64
 	parkedFull bool
+
+	// commitMask holds the injection's committed departures not yet
+	// settled, bit i one flit leaving at cycle commitAt+i (see
+	// Sim.commitNIC).
+	commitAt   int64
+	commitMask uint64
 
 	// Bubble accounting for Params.SourceBubblePeriod.
 	sinceBubble int
@@ -297,6 +304,8 @@ func (n *nic) tickTransfer(s *Sim) {
 		}
 		n.cur = injection{}
 		n.active = false
+	} else if s.commits && n.cur.reinj == nil && s.p.SourceBubblePeriod == 0 && len(n.pending) == 0 {
+		s.commitNIC(n, l)
 	}
 }
 
@@ -380,11 +389,4 @@ func (n *nic) purgeDead(s *Sim) {
 		n.active = false
 	}
 	n.purgeSendQ()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
