@@ -21,6 +21,7 @@ import (
 	"itbsim/internal/gm"
 	"itbsim/internal/mapper"
 	"itbsim/internal/netsim"
+	"itbsim/internal/optimize"
 	"itbsim/internal/routes"
 	"itbsim/internal/runner"
 	"itbsim/internal/topology"
@@ -822,5 +823,89 @@ func BenchmarkRunnerParallelFigure7(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkOptimizerGate measures what the congestion-aware route
+// optimizer (docs/OPTIMIZE.md) buys on the 8x8 torus at medium scale (2
+// hosts per switch) under hotspot traffic, 10% of it to host 0, with
+// 512-byte messages at seed 1. UP/DOWN and ITB-RR sweep loads
+// 0.014–0.030 twice, on the static tables and on the tables Optimize
+// rewrites, and each curve reports its saturation throughput and its p99
+// latency at the knee load 0.022. The gate fails unless optimized ITB-RR's
+// knee p99 is below 0.95x static ITB-RR's and below static UP/DOWN's, or
+// if a reported value leaves the pinned one: the run is deterministic for
+// its seed, so a changed value is a changed optimizer or simulator. One
+// iteration takes about 12 s on a 2-vCPU host (make bench-optimize).
+func BenchmarkOptimizerGate(b *testing.B) {
+	env, err := experiments.NewEnv(experiments.TopoTorus, experiments.ScaleMedium)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pat := experiments.Pattern{Kind: "hotspot", HotspotHost: 0, HotspotFraction: 0.1}
+	loads := []float64{0.014, 0.018, 0.022, 0.026, 0.030}
+	const knee = 0.022
+	schemes := []routes.Scheme{routes.UpDown, routes.ITBRR}
+	type point struct{ sat, p99 float64 }
+	// Saturation throughput (flits/ns/switch) and knee p99 (ns), static
+	// then optimized, per scheme.
+	pinned := map[routes.Scheme][2]point{
+		routes.UpDown: {{0.017072, 688128}, {0.017072, 688128}},
+		routes.ITBRR:  {{0.020340, 294912}, {0.020388, 221184}},
+	}
+	for i := 0; i < b.N; i++ {
+		got := map[routes.Scheme][2]point{}
+		for v, opt := range []*optimize.Config{nil, {Strategy: optimize.RipUpReroute}} {
+			rep, err := runner.Run(experiments.SpecFor(env, schemes, []experiments.Pattern{pat},
+				loads, 512, 1, runner.Spec{Optimize: opt}))
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, cr := range rep.Curves {
+				p := point{sat: cr.Curve.SaturationThroughput(), p99: -1}
+				for _, sp := range cr.Curve.Points {
+					if sp.Load == knee && sp.Result != nil {
+						p.p99 = sp.Result.LatencyP99Ns
+					}
+				}
+				if p.p99 < 0 {
+					b.Fatalf("%s: the sweep never reached the knee load %g", cr.Curve.Label, knee)
+				}
+				pts := got[cr.Job.Scheme]
+				pts[v] = p
+				got[cr.Job.Scheme] = pts
+			}
+		}
+		for _, sch := range schemes {
+			for v, name := range []string{"static", "optimized"} {
+				g, w := got[sch][v], pinned[sch][v]
+				if fmt.Sprintf("%.6f %.0f", g.sat, g.p99) != fmt.Sprintf("%.6f %.0f", w.sat, w.p99) {
+					b.Errorf("%v %s: saturation %.6f, knee p99 %.0f ns; pinned %.6f, %.0f ns",
+						sch, name, g.sat, g.p99, w.sat, w.p99)
+				}
+			}
+		}
+		rrStatic, rrOpt, udStatic := got[routes.ITBRR][0].p99, got[routes.ITBRR][1].p99, got[routes.UpDown][0].p99
+		if !(rrOpt < 0.95*rrStatic) {
+			b.Errorf("optimized ITB-RR knee p99 %.0f ns is not below 0.95x static ITB-RR's %.0f ns", rrOpt, rrStatic)
+		}
+		if !(rrOpt < udStatic) {
+			b.Errorf("optimized ITB-RR knee p99 %.0f ns is not below static UP/DOWN's %.0f ns", rrOpt, udStatic)
+		}
+		if i == 0 {
+			fmt.Printf("\n### %s: torus medium, hotspot 10%% to host 0, knee %g\n", b.Name(), knee)
+			for _, sch := range schemes {
+				s, o := got[sch][0], got[sch][1]
+				fmt.Printf("%-8v static sat %.6f p99 %.0f ns | optimized sat %.6f p99 %.0f ns | p99 ratio %.3f\n",
+					sch, s.sat, s.p99, o.sat, o.p99, o.p99/s.p99)
+			}
+			b.ReportMetric(got[routes.ITBRR][0].sat, "RR-static-sat")
+			b.ReportMetric(got[routes.ITBRR][1].sat, "RR-opt-sat")
+			b.ReportMetric(rrStatic, "RR-static-p99-ns")
+			b.ReportMetric(rrOpt, "RR-opt-p99-ns")
+			b.ReportMetric(got[routes.UpDown][0].sat, "UD-static-sat")
+			b.ReportMetric(udStatic, "UD-static-p99-ns")
+			b.ReportMetric(rrOpt/rrStatic, "RR-opt/static-p99")
+		}
 	}
 }
