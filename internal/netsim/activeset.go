@@ -321,11 +321,7 @@ func (s *Sim) wakeSender(lid int) {
 //
 //sim:hotpath
 func (s *Sim) commitOut(sw *swtch, k int, op *outPort, l *link, q *runQueue, pkt *packet) {
-	flight := int64(s.p.LinkFlightCycles)
-	limit := s.now + min(int64(s.p.LinkFlightCycles)-1, runWindow-1)
-	if l.signals.n > 0 && l.signals.front().arrive <= limit {
-		limit = l.signals.front().arrive - 1
-	}
+	limit := s.commitLimit(l)
 	dst := &l.lanes[0]
 	t := s.now
 	var mask uint64
@@ -345,9 +341,7 @@ scan:
 			}
 			t = d
 			mask |= 1 << uint(d-s.now)
-			if first := dst.push(pkt, false, d+flight); l.acts(s, dst, first) {
-				s.scheduleFlit(l.id, d+flight)
-			}
+			l.enqueue(s, dst, pkt, false, d+int64(s.p.LinkFlightCycles))
 		}
 	}
 	if mask == 0 {
@@ -358,21 +352,50 @@ scan:
 	s.wheel[(t+1)&s.wheelMask].wakes.add(l.id)
 }
 
+// commitLimit is the last cycle for which a sender on stop & go link l can
+// commit a departure at the current cycle: one flight ahead, within a run
+// window, and before the first signal already on l arrives.
+func (s *Sim) commitLimit(l *link) int64 {
+	limit := s.now + min(int64(s.p.LinkFlightCycles)-1, runWindow-1)
+	if l.signals.n > 0 && l.signals.front().arrive <= limit {
+		limit = l.signals.front().arrive - 1
+	}
+	return limit
+}
+
+// dueBy returns the departures in mask, of a commitment made at cycle at,
+// that fall at or before cycle through.
+func dueBy(at int64, mask uint64, through int64) uint64 {
+	d := through - at
+	if d <= 0 {
+		return 0
+	}
+	if d < 63 {
+		mask &= 2<<uint(d) - 1
+	}
+	return mask
+}
+
+// settleMoves counts the settled departures m of a commitment made at cycle
+// at on link l as the link's busy time and as progress, which the watchdog
+// dates by their departure cycles (see Sim.lateMoves).
+func (s *Sim) settleMoves(l *link, at int64, m uint64) {
+	n := int64(bits.OnesCount64(m))
+	s.progress += n
+	s.lateMoves += n
+	if s.measuring {
+		l.busy += n
+	}
+	s.lastLateMove = max(s.lastLateMove, at+int64(63-bits.LeadingZeros64(m)))
+}
+
 // settleOut carries out the departures committed output op makes through
-// cycle through: it takes their flits from the input lane, counts them as
-// the link's busy time and as progress, and wakes the output once the
-// commitment is spent.
+// cycle through: it takes their flits from the input lane, counts them
+// (settleMoves), and wakes the output once the commitment is spent.
 //
 //sim:hotpath
 func (s *Sim) settleOut(op *outPort, through int64) {
-	d := through - op.commitAt
-	if d <= 0 {
-		return
-	}
-	m := op.commitMask
-	if d < 63 {
-		m &= 2<<uint(d) - 1
-	}
+	m := dueBy(op.commitAt, op.commitMask, through)
 	if m == 0 {
 		return
 	}
@@ -385,13 +408,8 @@ func (s *Sim) settleOut(op *outPort, through int64) {
 		}
 		q.take()
 	}
-	s.progress += int64(n)
-	s.lateMoves += int64(n)
 	s.outFlits += int64(n)
-	if s.measuring {
-		s.links[op.link].busy += int64(n)
-	}
-	s.lastLateMove = max(s.lastLateMove, op.commitAt+int64(63-bits.LeadingZeros64(m)))
+	s.settleMoves(&s.links[op.link], op.commitAt, m)
 	if op.commitMask == 0 {
 		s.switches[op.sw].sleepOuts &^= 1 << uint(op.localIdx)
 		s.transferSet.add(op.sw)
@@ -436,10 +454,7 @@ func (s *Sim) wakeCommit(lid int) {
 //
 //sim:hotpath
 func (s *Sim) commitNIC(n *nic, l *link) {
-	limit := s.now + min(int64(s.p.LinkFlightCycles)-1, runWindow-1)
-	if l.signals.n > 0 && l.signals.front().arrive <= limit {
-		limit = l.signals.front().arrive - 1
-	}
+	limit := s.commitLimit(l)
 	gen := !n.stopGen && !math.IsInf(s.genIntervalCycles, 1)
 	room := n.sendQLen() < s.p.SourceQueueCap
 	if gen && room {
@@ -449,12 +464,8 @@ func (s *Sim) commitNIC(n *nic, l *link) {
 	if k <= 0 {
 		return
 	}
-	flight := int64(s.p.LinkFlightCycles)
-	q := &l.lanes[0]
 	for d := s.now + 1; d <= s.now+int64(k); d++ {
-		if first := q.push(n.cur.pkt, false, d+flight); l.acts(s, q, first) {
-			s.scheduleFlit(l.id, d+flight)
-		}
+		l.enqueue(s, &l.lanes[0], n.cur.pkt, false, d+int64(s.p.LinkFlightCycles))
 	}
 	n.commitAt, n.commitMask = s.now, (2<<uint(k)-1)&^1
 	s.nicSet.remove(n.host)
@@ -465,31 +476,18 @@ func (s *Sim) commitNIC(n *nic, l *link) {
 }
 
 // settleNIC is settleOut for a committed NIC: the departures through cycle
-// through count as sent, as busy time on its up-link and as progress, and
-// the NIC wakes once the commitment is spent.
+// through count as sent (and settleMoves counts them), and the NIC wakes
+// once the commitment is spent.
 //
 //sim:hotpath
 func (s *Sim) settleNIC(n *nic, through int64) {
-	d := through - n.commitAt
-	if d <= 0 {
-		return
-	}
-	m := n.commitMask
-	if d < 63 {
-		m &= 2<<uint(d) - 1
-	}
+	m := dueBy(n.commitAt, n.commitMask, through)
 	if m == 0 {
 		return
 	}
 	n.commitMask &^= m
-	k := bits.OnesCount64(m)
-	n.cur.sent += k
-	s.progress += int64(k)
-	s.lateMoves += int64(k)
-	if s.measuring {
-		s.links[n.upLink].busy += int64(k)
-	}
-	s.lastLateMove = max(s.lastLateMove, n.commitAt+int64(63-bits.LeadingZeros64(m)))
+	n.cur.sent += bits.OnesCount64(m)
+	s.settleMoves(&s.links[n.upLink], n.commitAt, m)
 	if n.commitMask == 0 {
 		s.wakeSleeper(n, through)
 	}
@@ -546,11 +544,10 @@ func (s *Sim) settleCommits(through int64) {
 
 // settleParked settles every parked NIC and switch output through cycle
 // through and wakes it, and ends every commitment there (endCommit,
-// endCommitNIC). It
-// runs before any cycle-edge code that could change what a sleeping
-// component waits on or read what it counts: plan events, the end-of-cycle
-// kill and purge (through the current cycle, whose visits were skipped
-// too), the stall dump, Snapshot and finalize.
+// endCommitNIC). It runs before any cycle-edge code that could change what
+// a sleeping component waits on or read what it counts: plan events, the
+// end-of-cycle kill and purge (through the current cycle, whose visits
+// were skipped too), the stall dump, Snapshot and finalize.
 func (s *Sim) settleParked(through int64) {
 	for w, word := range s.parkedNICs.words {
 		for word != 0 {

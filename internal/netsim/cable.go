@@ -302,14 +302,14 @@ func (q *runQueue) unpush(n int) {
 	q.n -= n
 	for n > 0 {
 		r := q.runs.at(q.runs.n - 1)
-		if c := r.count(); c > n {
+		c := r.count()
+		if c > n {
 			for ; n > 0; n-- {
 				r.mask &^= 1 << uint(63-bits.LeadingZeros64(r.mask))
 			}
 			return
-		} else {
-			n -= c
 		}
+		n -= c
 		if r.open {
 			r.mask = 0
 			return

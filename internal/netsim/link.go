@@ -69,6 +69,18 @@ func (l *link) pushFlit(s *Sim, pkt *packet, tail bool) {
 	s.progress++
 }
 
+// enqueue is pushFlit's cable half for a flit a commitment sends ahead of
+// its departure (see Sim.commitOut): it puts the flit on lane q arriving
+// at cycle at, and the link on the arrival wheel then if the arrival acts.
+// Busy time and progress count when the departure settles.
+//
+//sim:hotpath
+func (l *link) enqueue(s *Sim, q *runQueue, pkt *packet, tail bool, at int64) {
+	if first := q.push(pkt, tail, at); l.acts(s, q, first) {
+		s.scheduleFlit(l.id, at)
+	}
+}
+
 // acts reports whether the arrival of a flit just pushed on lane q can have
 // an effect, so the link must be visited at its arrival cycle. A NIC takes
 // every flit; a switch input acts on a packet's first flit, which may start
