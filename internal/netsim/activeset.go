@@ -22,15 +22,19 @@ func trailingZeros(w uint64) int { return bits.TrailingZeros64(w) }
 // work, and removed only at the one point per phase where the component's
 // own idle predicate has just been evaluated:
 //
-//   - the arrival wheel: a ring of ringSize(LinkFlightCycles+1) slots, one
-//     per cycle of a flight and one more, each a pair of link bitsets. A
-//     link sits on the slot of every cycle at which something that acts
-//     arrives on it: every signal or credit (pushSignal, pushCredit, in the
-//     signal set) and every flit whose arrival could have an effect
-//     (pushFlit by link.acts, in the flit set: a flit bound for a NIC, a
-//     packet's first flit at a switch input or lane, a flit pushed while
-//     the lane holds more than the stop threshold or the VC buffer depth).
-//     Stage 1 walks the current cycle's slot, delivering the signals and
+//   - the arrival wheel: a ring of ringSize(2*LinkFlightCycles) slots, one
+//     per cycle of two flights, each three link bitsets. A link sits on the
+//     slot of every cycle at which something that acts arrives on it: every
+//     signal or credit (pushSignal, pushCredit, in the signal set) and
+//     every flit whose arrival could have an effect (pushFlit or a
+//     commitment's pushAhead by link.acts, in the flit set: a flit bound for
+//     a NIC, a packet's first flit at a switch input or lane, a flit pushed
+//     while the lane holds more than the stop threshold or the VC buffer
+//     depth); and on the slot after the last departure its committed
+//     sender makes (commitOut, commitNIC, in the wake set). A committed
+//     flit arrives up to 2*LinkFlightCycles-1 cycles ahead, so no push
+//     lands in the slot being walked. Stage 1 walks the current cycle's
+//     slot, waking the committed senders and delivering the signals and
 //     the flits it names, and empties it.
 //     Every other flit only joins a switch input's buffer, which reads its
 //     occupancy and head packet from the arrival stamps (see cable.go), so
@@ -43,9 +47,9 @@ func trailingZeros(w uint64) int { return bits.TrailingZeros64(w) }
 //     non-zero). Added by inPort.requestRouting (the only request site),
 //     removed after tickRouting once both masks are zero.
 //   - transferSet: a switch is active while any output is connected and
-//     not parked (connOuts &^ parkedOuts non-zero). Added when tickRouting
-//     completes a setup and when a parked output wakes, removed after
-//     tickTransfer once no such output remains.
+//     not asleep (connOuts &^ sleepOuts non-zero). Added when tickRouting
+//     completes a setup and when a parked or committed output wakes,
+//     removed after tickTransfer once no such output remains.
 //   - nicSet: a NIC is active while it is injecting, holds in-transit
 //     packets awaiting their DMA timer, has queued packets it could start
 //     (up-link in service), or has message generation due (nextGen <= now).
@@ -60,7 +64,7 @@ func trailingZeros(w uint64) int { return bits.TrailingZeros64(w) }
 // count). An injecting NIC on a stopped up-link leaves nicSet after its
 // transfer visit (parkNIC) unless in-transit packets await their DMA; a
 // connected output on a stopped link whose input holds flits joins its
-// switch's parkedOuts mask, which the transfer walk skips.
+// switch's sleepOuts mask, which the transfer walk skips.
 // link.deliverSignals wakes the sender when the go signal arrives, and a
 // wake adds the skipped measured cycles to the counters in one step
 // (unparkNIC, unparkOut). A parked NIC with room in its queue also wakes at
@@ -72,6 +76,23 @@ func trailingZeros(w uint64) int { return bits.TrailingZeros64(w) }
 // kill and purge — and settleParked wakes everything before them, as well
 // as before Snapshot and finalize read the counters. The dense loop never
 // parks; VC mode (credits, not stop & go) never parks.
+//
+// A streaming stop & go sender sleeps the same way on a commitment: its
+// next departures up to one flight ahead are already decided, because a
+// stop or go sent from now on reaches it a flight later and every flit
+// its input receives by then is already on the input's cable. A switch
+// output that has just moved a flit, whose input has sent no stop and
+// holds at most StopThreshold flits, commits them (commitOut), and so does
+// a NIC streaming a source injection (commitNIC): the flits go onto the
+// next cable at once with their real arrival stamps, stay in the input
+// lane (or count as unsent) until a settle carries out their departures,
+// and the sender sleeps in sleepOuts (parkedNICs) until its wake on the
+// arrival wheel. Every reader of what a commitment defers settles first:
+// the input's arrival handler (settleOut), the opening of the measurement
+// window, metrics sampling and the watchdog (settleCommits), and every
+// site settleParked serves, which also revokes the departures still
+// ahead (endCommit, endCommitNIC); so does work handed to a committed NIC
+// (wakeNIC). A restored run starts with no commitments.
 //
 // Purge and kill paths otherwise only remove work, so they never need to
 // add members; the stale bits they leave behind self-clean on the next
@@ -322,7 +343,6 @@ func (s *Sim) wakeSender(lid int) {
 //sim:hotpath
 func (s *Sim) commitOut(sw *swtch, k int, op *outPort, l *link, q *runQueue, pkt *packet) {
 	limit := s.commitLimit(l)
-	dst := &l.lanes[0]
 	t := s.now
 	var mask uint64
 scan:
@@ -341,12 +361,12 @@ scan:
 			}
 			t = d
 			mask |= 1 << uint(d-s.now)
-			l.enqueue(s, dst, pkt, false, d+int64(s.p.LinkFlightCycles))
 		}
 	}
 	if mask == 0 {
 		return
 	}
+	l.pushAhead(s, &l.lanes[0], pkt, s.now+int64(s.p.LinkFlightCycles), mask)
 	op.commitAt, op.commitMask = s.now, mask
 	sw.sleepOuts |= 1 << uint(k)
 	s.wheel[(t+1)&s.wheelMask].wakes.add(l.id)
@@ -401,12 +421,8 @@ func (s *Sim) settleOut(op *outPort, through int64) {
 	}
 	op.commitMask &^= m
 	n := bits.OnesCount64(m)
-	q := s.inPorts[op.one[0].conn].one[0].buf
-	for i := 0; i < n; i++ {
-		if r := q.runs.front(); r.mask == 0 || r.arrive > through {
-			s.commitLost(op, through)
-		}
-		q.take()
+	if last := s.inPorts[op.one[0].conn].one[0].buf.takeN(n); last > through {
+		s.commitLost(op, through)
 	}
 	s.outFlits += int64(n)
 	s.settleMoves(&s.links[op.link], op.commitAt, m)
@@ -464,10 +480,8 @@ func (s *Sim) commitNIC(n *nic, l *link) {
 	if k <= 0 {
 		return
 	}
-	for d := s.now + 1; d <= s.now+int64(k); d++ {
-		l.enqueue(s, &l.lanes[0], n.cur.pkt, false, d+int64(s.p.LinkFlightCycles))
-	}
 	n.commitAt, n.commitMask = s.now, (2<<uint(k)-1)&^1
+	l.pushAhead(s, &l.lanes[0], n.cur.pkt, s.now+int64(s.p.LinkFlightCycles), n.commitMask)
 	s.nicSet.remove(n.host)
 	s.parkedNICs.add(n.host)
 	n.parkedAt = s.now + 1

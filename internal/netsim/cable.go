@@ -1,6 +1,9 @@
 package netsim
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // flitRun is a run of flits of one packet on a cable lane: bit i of mask
 // stands for a flit that arrives at cycle arrive+i, and bit 0, the first
@@ -126,6 +129,24 @@ func (q *runQueue) pushRun(pkt *packet, tail bool, at int64) (first bool) {
 	return true
 }
 
+// pushAhead appends flits of pkt, none of them its tail, one arriving at
+// cycle at+i for each bit i of mask, as that many pushes would: the lane's
+// last run is pkt's and every flit on the lane arrives before them. They
+// join the last run in one step when its window reaches them.
+//
+//sim:hotpath
+func (q *runQueue) pushAhead(pkt *packet, at int64, mask uint64) {
+	last := q.runs.at(q.runs.n - 1)
+	if top := at + int64(63-bits.LeadingZeros64(mask)); last.pkt == pkt && !last.tail && last.mask != 0 && top-last.arrive < runWindow {
+		q.n += bits.OnesCount64(mask)
+		last.mask |= mask << uint(at-last.arrive)
+		return
+	}
+	for m := mask; m != 0; m &= m - 1 {
+		q.push(pkt, false, at+int64(bits.TrailingZeros64(m)))
+	}
+}
+
 // head returns the run of the buffer's head packet at cycle seen, or nil
 // when the buffer has no head: the first run that is not stale, once its
 // first flit has arrived or while it is open.
@@ -179,6 +200,42 @@ func (q *runQueue) take() (tail bool) {
 		return false
 	}
 	return q.drained()
+}
+
+// takeN removes the first n flits of the head packet, as n calls of take
+// would, and returns the arrival cycle of the last one. The flits must
+// have arrived and must not include the packet's tail; a run that holds
+// none of them (a bug) reads as arriving at the end of time.
+//
+//sim:hotpath
+func (q *runQueue) takeN(n int) (last int64) {
+	q.n -= n
+	for {
+		r := q.runs.front()
+		r.open = true
+		c := r.count()
+		if c == 0 {
+			return math.MaxInt64
+		}
+		if c > n {
+			m := r.mask
+			for ; n > 1; n-- {
+				m &= m - 1
+			}
+			last = r.arrive + int64(bits.TrailingZeros64(m))
+			m &= m - 1
+			shift := bits.TrailingZeros64(m)
+			r.arrive += int64(shift)
+			r.mask = m >> uint(shift)
+			return last
+		}
+		last = r.last()
+		r.mask = 0
+		q.drained()
+		if n -= c; n == 0 {
+			return last
+		}
+	}
 }
 
 // drained retires the head run take has just emptied.

@@ -69,15 +69,24 @@ func (l *link) pushFlit(s *Sim, pkt *packet, tail bool) {
 	s.progress++
 }
 
-// enqueue is pushFlit's cable half for a flit a commitment sends ahead of
-// its departure (see Sim.commitOut): it puts the flit on lane q arriving
-// at cycle at, and the link on the arrival wheel then if the arrival acts.
-// Busy time and progress count when the departure settles.
+// pushAhead is pushFlit for the flits of pkt a commitment sends ahead of
+// their departures (see Sim.commitOut): one arriving at cycle at+i on lane
+// q for each bit i of mask, none of them its packet's first or its tail.
+// The link goes on the arrival wheel at each arrival that acts (acts with
+// the lane's count after each push); busy time and progress count when
+// the departures settle.
 //
 //sim:hotpath
-func (l *link) enqueue(s *Sim, q *runQueue, pkt *packet, tail bool, at int64) {
-	if first := q.push(pkt, tail, at); l.acts(s, q, first) {
-		s.scheduleFlit(l.id, at)
+func (l *link) pushAhead(s *Sim, q *runQueue, pkt *packet, at int64, mask uint64) {
+	quiet := 0 // leading flits whose arrival does not act
+	if l.recvPort >= 0 {
+		quiet = s.actLimit - q.n
+	}
+	q.pushAhead(pkt, at, mask)
+	for m := mask; m != 0; m &= m - 1 {
+		if quiet--; quiet < 0 {
+			s.scheduleFlit(l.id, at+int64(trailingZeros(m)))
+		}
 	}
 }
 

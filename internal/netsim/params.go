@@ -24,7 +24,8 @@
 // arrived flits and stop/go control signals, switch routing control units
 // decide and tear down connections, NICs run DMA timers and message
 // generation, and finally every established connection and active
-// injection pushes one flit. The fixed order makes runs reproducible: the
+// injection pushes one flit, or, streaming under stop & go, commits its
+// departures up to one flight ahead. The fixed order makes runs reproducible: the
 // only randomness is the per-NIC generation RNG seeded from Config.Seed.
 //
 // A cable and its receiver's input buffer are one queue of packet runs per
@@ -37,9 +38,13 @@
 // arrivals that act reach the far end, switches and NICs register in
 // per-class active sets when they gain work and deregister when idle, and
 // sleeping NICs arm their next generation time on a timer heap
-// (activeset.go). NICs and switch outputs stalled on
-// a stopped stop & go link park until its go signal and add the stall
-// cycles they skipped in one step when they wake. The sets iterate in
+// (activeset.go). NICs and switch outputs stalled on a stopped stop & go
+// link park until its go signal and add the stall cycles they skipped in
+// one step when they wake. A streaming stop & go output or source
+// injection commits the departures no signal can change before one link
+// flight has passed: the flits go onto the next cable at once, the sender
+// sleeps until a wake on the arrival wheel, and every reader of the state
+// the departures change settles them first. The sets iterate in
 // ascending component ID — the same order as a dense scan — so results
 // are byte-identical to visiting everything every cycle (Config.denseStep
 // runs that legacy loop for comparison) while nearly idle cycles, the
