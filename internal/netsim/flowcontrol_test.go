@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"itbsim/internal/routes"
@@ -127,4 +129,46 @@ func remainingAtSource(s *Sim, p *packet) int {
 		}
 	}
 	return 0
+}
+
+// TestSlackOverflowPanicsUnderBothLoops shrinks every switch input's slack
+// buffer to two flits over the stop threshold, less than the flits a stop
+// signal lets through, and requires both step loops to panic with the same
+// overflow at the same cycle: a committed run must not move or hide the
+// conservation check. The 4x4 ITB-RR regime streams in committed runs
+// until the first stop; the backpressure run stops links throughout.
+func TestSlackOverflowPanicsUnderBothLoops(t *testing.T) {
+	configs := map[string]func(t testing.TB) Config{
+		"itbrr":        func(t testing.TB) Config { return regimeConfig(t, func(*Config) {}) },
+		"backpressure": backpressureConfig,
+	}
+	for _, name := range []string{"itbrr", "backpressure"} {
+		t.Run(name, func(t *testing.T) {
+			var got []string
+			for _, loop := range stepLoops {
+				cfg := configs[name](t)
+				loop.apply(&cfg)
+				s, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.laneFlits = s.p.StopThreshold + 2
+				msg := func() (msg string) {
+					defer func() { msg = fmt.Sprint(recover()) }()
+					for s.now < 2_000_000 {
+						s.step()
+					}
+					return "no overflow"
+				}()
+				if !strings.Contains(msg, "slack buffer overflow") {
+					t.Fatalf("%s: %s at cycle %d, want a slack buffer overflow", loop.name, msg, s.now)
+				}
+				got = append(got, fmt.Sprintf("cycle %d: %s", s.now, msg))
+			}
+			if got[0] != got[1] {
+				t.Errorf("the step loops overflow differently:\n%s: %s\n%s: %s",
+					stepLoops[0].name, got[0], stepLoops[1].name, got[1])
+			}
+		})
+	}
 }
