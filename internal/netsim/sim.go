@@ -690,11 +690,11 @@ func (s *Sim) step() {
 // scheduler is tested against.
 func (s *Sim) stepDense() {
 	// 1. Links deliver arrived flits and control signals. The arrival
-	// wheel's slot is emptied unread.
+	// wheel's slot is emptied unread; nothing commits, so it holds no
+	// wakes.
 	s.seen = s.now
 	clear(s.wheel[s.now&s.wheelMask].signals.words)
 	clear(s.wheel[s.now&s.wheelMask].flits.words)
-	clear(s.wheel[s.now&s.wheelMask].wakes.words)
 	for i := range s.links {
 		l := &s.links[i]
 		if !l.idle(s) {

@@ -70,7 +70,7 @@ func (ip *inPort) arrive(s *Sim, v int, q *runQueue, r *flitRun) {
 		// buffered part was removed when the packet was killed.
 		return
 	}
-	if c := ip.one[0].conn; c >= 0 && s.outPorts[c].commitMask != 0 {
+	if c := ip.one[0].conn; s.commits && c >= 0 && s.outPorts[c].commitMask != 0 {
 		s.settleOut(&s.outPorts[c], s.now-1)
 	}
 	headless := r.arrive == s.now && !r.open && q.head(s.now) == r
