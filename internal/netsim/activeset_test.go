@@ -249,10 +249,7 @@ func checkCommit(t *testing.T, s *Sim, cycle int64, op *outPort) {
 	t.Helper()
 	l := &s.links[op.link]
 	flight := int64(s.p.LinkFlightCycles)
-	var deps []int64
-	for m := op.commitMask; m != 0; m &= m - 1 {
-		deps = append(deps, op.commitAt+int64(bits.TrailingZeros64(m)))
-	}
+	deps := committedDepartures(op.commitAt, op.commitMask)
 	end := deps[len(deps)-1]
 	if l.credits != nil || l.stopped || deps[0] <= op.commitAt || end >= op.commitAt+flight || end < s.now-1 {
 		t.Fatalf("cycle %d: link %d's output commits departures %v at cycle %d on a stopped or credit link, or outside (%d, %d) with the wake before cycle %d",
@@ -289,23 +286,7 @@ func checkCommit(t *testing.T, s *Sim, cycle int64, op *outPort) {
 		t.Fatalf("cycle %d: link %d's output commits %d departures, its input lane holds %d flits of its head packet",
 			cycle, op.link, len(deps), j)
 	}
-	var stamps []int64
-	q = &l.lanes[0]
-	for k := 0; k < q.runs.n; k++ {
-		r := q.runs.at(k)
-		for m := r.mask; m != 0; m &= m - 1 {
-			stamps = append(stamps, r.arrive+int64(bits.TrailingZeros64(m)))
-		}
-	}
-	if len(stamps) < len(deps) {
-		t.Fatalf("cycle %d: link %d carries %d flits, fewer than its output's %d committed", cycle, op.link, len(stamps), len(deps))
-	}
-	newest := stamps[len(stamps)-len(deps):]
-	for j, d := range deps {
-		if newest[j] != d+flight {
-			t.Fatalf("cycle %d: link %d's newest flits arrive at %v, its output commits departures %v", cycle, op.link, newest, deps)
-		}
-	}
+	checkNewest(t, s, cycle, op.link, deps)
 }
 
 // checkCommitNIC is checkCommit for a committed NIC: it streams a source
@@ -317,10 +298,7 @@ func checkCommitNIC(t *testing.T, s *Sim, cycle int64, n *nic) {
 	t.Helper()
 	l := &s.links[n.upLink]
 	flight := int64(s.p.LinkFlightCycles)
-	var deps []int64
-	for m := n.commitMask; m != 0; m &= m - 1 {
-		deps = append(deps, n.commitAt+int64(bits.TrailingZeros64(m)))
-	}
+	deps := committedDepartures(n.commitAt, n.commitMask)
 	end := deps[len(deps)-1]
 	if !n.active || n.cur.reinj != nil || len(n.pending) > 0 || l.credits != nil || l.down || l.stopped ||
 		end >= n.commitAt+flight || end < s.now-1 || int(end-deps[0])+1 != len(deps) ||
@@ -331,8 +309,25 @@ func checkCommitNIC(t *testing.T, s *Sim, cycle int64, n *nic) {
 	if !s.wheel[(end+1)&s.wheelMask].wakes.has(n.upLink) {
 		t.Fatalf("cycle %d: committed host %d is not on the wake slot of cycle %d", cycle, n.host, end+1)
 	}
+	checkNewest(t, s, cycle, n.upLink, deps)
+}
+
+// committedDepartures lists the departure cycles in mask of a commitment
+// made at cycle at.
+func committedDepartures(at int64, mask uint64) []int64 {
+	var deps []int64
+	for m := mask; m != 0; m &= m - 1 {
+		deps = append(deps, at+int64(bits.TrailingZeros64(m)))
+	}
+	return deps
+}
+
+// checkNewest asserts that the newest flits on link lid are those of the
+// committed departures deps, each stamped at its departure plus the flight.
+func checkNewest(t *testing.T, s *Sim, cycle int64, lid int, deps []int64) {
+	t.Helper()
 	var stamps []int64
-	q := &l.lanes[0]
+	q := &s.links[lid].lanes[0]
 	for k := 0; k < q.runs.n; k++ {
 		r := q.runs.at(k)
 		for m := r.mask; m != 0; m &= m - 1 {
@@ -340,12 +335,12 @@ func checkCommitNIC(t *testing.T, s *Sim, cycle int64, n *nic) {
 		}
 	}
 	if len(stamps) < len(deps) {
-		t.Fatalf("cycle %d: host %d's up-link carries %d flits, fewer than its %d committed", cycle, n.host, len(stamps), len(deps))
+		t.Fatalf("cycle %d: link %d carries %d flits, fewer than the %d its sender committed", cycle, lid, len(stamps), len(deps))
 	}
 	newest := stamps[len(stamps)-len(deps):]
 	for j, d := range deps {
-		if newest[j] != d+flight {
-			t.Fatalf("cycle %d: host %d's up-link's newest flits arrive at %v, it commits departures %v", cycle, n.host, newest, deps)
+		if newest[j] != d+int64(s.p.LinkFlightCycles) {
+			t.Fatalf("cycle %d: link %d's newest flits arrive at %v, its sender commits departures %v", cycle, lid, newest, deps)
 		}
 	}
 }
