@@ -836,7 +836,7 @@ func BenchmarkRunnerParallelFigure7(b *testing.B) {
 // knee p99 is below 0.95x static ITB-RR's and below static UP/DOWN's, or
 // if a reported value leaves the pinned one: the run is deterministic for
 // its seed, so a changed value is a changed optimizer or simulator. One
-// iteration takes about 12 s on a 2-vCPU host (make bench-optimize).
+// iteration takes about 6 s on a 2-vCPU host (make bench-optimize).
 func BenchmarkOptimizerGate(b *testing.B) {
 	env, err := experiments.NewEnv(experiments.TopoTorus, experiments.ScaleMedium)
 	if err != nil {
