@@ -333,8 +333,9 @@ func goldenResults(t *testing.T) []byte {
 	// every 2,000 cycles: short messages at a higher load (several packets
 	// in one slack buffer, in-transit packets shorter than the ITB
 	// detection delay),
-	// gapped source injection, flights that are not a power of two, and
-	// stop & go thresholds close together.
+	// gapped source injection, flights that are not a power of two, stop &
+	// go thresholds close together, and re-injections that wait for their
+	// reception.
 	for _, rc := range cableRegimes {
 		name := "torus-4x4/ITB-RR/" + rc.name
 		mk := func(t *testing.T) Config { return regimeConfig(t, rc.apply) }
@@ -432,6 +433,17 @@ var cableRegimes = []struct {
 		c.Params.StopThreshold = 12
 		c.Params.SlackBufferFlits = 12 + 2*c.Params.LinkFlightCycles
 	}},
+	{"reinject-waits", reinjectWaits},
+}
+
+// reinjectWaits detects in-transit packets after two flits and programs
+// their re-injection at once, while source bubbles space out the flits an
+// in-transit host receives: re-injections catch up with their reception
+// and wait for its next flit.
+func reinjectWaits(c *Config) {
+	c.Params.ITBDetectFlits = 2
+	c.Params.ITBDMAFlits = 0
+	c.Params.SourceBubblePeriod = 4
 }
 
 // regimeConfig is the 4×4 ITB-RR torus at a load with contention and
