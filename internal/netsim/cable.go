@@ -132,19 +132,25 @@ func (q *runQueue) pushRun(pkt *packet, tail bool, at int64) (first bool) {
 // pushAhead appends flits of pkt, none of them its tail, one arriving at
 // cycle at+i for each bit i of mask, as that many pushes would: the lane's
 // last run is pkt's and every flit on the lane arrives before them. They
-// join the last run in one step when its window reaches them.
+// join the last run in one step when its window reaches them. It returns
+// the flits among them that start a run.
 //
 //sim:hotpath
-func (q *runQueue) pushAhead(pkt *packet, at int64, mask uint64) {
+func (q *runQueue) pushAhead(pkt *packet, at int64, mask uint64) (starts uint64) {
 	last := q.runs.at(q.runs.n - 1)
 	if top := at + int64(63-bits.LeadingZeros64(mask)); last.pkt == pkt && !last.tail && last.mask != 0 && top-last.arrive < runWindow {
 		q.n += bits.OnesCount64(mask)
 		last.mask |= mask << uint(at-last.arrive)
-		return
+		return 0
 	}
 	for m := mask; m != 0; m &= m - 1 {
-		q.push(pkt, false, at+int64(bits.TrailingZeros64(m)))
+		i := bits.TrailingZeros64(m)
+		q.push(pkt, false, at+int64(i))
+		if q.runs.at(q.runs.n-1).mask == 1 {
+			starts |= 1 << uint(i)
+		}
 	}
+	return starts
 }
 
 // head returns the run of the buffer's head packet at cycle seen, or nil

@@ -1155,6 +1155,7 @@ var checkpointExempt = map[string][]string{
 	"netsim.Sim": {"cfg", "p", "net", "outPortOfLink", "seen", "wheel", "wheelMask",
 		"actLimit", "routingSet", "transferSet", "nicSet", "parkedNICs", "parkTimers",
 		"dense", "commits", "lateMoves", "lastLateMove", "outVisits", "outFlits",
+		"nicVisits", "nicFlits", "rxVisits", "rxFlits",
 		"deadRouteReqs", "pktChunk", "pktUsed", "numChannels", "numHosts",
 		"vcMode", "numVCs", "laneFlits", "genIntervalCycles"},
 	// The flit count follows from the runs, which store only holds. An open

@@ -60,7 +60,7 @@ func (l *link) pushFlit(s *Sim, pkt *packet, tail bool) {
 		q = &l.lanes[pkt.vc]
 	}
 	at := s.now + int64(s.p.LinkFlightCycles)
-	if first := q.push(pkt, tail, at); l.acts(s, q, first) {
+	if first := q.push(pkt, tail, at); l.acts(s, q, first, tail) {
 		s.scheduleFlit(l.id, at)
 	}
 	if s.measuring {
@@ -73,8 +73,8 @@ func (l *link) pushFlit(s *Sim, pkt *packet, tail bool) {
 // their departures (see Sim.commitOut): one arriving at cycle at+i on lane
 // q for each bit i of mask, none of them its packet's first or its tail.
 // The link goes on the arrival wheel at each arrival that acts (acts with
-// the lane's count after each push); busy time and progress count when
-// the departures settle.
+// the lane's count after each push, and at a NIC the flits that start a
+// run); busy time and progress count when the departures settle.
 //
 //sim:hotpath
 func (l *link) pushAhead(s *Sim, q *runQueue, pkt *packet, at int64, mask uint64) {
@@ -82,7 +82,9 @@ func (l *link) pushAhead(s *Sim, q *runQueue, pkt *packet, at int64, mask uint64
 	if l.recvPort >= 0 {
 		quiet = s.actLimit - q.n
 	}
-	q.pushAhead(pkt, at, mask)
+	if starts := q.pushAhead(pkt, at, mask); l.recvPort < 0 {
+		mask = starts
+	}
 	for m := mask; m != 0; m &= m - 1 {
 		if quiet--; quiet < 0 {
 			s.scheduleFlit(l.id, at+int64(trailingZeros(m)))
@@ -91,17 +93,25 @@ func (l *link) pushAhead(s *Sim, q *runQueue, pkt *packet, at int64, mask uint64
 }
 
 // acts reports whether the arrival of a flit just pushed on lane q can have
-// an effect, so the link must be visited at its arrival cycle. A NIC takes
-// every flit; a switch input acts on a packet's first flit, which may start
-// its routing request, and on any flit that could lift the lane's buffer
-// over the stop threshold (the VC buffer depth, in VC mode), which sends a
-// stop signal or trips the overflow check. The buffer then holds at most
-// the flits the lane holds now. Every other arrival only adds a flit to the
-// buffer, which the receiver reads from the arrival stamps.
+// an effect, so the link must be visited at its arrival cycle. A switch
+// input acts on a packet's first flit, which may start its routing
+// request, and on any flit that could lift the lane's buffer over the stop
+// threshold (the VC buffer depth, in VC mode), which sends a stop signal or
+// trips the overflow check. The buffer then holds at most the flits the
+// lane holds now. Every other arrival only adds a flit to the buffer,
+// which the receiver reads from the arrival stamps. A NIC under stop & go
+// reads its reception from the stamps the same way (nic.settleRx): it acts
+// on a packet's first flit, which starts the reception, on the tail, which
+// completes it, and on a flit that starts a run, so the runs it has not
+// taken yet fit the lane's inline store. A NIC under VC flow control takes
+// every flit.
 //
 //sim:hotpath
-func (l *link) acts(s *Sim, q *runQueue, first bool) bool {
-	return l.recvPort < 0 || first || q.n > s.actLimit
+func (l *link) acts(s *Sim, q *runQueue, first, tail bool) bool {
+	if l.recvPort >= 0 {
+		return first || q.n > s.actLimit
+	}
+	return tail || s.vcMode || q.runs.at(q.runs.n-1).mask == 1
 }
 
 // pushSignal sends a stop/go control flit back to the sender. Signals on a
@@ -152,20 +162,31 @@ func (l *link) deliverSignals(s *Sim) {
 }
 
 // deliverFlits hands the flit arriving this cycle, if any, to the
-// receiver: a NIC takes it off the cable, and a switch input, whose buffer
-// the flit joins by its stamp alone, runs its arrival checks.
+// receiver: a switch input, whose buffer the flit joins by its stamp alone,
+// runs its arrival checks; a NIC under stop & go takes every flit arrived
+// by now (nic.settleRx); and a NIC under VC flow control takes the flit
+// off the cable.
 //
 //sim:hotpath
 func (l *link) deliverFlits(s *Sim) {
+	if l.recvPort < 0 {
+		s.rxVisits++
+		n := &s.nics[l.recvNIC]
+		if !s.vcMode {
+			n.settleRx(s, s.now)
+			return
+		}
+		for v := range l.lanes {
+			if q := &l.lanes[v]; q.runs.n > 0 && q.runs.front().arrive == s.now {
+				pkt := q.runs.front().pkt
+				s.rxFlits++
+				n.receiveVC(s, pkt, q.popFlit())
+			}
+		}
+		return
+	}
 	for v := range l.lanes {
 		q := &l.lanes[v]
-		if l.recvPort < 0 {
-			if q.runs.n > 0 && q.runs.front().arrive == s.now {
-				pkt := q.runs.front().pkt
-				s.nics[l.recvNIC].receive(s, pkt, q.popFlit())
-			}
-			continue
-		}
 		if r := q.arrival(s.now); r != nil {
 			s.inPorts[l.recvPort].arrive(s, v, q, r)
 		}

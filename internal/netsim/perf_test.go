@@ -18,9 +18,12 @@ func benchTorusPoint(b *testing.B, hostsPerSwitch int, scheme routes.Scheme, loa
 }
 
 // benchTorus is benchTorusPoint under the traffic pattern dest builds for
-// the fabric's host count. It reports the transfer stage's work as
-// visits/flit: switch-output transfer visits per flit a switch output
-// moved, which the active-set loop's committed runs keep well below 1.
+// the fabric's host count. It reports three work ratios, which the
+// active-set loop keeps well below 1: visits/flit, switch-output transfer
+// visits per flit a switch output moved, and nicvisits/flit, NIC transfer
+// visits per flit a NIC moved, both lowered by committed runs; and
+// rx/flit, arrival deliveries to NICs per flit a NIC received, which
+// reading receptions from the arrival stamps lowers.
 func benchTorus(b *testing.B, hostsPerSwitch int, scheme routes.Scheme, load float64, dense bool, dest func(numHosts int) DestFn) {
 	b.Helper()
 	net, err := topology.NewTorus(8, 8, hostsPerSwitch, 16)
@@ -31,7 +34,7 @@ func benchTorus(b *testing.B, hostsPerSwitch int, scheme routes.Scheme, load flo
 	if err != nil {
 		b.Fatal(err)
 	}
-	var visits, flits int64
+	var visits, flits, nicVisits, nicFlits, rxVisits, rxFlits int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s, err := New(Config{
@@ -54,9 +57,19 @@ func benchTorus(b *testing.B, hostsPerSwitch int, scheme routes.Scheme, load flo
 		}
 		visits += s.outVisits
 		flits += s.outFlits
+		nicVisits += s.nicVisits
+		nicFlits += s.nicFlits
+		rxVisits += s.rxVisits
+		rxFlits += s.rxFlits
 	}
 	if flits > 0 {
 		b.ReportMetric(float64(visits)/float64(flits), "visits/flit")
+	}
+	if nicFlits > 0 {
+		b.ReportMetric(float64(nicVisits)/float64(nicFlits), "nicvisits/flit")
+	}
+	if rxFlits > 0 {
+		b.ReportMetric(float64(rxVisits)/float64(rxFlits), "rx/flit")
 	}
 }
 
