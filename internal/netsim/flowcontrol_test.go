@@ -172,3 +172,76 @@ func TestSlackOverflowPanicsUnderBothLoops(t *testing.T) {
 		})
 	}
 }
+
+// TestReceptionPanicsUnderBothLoops breaks one NIC's reception state at a
+// cycle boundary, alike in both step loops, and requires each of the
+// reception's conservation checks to fire with the same message at the
+// same cycle under both: the active-set loop hands a NIC its flits a run
+// at a time, after their arrival, but a packet's first flit and its tail
+// act on arrival, and the checks fire there. Each break waits from cycle
+// 5,000 for the first NIC in a state it applies to; the state it reads is
+// set and cleared only by first flits and tails, so both loops pick the
+// same NIC at the same cycle.
+func TestReceptionPanicsUnderBothLoops(t *testing.T) {
+	cases := []struct {
+		name, want string
+		// brk breaks NIC n's reception and reports whether it applied.
+		brk func(n *nic) bool
+	}{
+		{"delivery-count", "delivered", func(n *nic) bool {
+			if n.rxPkt == nil || n.rxReinj != nil {
+				return false
+			}
+			n.rxExpected++
+			return true
+		}},
+		{"new-packet", "new packet while 1/2 flits of previous outstanding", func(n *nic) bool {
+			if n.rxPkt != nil {
+				return false
+			}
+			n.rxPkt, n.rxCount, n.rxExpected = &packet{}, 1, 2
+			return true
+		}},
+		{"itb-count", "ITB reception count mismatch", func(n *nic) bool {
+			if n.rxReinj == nil {
+				return false
+			}
+			n.rxReinj.expected++
+			return true
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var got []string
+			for _, loop := range stepLoops {
+				cfg := regimeConfig(t, func(*Config) {})
+				loop.apply(&cfg)
+				s, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				broken := -1
+				msg := func() (msg string) {
+					defer func() { msg = fmt.Sprint(recover()) }()
+					for s.now < 2_000_000 {
+						s.step()
+						for h := 0; broken < 0 && s.now >= 5_000 && h < len(s.nics); h++ {
+							if tc.brk(&s.nics[h]) {
+								broken = h
+							}
+						}
+					}
+					return "no panic"
+				}()
+				if broken < 0 || !strings.Contains(msg, tc.want) {
+					t.Fatalf("%s: %s at cycle %d after breaking host %d, want %q", loop.name, msg, s.now, broken, tc.want)
+				}
+				got = append(got, fmt.Sprintf("host %d, cycle %d: %s", broken, s.now, msg))
+			}
+			if got[0] != got[1] {
+				t.Errorf("the step loops fail the reception check differently:\n%s: %s\n%s: %s",
+					stepLoops[0].name, got[0], stepLoops[1].name, got[1])
+			}
+		})
+	}
+}
