@@ -31,7 +31,10 @@
 // A cable and its receiver's input buffer are one queue of packet runs per
 // lane, each stamped with the arrival cycle of its first flit (cable.go):
 // a switch reads its buffer's occupancy and head packet from the stamps,
-// so a flit needs no delivery step to join the buffer.
+// so a flit needs no delivery step to join the buffer, and a NIC under
+// stop & go takes the flits that have arrived a run at a time, when a
+// packet's first flit, its tail or a new run arrives or a reader of its
+// reception needs them.
 //
 // Each stage visits only the components that currently have work: links
 // sit on an arrival wheel at the cycles their signals and the flit
@@ -40,11 +43,12 @@
 // sleeping NICs arm their next generation time on a timer heap
 // (activeset.go). NICs and switch outputs stalled on a stopped stop & go
 // link park until its go signal and add the stall cycles they skipped in
-// one step when they wake. A streaming stop & go output or source
-// injection commits the departures no signal can change before one link
-// flight has passed: the flits go onto the next cable at once, the sender
-// sleeps until a wake on the arrival wheel, and every reader of the state
-// the departures change settles them first. The sets iterate in
+// one step when they wake. A streaming stop & go output or NIC injection
+// commits the departures no signal can change before one link flight has
+// passed (a re-injection's waits on its reception included): the flits go
+// onto the next cable at once, the sender sleeps until a wake on the
+// arrival wheel, and every reader of the state the departures change
+// settles them first. The sets iterate in
 // ascending component ID — the same order as a dense scan — so results
 // are byte-identical to visiting everything every cycle (Config.denseStep
 // runs that legacy loop for comparison) while nearly idle cycles, the
