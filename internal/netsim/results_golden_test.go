@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -263,15 +264,33 @@ func goldenResults(t *testing.T) []byte {
 
 	// Mid-run snapshots: the checkpoint bytes pin the codec's view of the
 	// cycle loop's state (generation timers, the retry heap's array order,
-	// latency tallies) and not just the final Result.
+	// latency tallies) and not just the final Result. Every pinned snapshot
+	// must also resume to the Result of the run that wrote it: all of them
+	// under the active-set loop, and the middle one of the active-set run
+	// under the dense loop too (the dense loop is too slow to resume all).
 	snapshots := func(name string, every int64, mk func(t *testing.T) Config) {
 		t.Run("snapshot/"+name, func(t *testing.T) {
 			for _, loop := range stepLoops {
 				cfg := mk(t)
 				loop.apply(&cfg)
-				_, snaps := runCheckpointed(t, cfg, every)
+				res, snaps := runCheckpointed(t, cfg, every)
 				for i, snap := range snaps {
 					fmt.Fprintf(&b, "snapshot/%s/%s/cycle-%d %s\n", name, loop.name, int64(i+1)*every, bytesDigest(snap))
+					resumeLoops := stepLoops[1:]
+					if loop.name == "active-set" && i == len(snaps)/2 {
+						resumeLoops = stepLoops
+					}
+					for _, rl := range resumeLoops {
+						rcfg := mk(t)
+						rl.apply(&rcfg)
+						got, err := ResumeContext(context.Background(), rcfg, snap)
+						if err != nil {
+							t.Fatalf("%s snapshot at cycle %d, %s resume: %v", loop.name, int64(i+1)*every, rl.name, err)
+						}
+						if !reflect.DeepEqual(res, got) {
+							t.Errorf("%s snapshot at cycle %d, %s resume: Result differs from the run that wrote it", loop.name, int64(i+1)*every, rl.name)
+						}
+					}
 				}
 			}
 		})
