@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"context"
 	"encoding"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/bits"
@@ -41,6 +42,11 @@ import (
 // components (see activeset.go) are settled and woken before the walk, so
 // the parking state is empty when written; on restore, every injecting NIC
 // is back in the tick set, as the settle left it.
+
+// ErrCheckpointVersion is the error Restore wraps when a checkpoint was
+// written in another format version. Checkpoints are only readable by the
+// build that wrote them, so a caller holding one re-runs from scratch.
+var ErrCheckpointVersion = errors.New("written in another format version")
 
 const (
 	ckptMagic   = "ITBCKPT\x00"
@@ -561,7 +567,7 @@ func (s *Sim) state(c *wire.Codec, g *registry) {
 	version := uint32(ckptVersion)
 	c.U32(&version)
 	if version != ckptVersion {
-		c.Fail(fmt.Errorf("format version %d, this build reads %d", version, ckptVersion))
+		c.Fail(fmt.Errorf("%w: format version %d, this build reads %d", ErrCheckpointVersion, version, ckptVersion))
 	}
 	hash, err := s.configHash()
 	if err != nil {

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"reflect"
@@ -234,8 +235,8 @@ func TestResumeEquivalenceTopologies(t *testing.T) {
 }
 
 // TestRestoreRejects pins the failure modes of Restore: wrong magic,
-// truncation, trailing garbage, and a checkpoint from a different
-// experiment configuration.
+// truncation, trailing garbage, another format version, and a checkpoint
+// from a different experiment configuration.
 func TestRestoreRejects(t *testing.T) {
 	net := makeNet(t, 4, 4, 2)
 	cfg := matrixConfig(t, net, routes.UpDown, false)
@@ -250,6 +251,15 @@ func TestRestoreRejects(t *testing.T) {
 	}
 	if _, err := Restore(cfg, append(append([]byte(nil), snap...), 0)); err == nil || !strings.Contains(err.Error(), "trailing") {
 		t.Errorf("trailing bytes accepted: %v", err)
+	}
+	// The previous and the next format version: the version field follows
+	// the magic.
+	for _, v := range []uint32{ckptVersion - 1, ckptVersion + 1} {
+		old := append([]byte(nil), snap...)
+		binary.LittleEndian.PutUint32(old[len(ckptMagic):], v)
+		if _, err := Restore(cfg, old); !errors.Is(err, ErrCheckpointVersion) {
+			t.Errorf("checkpoint of format version %d accepted or refused for another reason: %v", v, err)
+		}
 	}
 	other := matrixConfig(t, net, routes.UpDown, false)
 	other.Seed = 999

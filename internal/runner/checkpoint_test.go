@@ -3,6 +3,7 @@ package runner
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"os"
 	"os/exec"
@@ -104,25 +105,18 @@ func (c *cancelAfterPoints) PointDone(_ Job, _ float64, _ *netsim.Result) {
 }
 func (c *cancelAfterPoints) JobDone(*CurveResult) {}
 
-// TestResumeMidJob interrupts a checkpointed sweep after its first load
-// point — leaving a mid-simulation snapshot of the second on disk — and
-// requires the resumed run to finish the job and match the uninterrupted
-// report. This is the in-process half of the kill-and-resume contract;
-// TestKillAndResume proves the same across a real SIGKILL.
-func TestResumeMidJob(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation too slow for -short")
-	}
-	net := testNet(t)
-	dir := t.TempDir()
-
+// interruptAfterFirstPoint runs checkpointSpec uninterrupted, then again
+// in dir, interrupted after its first load point, which leaves a
+// mid-simulation snapshot of the second on disk. It returns the
+// uninterrupted report.
+func interruptAfterFirstPoint(t *testing.T, net *topology.Network, dir string) []byte {
+	t.Helper()
 	plain := checkpointSpec(t, net)
 	plain.CheckpointEvery = 0
 	repRef, err := Run(plain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := reportJSON(t, repRef)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -138,7 +132,12 @@ func TestResumeMidJob(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "job-0.ckpt")); err != nil {
 		t.Fatalf("interrupted run left no in-flight checkpoint: %v", err)
 	}
+	return reportJSON(t, repRef)
+}
 
+// resumeReport resumes checkpointSpec from dir and returns its report.
+func resumeReport(t *testing.T, net *topology.Network, dir string) []byte {
+	t.Helper()
 	res := checkpointSpec(t, net)
 	res.CheckpointDir = dir
 	res.Resume = true
@@ -146,8 +145,54 @@ func TestResumeMidJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := reportJSON(t, repRes); !bytes.Equal(ref, got) {
+	return reportJSON(t, repRes)
+}
+
+// TestResumeMidJob interrupts a checkpointed sweep after its first load
+// point and requires the resumed run to finish the job and match the
+// uninterrupted report. This is the in-process half of the kill-and-resume
+// contract; TestKillAndResume proves the same across a real SIGKILL.
+func TestResumeMidJob(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation too slow for -short")
+	}
+	net := testNet(t)
+	dir := t.TempDir()
+	ref := interruptAfterFirstPoint(t, net, dir)
+	if got := resumeReport(t, net, dir); !bytes.Equal(ref, got) {
 		t.Errorf("resume after mid-job interrupt diverges:\nwant %s\ngot  %s", ref, got)
+	}
+}
+
+// TestResumeOtherFormatVersion: a snapshot written in another checkpoint
+// format version (by another build) cannot be restored, so the resumed run
+// re-runs the interrupted point from scratch, still reuses the finished
+// point, and matches the uninterrupted report.
+func TestResumeOtherFormatVersion(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation too slow for -short")
+	}
+	net := testNet(t)
+	dir := t.TempDir()
+	ref := interruptAfterFirstPoint(t, net, dir)
+
+	// The snapshot follows the header line: an 8-byte magic, then the
+	// 4-byte format version (docs/CHECKPOINT.md).
+	path := filepath.Join(dir, "job-0.ckpt")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := data[bytes.IndexByte(data, '\n')+1:]
+	if !bytes.HasPrefix(snap, []byte("ITBCKPT\x00")) || len(snap) < 12 {
+		t.Fatalf("job-0.ckpt holds no snapshot after its header line")
+	}
+	binary.LittleEndian.PutUint32(snap[8:12], 99)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := resumeReport(t, net, dir); !bytes.Equal(ref, got) {
+		t.Errorf("resume over a snapshot of another format version diverges:\nwant %s\ngot  %s", ref, got)
 	}
 }
 

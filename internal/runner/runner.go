@@ -17,6 +17,7 @@ package runner
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -679,6 +680,10 @@ func (s *Spec) runJob(j Job, reporter *lockedReporter, jl *journal) (cr CurveRes
 			var rerr error
 			if resumeHdr != nil && i == resumeHdr.Point && len(resumeSnap) > 0 {
 				res, rerr = netsim.ResumeContext(s.Context, cfg, resumeSnap)
+				if errors.Is(rerr, netsim.ErrCheckpointVersion) {
+					// Another build wrote the snapshot: re-run the point.
+					res, rerr = netsim.RunContext(s.Context, cfg)
+				}
 			} else {
 				res, rerr = netsim.RunContext(s.Context, cfg)
 			}
