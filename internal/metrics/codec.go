@@ -20,9 +20,6 @@ const (
 	collectorCodecVersion = 1
 )
 
-// lenSize is the width of this package's slice length prefixes.
-const lenSize = 4
-
 // version writes v, or reads a version byte and fails unless it is v.
 func version(c *wire.Codec, v uint8, what string) {
 	got := v
@@ -42,7 +39,7 @@ func i32(c *wire.Codec, v *int32) {
 }
 
 func unmarshal(what string, data []byte, walk func(*wire.Codec)) error {
-	if err := wire.Unmarshal(data, lenSize, walk); err != nil {
+	if err := wire.Unmarshal(data, walk); err != nil {
 		return fmt.Errorf("metrics: decoding %s: %w", what, err)
 	}
 	return nil
@@ -63,7 +60,7 @@ func (h *Histogram) walk(c *wire.Codec) {
 }
 
 // MarshalBinary serializes the histogram's complete state.
-func (h *Histogram) MarshalBinary() ([]byte, error) { return wire.Marshal(lenSize, h.walk) }
+func (h *Histogram) MarshalBinary() ([]byte, error) { return wire.Marshal(h.walk) }
 
 // UnmarshalBinary restores a histogram serialized by MarshalBinary,
 // overwriting the receiver. The receiver may be freshly built by
@@ -122,7 +119,7 @@ func (c *Collector) walk(w *wire.Codec) {
 }
 
 // MarshalBinary serializes a mid-run collector's complete state.
-func (c *Collector) MarshalBinary() ([]byte, error) { return wire.Marshal(lenSize, c.walk) }
+func (c *Collector) MarshalBinary() ([]byte, error) { return wire.Marshal(c.walk) }
 
 // UnmarshalBinary restores a collector serialized by MarshalBinary into the
 // receiver, which must have been built by NewCollector for the same network

@@ -2,14 +2,12 @@ package netsim
 
 import (
 	"bytes"
-	"cmp"
 	"context"
 	"encoding"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/bits"
-	"slices"
 
 	"itbsim/internal/faults"
 	"itbsim/internal/routes"
@@ -50,9 +48,7 @@ var ErrCheckpointVersion = errors.New("written in another format version")
 
 const (
 	ckptMagic   = "ITBCKPT\x00"
-	ckptVersion = 1
-	// ckptLenSize is the width of the checkpoint's slice length prefixes.
-	ckptLenSize = 8
+	ckptVersion = 2
 )
 
 // configHash digests every configuration field that influences results into
@@ -65,7 +61,7 @@ const (
 // installed on the table adds its kind (dynamic type) and its config (the
 // state a fresh Clone starts from); without one the hash is unchanged.
 func (s *Sim) configHash() (uint64, error) {
-	w := wire.NewWriter(nil, ckptLenSize)
+	w := wire.NewWriter(nil)
 	i := func(v int) { wire.Int(w, &v) }
 	i64 := func(v int64) { wire.Int(w, &v) }
 	b := func(v bool) { w.Bool(&v) }
@@ -124,9 +120,6 @@ func (s *Sim) configHash() (uint64, error) {
 	i(p.ITBPoolBytes)
 	i(p.SourceQueueCap)
 	i(p.SourceBubblePeriod)
-	// The resolved lane count (the table's NumVCs) sits where the format's
-	// first version wrote a lane-count parameter, so the hash is unchanged.
-	i(s.numVCs)
 	i(p.VCBufFlits)
 	i64(p.WatchdogCycles)
 	i64(p.DetectionCycles)
@@ -218,7 +211,7 @@ type registry struct {
 }
 
 // registries walks the simulator state in a fixed order (timers, then
-// links, then switch inputs, then NICs) registering every reachable object.
+// link lanes, then NICs) registering every reachable object.
 // The closing fixpoint loop covers the two-way packet<->message references:
 // a retried message can hold a dead packet no buffer references any more,
 // and fireTimer still reads that packet's dead flag.
@@ -240,14 +233,10 @@ func (s *Sim) registries() *registry {
 		}
 	}
 	for i := range s.links {
-		for _, f := range s.links[i].cable(s.seen) {
-			pkt(f.pkt)
-		}
-	}
-	for i := range s.inPorts {
-		for _, in := range s.inPorts[i].lanes() {
-			for _, seg := range in.buf.segments(s.seen) {
-				pkt(seg.pkt)
+		for v := range s.links[i].lanes {
+			q := &s.links[i].lanes[v]
+			for k := 0; k < q.runs.n; k++ {
+				pkt(q.runs.at(k).pkt)
 			}
 		}
 	}
@@ -304,66 +293,53 @@ func nested(c *wire.Codec, v interface {
 	}
 }
 
-// cableFlit is one flit in flight as a checkpoint writes it.
-type cableFlit struct {
-	pkt    *packet
-	tail   bool
-	arrive int64
-}
-
-// bufferSeg is one packet's buffered flits as a checkpoint writes them.
-type bufferSeg struct {
-	pkt   *packet
-	flits int
-	tail  bool
-}
-
-// cable lists the flits in flight on l after cycle seen, oldest first
-// across its lanes (no two share an arrival cycle: a link carries one flit
-// per cycle). Flits of dead packets are included, as the cable holds them.
-func (l *link) cable(seen int64) []cableFlit {
-	var out []cableFlit
+// checkLanes recounts the flits of l's lanes after a read walk and
+// refuses runs no lane of the simulator holds: a run without a packet or
+// of another lane's packet, a non-empty run whose first flit is missing,
+// an empty or open run anywhere but at the head of the lane's live (not
+// stale) runs, arrival cycles that do not strictly increase along the lane
+// or that reach past the flight after the snapshot, [now, now +
+// LinkFlightCycles), and a switch input lane holding more arrived flits
+// than its buffer. The step loops index and stamp by all of them.
+func (l *link) checkLanes(s *Sim) error {
+	limit := s.now + int64(s.p.LinkFlightCycles)
 	for v := range l.lanes {
 		q := &l.lanes[v]
+		q.n = 0
+		prev := int64(-1)
+		head, arrived := true, 0
 		for i := 0; i < q.runs.n; i++ {
 			r := q.runs.at(i)
-			for m := r.mask; m != 0; m &= m - 1 {
-				if at := r.arrive + int64(bits.TrailingZeros64(m)); at > seen {
-					out = append(out, cableFlit{pkt: r.pkt, tail: r.tail && m&(m-1) == 0, arrive: at})
-				}
+			var err error
+			switch behind := r.stale || !head; {
+			case r.pkt == nil || (s.vcMode && int(r.pkt.vc) != v):
+				err = fmt.Errorf("run %d holds no packet of the lane", i)
+			case r.mask&1 == 0 && r.mask != 0:
+				err = fmt.Errorf("run %d arrival mask %#x misses its first flit", i, r.mask)
+			case r.mask == 0 && behind:
+				err = fmt.Errorf("empty run %d behind the lane's head", i)
+			case r.open && behind:
+				err = fmt.Errorf("open run %d behind the lane's head", i)
+			case r.mask != 0 && r.arrive <= prev:
+				err = fmt.Errorf("run %d arrives at cycle %d, not after the flit at %d", i, r.arrive, prev)
+			case r.mask != 0 && (r.arrive >= limit || r.last() >= limit):
+				err = fmt.Errorf("run %d arrives until cycle %d, past the flight [%d, %d)", i, r.last(), s.now, limit)
+			}
+			if err != nil {
+				return fmt.Errorf("link %d lane %d: %w", l.id, v, err)
+			}
+			head = head && r.stale
+			if r.mask != 0 {
+				prev = r.last()
+				q.n += r.count()
+			}
+			if !r.stale {
+				arrived += r.arrived(s.seen)
 			}
 		}
-	}
-	if len(l.lanes) > 1 {
-		slices.SortFunc(out, func(a, b cableFlit) int { return cmp.Compare(a.arrive, b.arrive) })
-	}
-	return out
-}
-
-// restoreCable puts a checkpoint's flits in flight on l's lanes. They must
-// arrive in strictly increasing cycles within the flight after the
-// snapshot, [now, now + LinkFlightCycles); the flits of a dead packet come
-// back stale.
-func (l *link) restoreCable(s *Sim, cable []cableFlit) error {
-	prev := s.seen
-	for _, f := range cable {
-		if f.pkt == nil {
-			return fmt.Errorf("link %d: flit in flight without a packet", l.id)
+		if l.recvPort >= 0 && arrived > s.laneFlits {
+			return fmt.Errorf("link %d lane %d: %d arrived flits overfill a buffer of %d", l.id, v, arrived, s.laneFlits)
 		}
-		if f.arrive <= prev || f.arrive >= s.now+int64(s.p.LinkFlightCycles) {
-			return fmt.Errorf("link %d: flit arriving at cycle %d after one at %d, outside [%d, %d) or out of order",
-				l.id, f.arrive, prev, s.now, s.now+int64(s.p.LinkFlightCycles))
-		}
-		prev = f.arrive
-		q := &l.lanes[0]
-		if s.vcMode {
-			if int(f.pkt.vc) >= len(l.lanes) {
-				return fmt.Errorf("link %d: flit on lane %d of %d", l.id, f.pkt.vc, len(l.lanes))
-			}
-			q = &l.lanes[f.pkt.vc]
-		}
-		q.push(f.pkt, f.tail, f.arrive)
-		q.runs.at(q.runs.n - 1).stale = f.pkt.dead
 	}
 	return nil
 }
@@ -379,84 +355,6 @@ func (l *link) checkSignals(s *Sim) error {
 				l.id, at, s.now, s.now+int64(s.p.LinkFlightCycles))
 		}
 		prev = at
-	}
-	return nil
-}
-
-// segments lists q's buffered flits at cycle seen, one segment per packet,
-// head first; an open head whose next flits are still in flight is an
-// empty segment. A nil q (the placeholder buffer of a VC port) lists none.
-func (q *runQueue) segments(seen int64) []bufferSeg {
-	if q == nil {
-		return nil
-	}
-	var out []bufferSeg
-	for i := 0; i < q.runs.n; i++ {
-		r := q.runs.at(i)
-		if r.stale {
-			continue
-		}
-		if !r.buffered(seen) {
-			break
-		}
-		n := r.arrived(seen)
-		tail := r.tail && n == r.count()
-		if k := len(out) - 1; k >= 0 && out[k].pkt == r.pkt && !out[k].tail {
-			out[k].flits += n
-			out[k].tail = tail
-			continue
-		}
-		out = append(out, bufferSeg{pkt: r.pkt, flits: n, tail: tail})
-	}
-	return out
-}
-
-// restoreBuffer puts a checkpoint's buffered segments in front of the
-// flits in flight restoreCable put on q, each as a run that has arrived by
-// cycle seen. Only the head segment may be empty: an open head, which
-// takes over the packet's next run when one is in flight. A nil q (the
-// placeholder buffer of a VC port) takes no segments.
-func (q *runQueue) restoreBuffer(segs []bufferSeg, occ, depth int, seen int64) error {
-	sum := 0
-	for i, sg := range segs {
-		if sg.pkt == nil || sg.flits < 0 || sg.flits > depth || (sg.flits == 0 && (i > 0 || sg.tail)) {
-			return fmt.Errorf("buffer segment %d (%d flits, tail %v) is not a valid run", i, sg.flits, sg.tail)
-		}
-		sum += sg.flits
-	}
-	if sum != occ || occ > depth || (q == nil && len(segs) > 0) {
-		return fmt.Errorf("buffer of %d segments holding %d flits records occupancy %d (depth %d)", len(segs), sum, occ, depth)
-	}
-	if q == nil {
-		return nil
-	}
-	inFlight := make([]flitRun, q.runs.n)
-	for i := range inFlight {
-		inFlight[i] = *q.runs.at(i)
-	}
-	q.runs.reset()
-	q.n = 0
-	for _, sg := range segs {
-		if sg.flits == 0 {
-			q.runs.push(flitRun{pkt: sg.pkt, arrive: seen + 1, open: true})
-		}
-		// The segment's flits arrived back to back up to seen, at most a
-		// window to a run.
-		for left := sg.flits; left > 0; {
-			k := min(left, runWindow)
-			left -= k
-			q.runs.push(flitRun{pkt: sg.pkt, arrive: seen - int64(left+k) + 1, mask: 1<<uint(k) - 1,
-				tail: sg.tail && left == 0})
-		}
-		q.n += sg.flits
-	}
-	for _, r := range inFlight {
-		q.runs.push(r)
-		q.n += r.count()
-	}
-	if q.runs.n > 1 && q.runs.front().mask == 0 && q.runs.at(1).pkt == q.runs.front().pkt {
-		q.runs.pop()
-		q.runs.front().open = true
 	}
 	return nil
 }
@@ -478,36 +376,6 @@ func (l *link) rescheduleArrivals(s *Sim) {
 			}
 		}
 	}
-}
-
-// ckptOutConnected is the output state the format's first version writes
-// for a stop & go output whose one lane is connected.
-const ckptOutConnected = 2
-
-// restoreOutPort maps an output port's version-1 state and connection
-// slots onto its lanes: a stop & go port's connected state becomes its one
-// lane's connection, to the input its last setup served. Slots only the
-// other kind of port writes are refused.
-func (s *Sim) restoreOutPort(op *outPort, state, nconn int) error {
-	if !s.vcMode {
-		if nconn != 0 || op.setupVC != 0 || op.txRR != 0 {
-			return fmt.Errorf("switch %d output of link %d: lane slots on a stop & go port", op.sw, op.link)
-		}
-		if state == ckptOutConnected {
-			if op.inp < 0 || op.inp >= len(s.inPorts) {
-				return fmt.Errorf("switch %d output of link %d: connected to input %d", op.sw, op.link, op.inp)
-			}
-			state, nconn = outFree, 1
-			op.one[0].conn = int32(op.inp)
-		}
-	} else if op.one[0].req != 0 {
-		return fmt.Errorf("switch %d output of link %d: stop & go request mask on a VC port", op.sw, op.link)
-	}
-	if state != outFree && state != outSetup {
-		return fmt.Errorf("switch %d output of link %d: state %d", op.sw, op.link, state)
-	}
-	op.state, op.nconn = state, nconn
-	return nil
 }
 
 // checkPorts refuses restored port state that no run reaches: a port index
@@ -662,110 +530,60 @@ func (s *Sim) state(c *wire.Codec, g *registry) {
 	})
 
 	// Links: dynamic state only (down is re-derived from the fault set).
-	// The cable's flits in flight are written one entry per flit, oldest
-	// first across lanes, and its signals likewise.
+	// Each lane is written as its ring holds it, flits in flight and
+	// buffered in one queue of runs, and the signals likewise.
 	wire.Array(c, s.links, func(c *wire.Codec, l *link) {
 		c.Bool(&l.stopped)
 		wire.Int(c, &l.busy)
 		wire.Int(c, &l.idleStopped)
 		wire.Array(c, l.credits, wire.Int[int16])
-		var cable []cableFlit
-		if !c.Reading() {
-			cable = l.cable(s.seen)
-		}
-		wire.Slice(c, &cable, func(c *wire.Codec, f *cableFlit) {
-			g.pkts.ref(c, &f.pkt)
-			c.Bool(&f.tail)
-			wire.Int(c, &f.arrive)
+		wire.Array(c, l.lanes, func(c *wire.Codec, q *runQueue) {
+			wire.Ring(c, &q.runs.buf, &q.runs.head, &q.runs.n, func(c *wire.Codec, r *flitRun) {
+				g.pkts.ref(c, &r.pkt)
+				wire.Int(c, &r.arrive)
+				c.U64(&r.mask)
+				c.Bool(&r.tail)
+				c.Bool(&r.open)
+				c.Bool(&r.stale)
+			})
 		})
-		if c.Reading() && c.Err() == nil {
-			if err := l.restoreCable(s, cable); err != nil {
-				c.Fail(err)
-			}
-		}
 		wire.Ring(c, &l.signals.buf, &l.signals.head, &l.signals.n, func(c *wire.Codec, sg *signalInFlight) {
 			c.Bool(&sg.stop)
 			c.U8(&sg.vc)
 			wire.Int(c, &sg.arrive)
 		})
 		if c.Reading() && c.Err() == nil {
-			if err := l.checkSignals(s); err != nil {
+			if err := l.checkLanes(s); err != nil {
+				c.Fail(err)
+			} else if err := l.checkSignals(s); err != nil {
 				c.Fail(err)
 			}
 		}
 	})
 
-	// Switch input ports. A buffer is written as the buffered part of its
-	// link's lane: occupancy, then one segment per packet, head first (a
-	// nil buffer is an empty placeholder).
-	buffer := func(c *wire.Codec, q *runQueue, depth int) {
-		var segs []bufferSeg
-		occ := 0
-		if !c.Reading() {
-			segs = q.segments(s.seen)
-			for _, sg := range segs {
-				occ += sg.flits
-			}
-		}
-		wire.Int(c, &occ)
-		wire.Slice(c, &segs, func(c *wire.Codec, sg *bufferSeg) {
-			g.pkts.ref(c, &sg.pkt)
-			wire.Int(c, &sg.flits)
-			c.Bool(&sg.tail)
-		})
-		if c.Reading() && c.Err() == nil {
-			if err := q.restoreBuffer(segs, occ, depth, s.seen); err != nil {
-				c.Fail(err)
-			}
-		}
-	}
-	// The version-1 format gives a port its own connection, request and
-	// buffer slots and then a list of VC lanes: one and vcs. A stop & go
-	// port writes its one lane in its own slots and an empty list; a VC
-	// port writes the empty placeholder in one (no connection, no request,
-	// no stop, no buffer) and its lanes in the list.
+	// Switch ports, in one layout for both flow-control models: a port's
+	// own state, then its lanes (one under stop & go).
 	wire.Array(c, s.inPorts, func(c *wire.Codec, ip *inPort) {
-		own := &ip.one[0]
-		wire.Int(c, &own.conn)
-		wire.Int(c, &own.pendingOut)
 		c.Bool(&ip.lastSignalStop)
-		buffer(c, own.buf, s.p.SlackBufferFlits)
-		wire.Array(c, ip.vcs, func(c *wire.Codec, in *inLane) {
+		wire.Array(c, ip.lanes(), func(c *wire.Codec, in *inLane) {
 			wire.Int(c, &in.conn)
 			wire.Int(c, &in.pendingOut)
-			buffer(c, in.buf, s.p.VCBufFlits)
 		})
-		if c.Reading() && s.vcMode && (own.conn != -1 || own.pendingOut != -1 || ip.lastSignalStop) {
-			c.Fail(fmt.Errorf("switch %d input of link %d: stop & go slots on a VC port", ip.sw, ip.link))
-		}
 	})
-
-	// Switch output ports, in the same layout: a stop & go port writes its
-	// one lane's request mask in its own slot, a connected lane as the
-	// format's connected state, and empty lane lists; a VC port writes the
-	// placeholder's zero request mask and its lanes.
 	wire.Array(c, s.outPorts, func(c *wire.Codec, op *outPort) {
-		state, nconn := op.state, op.nconn
-		if !s.vcMode {
-			nconn = 0
-			if op.nconn > 0 {
-				state = ckptOutConnected
-			}
-		}
-		wire.Int(c, &state)
+		wire.Int(c, &op.state)
 		wire.Int(c, &op.setupLeft)
 		wire.Int(c, &op.inp)
-		wire.Int(c, &op.rr)
-		c.U32(&op.one[0].req)
-		wire.Int(c, &nconn)
 		wire.Int(c, &op.setupVC)
+		wire.Int(c, &op.rr)
 		wire.Int(c, &op.txRR)
-		wire.Array(c, op.vcs, func(c *wire.Codec, ol *outLane) { c.U32(&ol.req) })
-		wire.Array(c, op.vcs, func(c *wire.Codec, ol *outLane) { wire.Int(c, &ol.conn) })
-		if c.Reading() && c.Err() == nil {
-			if err := s.restoreOutPort(op, state, nconn); err != nil {
-				c.Fail(err)
-			}
+		wire.Int(c, &op.nconn)
+		wire.Array(c, op.lanes(), func(c *wire.Codec, ol *outLane) {
+			c.U32(&ol.req)
+			wire.Int(c, &ol.conn)
+		})
+		if c.Reading() && op.state != outFree && op.state != outSetup {
+			c.Fail(fmt.Errorf("switch %d output of link %d: state %d", op.sw, op.link, op.state))
 		}
 	})
 	if c.Reading() && c.Err() == nil {
@@ -773,22 +591,6 @@ func (s *Sim) state(c *wire.Codec, g *registry) {
 			c.Fail(err)
 		}
 	}
-
-	// Switch counters of the version-1 format: ungranted requests, setups
-	// and connections. They follow from the output ports' states, so a
-	// writer computes them and a reader checks them against the ports it
-	// just decoded.
-	wire.Array(c, s.switches, func(c *wire.Codec, sw *swtch) {
-		waiting, setups, conns := sw.portCounts(s)
-		want := [3]int{waiting, setups, conns}
-		got := want
-		for i := range got {
-			wire.Int(c, &got[i])
-		}
-		if got != want {
-			c.Fail(fmt.Errorf("switch %d counters %v do not match its ports' states %v", sw.id, got, want))
-		}
-	})
 
 	// NICs.
 	wire.Array(c, s.nics, func(c *wire.Codec, n *nic) {
@@ -930,7 +732,7 @@ func (s *Sim) Snapshot() ([]byte, error) {
 	// walk writes; settling them also empties the parking state, which the
 	// checkpoint leaves out.
 	s.settleParked(s.now - 1)
-	c := wire.NewWriter(append(make([]byte, 0, 1<<16), ckptMagic...), ckptLenSize)
+	c := wire.NewWriter(append(make([]byte, 0, 1<<16), ckptMagic...))
 	s.state(c, s.registries())
 	if err := c.Err(); err != nil {
 		return nil, err
@@ -954,7 +756,7 @@ func Restore(cfg Config, data []byte) (*Sim, error) {
 	if !bytes.HasPrefix(data, []byte(ckptMagic)) {
 		return nil, fmt.Errorf("netsim: not a checkpoint (bad magic)")
 	}
-	c := wire.NewReader(data[len(ckptMagic):], ckptLenSize)
+	c := wire.NewReader(data[len(ckptMagic):])
 	s.state(c, &registry{})
 	if err := c.Finish(); err != nil {
 		return nil, fmt.Errorf("netsim: checkpoint: %w", err)
@@ -1095,7 +897,7 @@ var checkpointFields = map[string][]string{
 		"idleStopped"},
 	"netsim.signalInFlight": {"stop", "vc", "arrive"},
 	"netsim.inPort":         {"one", "vcs", "lastSignalStop"},
-	"netsim.inLane":         {"buf", "conn", "pendingOut"},
+	"netsim.inLane":         {"conn", "pendingOut"},
 	"netsim.outPort":        {"state", "setupLeft", "inp", "setupVC", "rr", "one", "vcs", "nconn", "txRR"},
 	"netsim.outLane":        {"req", "conn"},
 	"netsim.nic": {"sendQ", "sendQH", "reinjQ", "reinjH", "cur", "active", "rxPkt",
@@ -1109,13 +911,9 @@ var checkpointFields = map[string][]string{
 		"msg", "attempt", "dead", "injected"},
 	"netsim.msgState": {"src", "dst", "payload", "genCycle", "measured", "seq", "pkt", "attempts", "done", "lost"},
 	"netsim.timer":    {"at", "key", "m"},
-	// A lane is written as its flits in flight (cableFlit, one per flit)
-	// and its receiver's buffer (bufferSeg, one per packet).
-	"netsim.runQueue":  {"runs"},
-	"netsim.flitRun":   {"pkt", "arrive", "mask", "tail"},
-	"netsim.cableFlit": {"pkt", "tail", "arrive"},
-	"netsim.bufferSeg": {"pkt", "flits", "tail"},
-	"netsim.vcRx":      {"pkt", "count"},
+	"netsim.runQueue": {"runs"},
+	"netsim.flitRun":  {"pkt", "arrive", "mask", "tail", "open", "stale"},
+	"netsim.vcRx":     {"pkt", "count"},
 	"netsim.faultEngine": {"planIdx", "tableSwapPlanIdx", "timers", "seq", "phase",
 		"phaseEnd", "eventCycle", "detectAt", "needPurge", "drops", "retransmits",
 		"lost", "reconfigs", "reconfigFails", "reconfigErr", "droppedPackets"},
@@ -1137,8 +935,7 @@ var checkpointFields = map[string][]string{
 	"routes.adaptiveSelector": {"cfg", "state"},
 	"routes.adaptState":       {"ewma", "tries"},
 
-	// A signal ring writes its live entries oldest first (wire.Ring); a
-	// lane's run ring is written through cableFlit and bufferSeg.
+	// A ring writes its live entries oldest first (wire.Ring).
 	"netsim.ring[itbsim/internal/netsim.flitRun]":        {"buf", "head", "n"},
 	"netsim.ring[itbsim/internal/netsim.signalInFlight]": {"buf", "head", "n"},
 }
@@ -1164,15 +961,14 @@ var checkpointExempt = map[string][]string{
 		"nicVisits", "nicFlits", "rxVisits", "rxFlits",
 		"deadRouteReqs", "pktChunk", "pktUsed", "numChannels", "numHosts",
 		"vcMode", "numVCs", "laneFlits", "genIntervalCycles"},
-	// The flit count follows from the runs, which store only holds. An open
-	// head comes back as an empty buffer segment and stale runs as flits of
-	// dead packets.
+	// The flit count follows from the runs, which store only holds.
 	"netsim.runQueue": {"n", "store"},
-	"netsim.flitRun":  {"open", "stale"},
-	// Build-time wiring; down is re-derived from the fault set and the
+	// Build-time wiring (an input lane's buffer is its link's lane, which
+	// the link writes); down is re-derived from the fault set and the
 	// switch port masks from the output ports' states.
 	"netsim.link":    {"id", "recvPort", "recvNIC", "down"},
 	"netsim.inPort":  {"sw", "link", "localIdx"},
+	"netsim.inLane":  {"buf"},
 	"netsim.outPort": {"sw", "link", "localIdx", "parkedAt", "commitAt", "commitMask"},
 	"netsim.swtch":   {"id", "ins", "outs", "setupOuts", "connOuts", "fullOuts", "reqOuts", "sleepOuts"},
 	"netsim.nic":     {"host", "upLink", "parkedAt", "parkedFull", "commitAt", "commitMask"},

@@ -23,8 +23,6 @@ var checkpointedTypes = []interface{}{
 	ring[signalInFlight]{},
 	runQueue{},
 	flitRun{},
-	cableFlit{},
-	bufferSeg{},
 	signalInFlight{},
 	inPort{},
 	inLane{},

@@ -282,20 +282,42 @@ func TestRestoreRejects(t *testing.T) {
 	}
 }
 
-// badCables are the cable entries Restore must refuse, each made by
-// rewriting one run of a restored Sim's busiest lane before it snapshots
-// again: arrival cycles that do not strictly increase (a run repeated
-// behind itself) and arrival cycles past the flight after the snapshot.
+// badCables are the lane contents Restore must refuse, each made by
+// rewriting the busiest switch input lane of a restored Sim before it
+// snapshots again, and the message each refusal carries: a run repeated
+// behind itself (arrival cycles that do not strictly increase), arrival
+// cycles past the flight after the snapshot, a run whose first flit is
+// missing, an empty and an open run behind the lane's head, and more
+// arrived flits than the lane's buffer holds.
 var badCables = []struct {
-	name   string
-	mutate func(s *Sim, q *runQueue, r *flitRun)
+	name, want string
+	mutate     func(s *Sim, q *runQueue, r *flitRun)
 }{
-	{"non-increasing", func(s *Sim, q *runQueue, r *flitRun) { q.runs.push(*r) }},
-	{"beyond-flight", func(s *Sim, q *runQueue, r *flitRun) { r.arrive = s.now + int64(s.p.LinkFlightCycles) }},
+	{"non-increasing", "not after the flit", func(s *Sim, q *runQueue, r *flitRun) {
+		dup := *r
+		dup.open = false
+		q.runs.push(dup)
+	}},
+	{"beyond-flight", "past the flight", func(s *Sim, q *runQueue, r *flitRun) { r.arrive = s.now + int64(s.p.LinkFlightCycles) }},
+	{"first-flit-missing", "misses its first flit", func(s *Sim, q *runQueue, r *flitRun) { r.mask <<= 1 }},
+	{"empty-behind-head", "empty run", func(s *Sim, q *runQueue, r *flitRun) { q.runs.push(flitRun{pkt: r.pkt}) }},
+	{"open-behind-head", "open run", func(s *Sim, q *runQueue, r *flitRun) {
+		q.runs.push(flitRun{pkt: r.pkt, arrive: r.last() + 1, mask: 1, open: true})
+	}},
+	{"overfull", "overfill", func(s *Sim, q *runQueue, r *flitRun) {
+		// Runs of a window each that have all arrived by the snapshot, one
+		// window more than the buffer holds.
+		pkt, runs := r.pkt, s.laneFlits/runWindow+1
+		q.runs.reset()
+		for k := 0; k < runs; k++ {
+			q.runs.push(flitRun{pkt: pkt, arrive: s.seen - int64(runWindow*(runs-k)) + 1, mask: ^uint64(0)})
+		}
+	}},
 }
 
 // corruptCable restores snap under cfg, applies mutate to the last run in
-// flight on the lane with the most flits in flight, and snapshots again.
+// flight on the switch input lane with the most flits in flight, and
+// snapshots again.
 func corruptCable(tb testing.TB, cfg Config, snap []byte, mutate func(s *Sim, q *runQueue, r *flitRun)) []byte {
 	tb.Helper()
 	s, err := Restore(cfg, snap)
@@ -305,6 +327,9 @@ func corruptCable(tb testing.TB, cfg Config, snap []byte, mutate func(s *Sim, q 
 	var busiest *runQueue
 	most := 0
 	for i := range s.links {
+		if s.links[i].recvPort < 0 {
+			continue
+		}
 		for v := range s.links[i].lanes {
 			q := &s.links[i].lanes[v]
 			n := 0
@@ -327,16 +352,16 @@ func corruptCable(tb testing.TB, cfg Config, snap []byte, mutate func(s *Sim, q 
 	return bad
 }
 
-// TestRestoreRejectsBadCable pins that Restore refuses, with an error and
-// no panic, cable entries a run queue cannot hold.
+// TestRestoreRejectsBadCable pins that Restore refuses, each with its own
+// error and no panic, lane contents a run queue cannot hold.
 func TestRestoreRejectsBadCable(t *testing.T) {
 	cfg := stormConfig(t, routes.ITBRR)
 	_, snaps := runCheckpointed(t, cfg, 30_000)
 	for _, bc := range badCables {
 		t.Run(bc.name, func(t *testing.T) {
 			bad := corruptCable(t, cfg, snaps[0], bc.mutate)
-			if _, err := Restore(cfg, bad); err == nil || !strings.Contains(err.Error(), "flit arriving at cycle") {
-				t.Errorf("corrupt cable accepted: %v", err)
+			if _, err := Restore(cfg, bad); err == nil || !strings.Contains(err.Error(), bc.want) {
+				t.Errorf("corrupt lane accepted or refused for another reason: %v", err)
 			}
 		})
 	}

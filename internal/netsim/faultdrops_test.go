@@ -63,9 +63,12 @@ func scheduleNow(s *Sim, evs ...faults.Event) {
 
 // onLink reports whether any of p's flits are in flight on channel c.
 func onLink(s *Sim, p *packet, c int) bool {
-	for _, f := range s.links[c].cable(s.seen) {
-		if f.pkt == p {
-			return true
+	for v := range s.links[c].lanes {
+		q := &s.links[c].lanes[v]
+		for i := 0; i < q.runs.n; i++ {
+			if r := q.runs.at(i); r.pkt == p && r.inFlight(s.seen) {
+				return true
+			}
 		}
 	}
 	return false

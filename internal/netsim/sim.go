@@ -503,8 +503,8 @@ func (s *Sim) build() {
 
 	// Give every switch port a lane per cable lane: an input its lane's
 	// buffer and connection state, an output its lane's request mask and
-	// connection. Under VC flow control a port's own lane stays the empty
-	// placeholder the checkpoint writes.
+	// connection. Under VC flow control a port's own lane stays unused, with
+	// no buffer and no connection.
 	for i := range s.inPorts {
 		ip := &s.inPorts[i]
 		ip.one[0] = inLane{conn: -1, pendingOut: -1}

@@ -23,8 +23,8 @@ type inPort struct {
 
 	// one is the port's one lane under stop & go, kept in the port as
 	// runQueue.store keeps a lane's first runs next to its header. Under VC
-	// flow control vcs holds the lanes, and one stays the empty placeholder
-	// the version-1 checkpoint writes in the port's own slots.
+	// flow control vcs holds the lanes, and one stays unused: no buffer, no
+	// connection, no pending output.
 	one [1]inLane
 	vcs []inLane
 }
@@ -295,23 +295,6 @@ type swtch struct {
 	// are committed (commitMask non-zero) until their wake. Never set by
 	// the dense loop or under VC flow control.
 	sleepOuts uint32
-}
-
-// portCounts derives from the output ports' states the three counters a
-// checkpoint carries per switch: input lanes with an ungranted request,
-// outputs in setup, and connected lanes.
-func (sw *swtch) portCounts(s *Sim) (waiting, setups, conns int) {
-	for _, oi := range sw.outs {
-		op := &s.outPorts[oi]
-		for _, ol := range op.lanes() {
-			waiting += bits.OnesCount32(ol.req)
-		}
-		if op.state == outSetup {
-			setups++
-		}
-		conns += op.nconn
-	}
-	return waiting, setups, conns
 }
 
 // rederiveMasks rebuilds the port masks from the output ports' states.

@@ -54,9 +54,6 @@ func (t *Table) Observe(srcHost int, r *Route, latencyNs float64) {
 	}
 }
 
-// lenSize is the width of the selector codecs' slice length prefixes.
-const lenSize = 4
-
 // randomSelector picks uniformly among alternatives with a splitmix64
 // generator, whose whole state is one word.
 type randomSelector struct {
@@ -83,11 +80,11 @@ func (s *randomSelector) Clone() Selector              { return NewRandomSelecto
 func (s *randomSelector) walk(c *wire.Codec) { c.U64(&s.state) }
 
 // MarshalBinary serializes the generator state.
-func (s *randomSelector) MarshalBinary() ([]byte, error) { return wire.Marshal(lenSize, s.walk) }
+func (s *randomSelector) MarshalBinary() ([]byte, error) { return wire.Marshal(s.walk) }
 
 // UnmarshalBinary restores a generator state written by MarshalBinary.
 func (s *randomSelector) UnmarshalBinary(data []byte) error {
-	return wire.Unmarshal(data, lenSize, s.walk)
+	return wire.Unmarshal(data, s.walk)
 }
 
 // fewestITBSelector always picks the alternative with the fewest in-transit
@@ -114,7 +111,7 @@ func (fewestITBSelector) MarshalBinary() ([]byte, error) { return nil, nil }
 
 // UnmarshalBinary accepts only the empty state MarshalBinary writes.
 func (fewestITBSelector) UnmarshalBinary(data []byte) error {
-	return wire.Unmarshal(data, lenSize, func(*wire.Codec) {})
+	return wire.Unmarshal(data, func(*wire.Codec) {})
 }
 
 // AdaptiveConfig tunes the source-adaptive selector.
@@ -253,10 +250,10 @@ func (s *adaptiveSelector) walk(c *wire.Codec) {
 }
 
 // MarshalBinary serializes the configuration and the learned estimates.
-func (s *adaptiveSelector) MarshalBinary() ([]byte, error) { return wire.Marshal(lenSize, s.walk) }
+func (s *adaptiveSelector) MarshalBinary() ([]byte, error) { return wire.Marshal(s.walk) }
 
 // UnmarshalBinary restores a state written by MarshalBinary, replacing the
 // receiver's configuration and estimates.
 func (s *adaptiveSelector) UnmarshalBinary(data []byte) error {
-	return wire.Unmarshal(data, lenSize, s.walk)
+	return wire.Unmarshal(data, s.walk)
 }

@@ -5,9 +5,8 @@
 // fields, and the same walk serializes and restores it.
 //
 // The encoding is little-endian. Integers of any width travel as 8-byte
-// two's complement (Int); slices, queues, rings and arrays carry a length
-// prefix whose width (4 or 8 bytes) is fixed when the Codec is made, so
-// existing formats keep their bytes.
+// two's complement (Int); slices, queues, rings and arrays carry a 4-byte
+// length prefix.
 //
 // A reader never trusts a length: every decoded length is bounded by the
 // bytes left, because each element takes at least one byte, so a corrupt
@@ -30,32 +29,29 @@ type Codec struct {
 	buf     []byte
 	off     int
 	reading bool
-	lenSize int
 	err     error
 }
 
-// NewWriter returns a writer that appends to buf. lenSize is the width in
-// bytes (4 or 8) of the length prefix written by Slice, Queue, Ring and
-// Array.
-func NewWriter(buf []byte, lenSize int) *Codec {
-	return &Codec{buf: buf, lenSize: lenSize}
+// NewWriter returns a writer that appends to buf.
+func NewWriter(buf []byte) *Codec {
+	return &Codec{buf: buf}
 }
 
-// NewReader returns a reader over data; lenSize must match the writer's.
-func NewReader(data []byte, lenSize int) *Codec {
-	return &Codec{buf: data, reading: true, lenSize: lenSize}
+// NewReader returns a reader over data.
+func NewReader(data []byte) *Codec {
+	return &Codec{buf: data, reading: true}
 }
 
 // Marshal runs walk on a fresh writer and returns its output and error.
-func Marshal(lenSize int, walk func(*Codec)) ([]byte, error) {
-	c := NewWriter(nil, lenSize)
+func Marshal(walk func(*Codec)) ([]byte, error) {
+	c := NewWriter(nil)
 	walk(c)
 	return c.Bytes(), c.Err()
 }
 
 // Unmarshal runs walk on a reader over data and returns Finish's error.
-func Unmarshal(data []byte, lenSize int, walk func(*Codec)) error {
-	c := NewReader(data, lenSize)
+func Unmarshal(data []byte, walk func(*Codec)) error {
+	c := NewReader(data)
 	walk(c)
 	return c.Finish()
 }
@@ -174,28 +170,21 @@ func Int[T ~int | ~int16 | ~int32 | ~int64](c *Codec, v *T) {
 	}
 }
 
-// length writes n, or reads a length and bounds it by the bytes left. A
-// failed reader returns zero.
+// length writes n as a 4-byte prefix, or reads a length and bounds it by
+// the bytes left. A failed reader returns zero.
 func (c *Codec) length(n int) int {
-	if c.lenSize == 4 {
-		u := uint32(n)
-		c.U32(&u)
-		n = int(u)
-	} else {
-		v := int64(n)
-		Int(c, &v)
-		n = int(v)
-	}
+	u := uint32(n)
+	c.U32(&u)
 	if !c.reading {
 		return n
 	}
-	if c.err == nil && (n < 0 || n > c.left()) {
-		c.err = fmt.Errorf("wire: length %d at offset %d exceeds the %d bytes left", n, c.off, c.left())
+	if c.err == nil && uint64(u) > uint64(c.left()) {
+		c.err = fmt.Errorf("wire: length %d at offset %d exceeds the %d bytes left", u, c.off, c.left())
 	}
 	if c.err != nil {
 		return 0
 	}
-	return n
+	return int(u)
 }
 
 // Slice encodes or decodes a length-prefixed slice through elem. A reader

@@ -47,61 +47,51 @@ func sample() *record {
 }
 
 func TestRoundTrip(t *testing.T) {
-	for _, lenSize := range []int{4, 8} {
-		w := NewWriter(nil, lenSize)
-		in := sample()
-		in.walk(w)
-		if w.Err() != nil {
-			t.Fatal(w.Err())
-		}
-		out := &record{fixed: make([]float64, 2), queue: []uint32{1, 2, 3, 4}, head: 3}
-		r := NewReader(w.Bytes(), lenSize)
-		out.walk(r)
-		if err := r.Finish(); err != nil {
-			t.Fatalf("lenSize %d: %v", lenSize, err)
-		}
-		if out.u8 != in.u8 || out.u32 != in.u32 || out.u64 != in.u64 || out.f64 != in.f64 ||
-			!out.ok || !bytes.Equal(out.blob, in.blob) || out.i != in.i || out.i16 != in.i16 {
-			t.Errorf("lenSize %d: scalars differ: %+v", lenSize, out)
-		}
-		if len(out.list) != 2 || out.list[0] != -1 || out.list[1] != 2 {
-			t.Errorf("lenSize %d: slice %v", lenSize, out.list)
-		}
-		if out.head != 0 || len(out.queue) != 2 || out.queue[0] != 8 || out.queue[1] != 7 {
-			t.Errorf("lenSize %d: queue %v head %d, want [8 7] head 0", lenSize, out.queue, out.head)
-		}
-		if out.fixed[0] != 1.5 || !math.IsInf(out.fixed[1], 1) {
-			t.Errorf("lenSize %d: array %v", lenSize, out.fixed)
-		}
+	w := NewWriter(nil)
+	in := sample()
+	in.walk(w)
+	if w.Err() != nil {
+		t.Fatal(w.Err())
+	}
+	out := &record{fixed: make([]float64, 2), queue: []uint32{1, 2, 3, 4}, head: 3}
+	r := NewReader(w.Bytes())
+	out.walk(r)
+	if err := r.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if out.u8 != in.u8 || out.u32 != in.u32 || out.u64 != in.u64 || out.f64 != in.f64 ||
+		!out.ok || !bytes.Equal(out.blob, in.blob) || out.i != in.i || out.i16 != in.i16 {
+		t.Errorf("scalars differ: %+v", out)
+	}
+	if len(out.list) != 2 || out.list[0] != -1 || out.list[1] != 2 {
+		t.Errorf("slice %v", out.list)
+	}
+	if out.head != 0 || len(out.queue) != 2 || out.queue[0] != 8 || out.queue[1] != 7 {
+		t.Errorf("queue %v head %d, want [8 7] head 0", out.queue, out.head)
+	}
+	if out.fixed[0] != 1.5 || !math.IsInf(out.fixed[1], 1) {
+		t.Errorf("array %v", out.fixed)
 	}
 }
 
-// TestLengthPrefixWidth pins the two prefix widths byte for byte.
+// TestLengthPrefixWidth pins the 4-byte prefix byte for byte.
 func TestLengthPrefixWidth(t *testing.T) {
 	s := []uint32{5}
-	for _, tc := range []struct {
-		lenSize int
-		want    []byte
-	}{
-		{4, []byte{1, 0, 0, 0, 5, 0, 0, 0}},
-		{8, []byte{1, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0}},
-	} {
-		w := NewWriter(nil, tc.lenSize)
-		Slice(w, &s, (*Codec).U32)
-		if !bytes.Equal(w.Bytes(), tc.want) {
-			t.Errorf("lenSize %d: % x, want % x", tc.lenSize, w.Bytes(), tc.want)
-		}
+	w := NewWriter(nil)
+	Slice(w, &s, (*Codec).U32)
+	if want := []byte{1, 0, 0, 0, 5, 0, 0, 0}; !bytes.Equal(w.Bytes(), want) {
+		t.Errorf("% x, want % x", w.Bytes(), want)
 	}
 }
 
 // TestEmptySliceDecodesNil keeps nil-versus-empty stable across a round
 // trip: an empty slice reads back as nil.
 func TestEmptySliceDecodesNil(t *testing.T) {
-	w := NewWriter(nil, 4)
+	w := NewWriter(nil)
 	empty := []int64{}
 	Slice(w, &empty, Int[int64])
 	got := []int64{1}
-	r := NewReader(w.Bytes(), 4)
+	r := NewReader(w.Bytes())
 	Slice(r, &got, Int[int64])
 	if err := r.Finish(); err != nil || got != nil {
 		t.Errorf("got %v, %v; want nil slice", got, err)
@@ -116,43 +106,34 @@ func TestLengthBoundedByInput(t *testing.T) {
 		{0, 0, 0, 1, 1, 2, 3},
 	} {
 		var s []uint64
-		r := NewReader(data, 4)
+		r := NewReader(data)
 		Slice(r, &s, (*Codec).U64)
 		if r.Err() == nil || !strings.Contains(r.Err().Error(), "exceeds") || s != nil {
 			t.Errorf("% x: got %d elements, err %v", data, len(s), r.Err())
 		}
 	}
-	neg := NewWriter(nil, 8)
-	n := int64(-1)
-	Int(neg, &n)
-	var s []uint8
-	r := NewReader(neg.Bytes(), 8)
-	Slice(r, &s, (*Codec).U8)
-	if r.Err() == nil {
-		t.Error("negative length accepted")
-	}
 }
 
 func TestReaderErrors(t *testing.T) {
-	w := NewWriter(nil, 8)
+	w := NewWriter(nil)
 	sample().walk(w)
 	full := w.Bytes()
 
-	r := NewReader(full[:len(full)-3], 8)
+	r := NewReader(full[:len(full)-3])
 	out := &record{fixed: make([]float64, 2)}
 	out.walk(r)
 	if err := r.Finish(); err == nil || !strings.Contains(err.Error(), "truncated") {
 		t.Errorf("truncated input: %v", err)
 	}
 
-	r = NewReader(append(append([]byte(nil), full...), 0), 8)
+	r = NewReader(append(append([]byte(nil), full...), 0))
 	out = &record{fixed: make([]float64, 2)}
 	out.walk(r)
 	if err := r.Finish(); err == nil || !strings.Contains(err.Error(), "trailing") {
 		t.Errorf("trailing byte: %v", err)
 	}
 
-	r = NewReader(full, 8)
+	r = NewReader(full)
 	out = &record{fixed: make([]float64, 3)}
 	out.walk(r)
 	if err := r.Finish(); err == nil || !strings.Contains(err.Error(), "expected") {
@@ -163,7 +144,7 @@ func TestReaderErrors(t *testing.T) {
 // TestStickyError: after the first failure reads leave their targets
 // alone, and Fail keeps the first error.
 func TestStickyError(t *testing.T) {
-	r := NewReader([]byte{1, 2}, 8)
+	r := NewReader([]byte{1, 2})
 	v := uint32(42)
 	r.U32(&v)
 	first := r.Err()
@@ -192,37 +173,34 @@ func TestRingMatchesQueue(t *testing.T) {
 	}
 	queue := append([]uint32{99, 98}, entries...)
 	queueHead := 2
-	for _, lenSize := range []int{4, 8} {
-		rw := NewWriter(nil, lenSize)
-		Ring(rw, &buf, &head, &n, (*Codec).U32)
-		qw := NewWriter(nil, lenSize)
-		Queue(qw, &queue, &queueHead, (*Codec).U32)
-		if rw.Err() != nil || qw.Err() != nil || !bytes.Equal(rw.Bytes(), qw.Bytes()) {
-			t.Fatalf("lenSize %d: ring wrote % x, queue % x", lenSize, rw.Bytes(), qw.Bytes())
-		}
+	rw := NewWriter(nil)
+	Ring(rw, &buf, &head, &n, (*Codec).U32)
+	qw := NewWriter(nil)
+	Queue(qw, &queue, &queueHead, (*Codec).U32)
+	if rw.Err() != nil || qw.Err() != nil || !bytes.Equal(rw.Bytes(), qw.Bytes()) {
+		t.Fatalf("ring wrote % x, queue % x", rw.Bytes(), qw.Bytes())
+	}
 
-		// Decode into a four-slot ring with a stale entry and a wrapped
-		// head: the six entries do not fit, so the ring grows to eight.
-		small, smallHead, smallN := []uint32{7, 7, 7, 7}, 3, 1
-		r := NewReader(rw.Bytes(), lenSize)
-		Ring(r, &small, &smallHead, &smallN, (*Codec).U32)
-		if err := r.Finish(); err != nil {
-			t.Fatalf("lenSize %d: %v", lenSize, err)
-		}
-		want := []uint32{11, 12, 13, 14, 15, 16, 0, 0}
-		if smallHead != 0 || smallN != n || len(small) != 8 || !slices.Equal(small, want) {
-			t.Errorf("lenSize %d: decoded ring %v head %d n %d, want %v head 0 n %d",
-				lenSize, small, smallHead, smallN, want, n)
-		}
+	// Decode into a four-slot ring with a stale entry and a wrapped head:
+	// the six entries do not fit, so the ring grows to eight.
+	small, smallHead, smallN := []uint32{7, 7, 7, 7}, 3, 1
+	r := NewReader(rw.Bytes())
+	Ring(r, &small, &smallHead, &smallN, (*Codec).U32)
+	if err := r.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	want := []uint32{11, 12, 13, 14, 15, 16, 0, 0}
+	if smallHead != 0 || smallN != n || len(small) != 8 || !slices.Equal(small, want) {
+		t.Errorf("decoded ring %v head %d n %d, want %v head 0 n %d", small, smallHead, smallN, want, n)
+	}
 
-		// A ring that holds the entries is reused in place and cleared.
-		big := []uint32{5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5}
-		bigHead, bigN := 9, 0
-		r = NewReader(rw.Bytes(), lenSize)
-		Ring(r, &big, &bigHead, &bigN, (*Codec).U32)
-		if err := r.Finish(); err != nil || len(big) != 16 || bigHead != 0 || bigN != n ||
-			!slices.Equal(big[:n], entries) || big[n] != 0 {
-			t.Errorf("lenSize %d: decoded into 16 slots %v head %d n %d, err %v", lenSize, big, bigHead, bigN, err)
-		}
+	// A ring that holds the entries is reused in place and cleared.
+	big := []uint32{5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5}
+	bigHead, bigN := 9, 0
+	r = NewReader(rw.Bytes())
+	Ring(r, &big, &bigHead, &bigN, (*Codec).U32)
+	if err := r.Finish(); err != nil || len(big) != 16 || bigHead != 0 || bigN != n ||
+		!slices.Equal(big[:n], entries) || big[n] != 0 {
+		t.Errorf("decoded into 16 slots %v head %d n %d, err %v", big, bigHead, bigN, err)
 	}
 }
