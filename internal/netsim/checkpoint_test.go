@@ -305,8 +305,8 @@ var badCables = []struct {
 		q.runs.push(flitRun{pkt: r.pkt, arrive: r.last() + 1, mask: 1, open: true})
 	}},
 	{"overfull", "overfill", func(s *Sim, q *runQueue, r *flitRun) {
-		// Runs of a window each that have all arrived by the snapshot, one
-		// window more than the buffer holds.
+		// Full runs of a window each, all arrived by the snapshot and
+		// together more flits than the buffer holds.
 		pkt, runs := r.pkt, s.laneFlits/runWindow+1
 		q.runs.reset()
 		for k := 0; k < runs; k++ {
