@@ -420,7 +420,37 @@ func goldenResults(t *testing.T) []byte {
 	}
 	runCase("torus-8x8-h8/ITB-RR/knee", knee)
 	snapshots("torus-8x8-h8/ITB-RR/knee", 2003, knee)
+
+	// Credit links streaming with stalls: the 4×4 torus on two lanes with
+	// metrics windows and snapshots every 1,001 cycles, and with flights
+	// of 5 and 11 cycles, so samples, checkpoints and the opening of the
+	// measurement window land at every offset of a credit link's one-flight
+	// streaming run.
+	for _, tr := range torusVCRegimes {
+		name := vcTorus.Name + "/VC2/" + tr.name
+		mk := func(t *testing.T) Config {
+			cfg := vcConfig(t, vcTorus, 2)
+			cfg.Load = 0.02
+			cfg.Params = DefaultParams()
+			tr.apply(&cfg)
+			return cfg
+		}
+		runCase(name, mk, creditStalls)
+		snapshots(name, tr.every, mk)
+	}
 	return b.Bytes()
+}
+
+// torusVCRegimes are the 4×4 torus's two-lane regimes the credit-link
+// cases pin, each with the cycles between its snapshots.
+var torusVCRegimes = []struct {
+	name  string
+	every int64
+	apply func(*Config)
+}{
+	{"odd-windows", 1001, func(c *Config) { c.Metrics = &metrics.Config{WindowCycles: 1001} }},
+	{"flight5", 2000, func(c *Config) { c.Params.LinkFlightCycles = 5 }},
+	{"flight11", 2000, func(c *Config) { c.Params.LinkFlightCycles = 11 }},
 }
 
 // vcRegimes are the dragonfly's credit-stall regimes the VC cases pin:
