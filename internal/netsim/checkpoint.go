@@ -969,9 +969,9 @@ var checkpointExempt = map[string][]string{
 	"netsim.link":    {"id", "recvPort", "recvNIC", "down"},
 	"netsim.inPort":  {"sw", "link", "localIdx"},
 	"netsim.inLane":  {"buf"},
-	"netsim.outPort": {"sw", "link", "localIdx", "parkedAt", "commitAt", "commitMask"},
+	"netsim.outPort": {"sw", "link", "localIdx", "parkedAt", "commitAt", "commitMask", "starved"},
 	"netsim.swtch":   {"id", "ins", "outs", "setupOuts", "connOuts", "fullOuts", "reqOuts", "sleepOuts"},
-	"netsim.nic":     {"host", "upLink", "parkedAt", "parkedFull", "commitAt", "commitMask"},
+	"netsim.nic":     {"host", "upLink", "parkedAt", "parkedFull", "commitAt", "commitMask", "starved"},
 	"netsim.bitset":  {"words"},
 	// plan/rec come from the configuration; set/down/pendingRc/nextWake are
 	// re-derived on restore.

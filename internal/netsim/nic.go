@@ -83,9 +83,11 @@ type nic struct {
 
 	// commitMask holds the injection's committed departures not yet
 	// settled, bit i one flit leaving at cycle commitAt+i (see
-	// Sim.commitNIC).
+	// Sim.commitNIC); on a credit up-link starved holds the cycles at which
+	// the injection waits for a credit, as outPort.starved does.
 	commitAt   int64
 	commitMask uint64
+	starved    uint64
 
 	// Bubble accounting for Params.SourceBubblePeriod.
 	sinceBubble int

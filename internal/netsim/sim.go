@@ -203,8 +203,8 @@ type Sim struct {
 	// not armed on genTimers; a checkpoint leaves both out (they are settled
 	// before its walk). actLimit is the lane occupancy above which every
 	// flit arrival at a switch input acts (see link.acts). commits is set
-	// when streaming stop & go outputs commit runs of departures (the
-	// active-set loop under stop & go; see commitOut).
+	// when streaming outputs and NICs commit runs of departures (the
+	// active-set loop; see commitOut and commitCredit).
 	wheel       []wheelSlot
 	wheelMask   int64
 	actLimit    int
@@ -551,7 +551,7 @@ func (s *Sim) build() {
 	// lands in the slot being walked.
 	s.seen = -1
 	s.lastLateMove = -1
-	s.commits = !s.dense && !s.vcMode
+	s.commits = !s.dense
 	s.wheel = make([]wheelSlot, ringSize(2*s.p.LinkFlightCycles))
 	for i := range s.wheel {
 		s.wheel[i] = wheelSlot{signals: newBitset(total), flits: newBitset(total), wakes: newBitset(total),
