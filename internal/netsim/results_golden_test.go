@@ -186,7 +186,7 @@ func bytesDigest(b []byte) string {
 
 // enqueueDrain hand-places traffic with Enqueue and drains it, the path
 // internal/gm relies on.
-func enqueueDrain(t *testing.T, loop func(*Config)) *Result {
+func enqueueDrain(t *testing.T, loop func(*Config)) (*Sim, *Result) {
 	t.Helper()
 	net := makeNet(t, 4, 4, 2)
 	cfg := baseConfig(net, makeTable(t, net, routes.UpDown))
@@ -208,14 +208,24 @@ func enqueueDrain(t *testing.T, loop func(*Config)) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	return s, res
 }
 
 // goldenResults renders one line per pinned case: the case name and the
 // digest of its Result (or, for the snapshot cases, of the checkpoint
-// bytes). Every case runs under both step loops.
+// bytes). Every case runs under both step loops. Beside each active-set
+// Result line, a work line pins the work counters of that run, which no
+// Result field shows: a change to how senders commit or settle that moves
+// the same flits with more visits changes it.
 func goldenResults(t *testing.T) []byte {
 	var b bytes.Buffer
+	result := func(name, loop string, s *Sim, res *Result) {
+		fmt.Fprintf(&b, "%s/%s %s\n", name, loop, valueDigest(t, res))
+		if loop == "active-set" {
+			fmt.Fprintf(&b, "%s/%s/work outVisits=%d outFlits=%d nicVisits=%d nicFlits=%d rxVisits=%d rxFlits=%d\n",
+				name, loop, s.outVisits, s.outFlits, s.nicVisits, s.nicFlits, s.rxVisits, s.rxFlits)
+		}
+	}
 	// runCase pins one case; each check, when given, must pass on the
 	// Result of both loops.
 	runCase := func(name string, mk func(t *testing.T) Config, checks ...func(*Result) error) {
@@ -223,7 +233,11 @@ func goldenResults(t *testing.T) []byte {
 			for _, loop := range stepLoops {
 				cfg := mk(t)
 				loop.apply(&cfg)
-				res, err := Run(cfg)
+				s, err := New(cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", loop.name, err)
+				}
+				res, err := s.Run()
 				if err != nil {
 					t.Fatalf("%s: %v", loop.name, err)
 				}
@@ -232,7 +246,7 @@ func goldenResults(t *testing.T) []byte {
 						t.Fatalf("%s: %v", loop.name, err)
 					}
 				}
-				fmt.Fprintf(&b, "%s/%s %s\n", name, loop.name, valueDigest(t, res))
+				result(name, loop.name, s, res)
 			}
 		})
 	}
@@ -258,7 +272,8 @@ func goldenResults(t *testing.T) []byte {
 
 	t.Run("enqueue-drain", func(t *testing.T) {
 		for _, loop := range stepLoops {
-			fmt.Fprintf(&b, "enqueue-drain/%s %s\n", loop.name, valueDigest(t, enqueueDrain(t, loop.apply)))
+			s, res := enqueueDrain(t, loop.apply)
+			result("enqueue-drain", loop.name, s, res)
 		}
 	})
 
@@ -343,14 +358,18 @@ func goldenResults(t *testing.T) []byte {
 		for _, loop := range stepLoops {
 			cfg := backpressureConfig(t)
 			loop.apply(&cfg)
-			res, err := Run(cfg)
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", loop.name, err)
+			}
+			res, err := s.Run()
 			if err != nil {
 				t.Fatalf("%s: %v", loop.name, err)
 			}
 			if bp, stopped := stallTotals(res); bp == 0 || stopped == 0 {
 				t.Fatalf("%s: backpressure cycles %d, stopped-link fraction sum %g; the case pins no stall", loop.name, bp, stopped)
 			}
-			fmt.Fprintf(&b, "%s/%s %s\n", name, loop.name, valueDigest(t, res))
+			result(name, loop.name, s, res)
 		}
 	})
 	snapshots("torus-4x4/UP/DOWN/backpressure", 2_000, func(t *testing.T) Config { return backpressureConfig(t) })
