@@ -81,7 +81,7 @@ checkpoint:
 
 # Coverage-guided fuzzing, 15 s per target: the topology and route-table
 # JSON decoders, checkpoint restore, the metrics histogram and collector
-# codecs, and the fault-plan parser. CI does not fuzz: make test already replays every seed
+# codecs, the fault-plan parser and the -loads parser. CI does not fuzz: make test already replays every seed
 # and every checked-in corpus under testdata/fuzz. The fuzzer writes a
 # crashing input into its package's testdata/fuzz; check it in with the fix.
 # FuzzRestore's inputs are whole mid-run snapshots of 100-350 KB, and at
@@ -96,6 +96,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzHistogramUnmarshal$$' -fuzztime 15s ./internal/metrics/
 	$(GO) test -run '^$$' -fuzz '^FuzzCollectorUnmarshal$$' -fuzztime 15s ./internal/metrics/
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime 15s ./internal/faults/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseLoads$$' -fuzztime 15s ./internal/cli/
 
 # The route-optimizer suite under the race detector: the package-level
 # property tests (invariants, determinism, deadlock freedom, escape

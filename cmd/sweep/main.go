@@ -35,8 +35,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strconv"
-	"strings"
 
 	"itbsim/internal/cli"
 	"itbsim/internal/experiments"
@@ -76,9 +74,14 @@ func main() {
 		log.Fatal(err)
 	}
 
-	loads, err := parseLoads(*loadsFlag, env, pat)
-	if err != nil {
-		log.Fatal(err)
+	loads := experiments.DefaultLoads(env.Topo, env.Scale)
+	if pat.Kind == "local" {
+		loads = experiments.LocalLoads(env.Topo, env.Scale)
+	}
+	if *loadsFlag != "" {
+		if loads, err = cli.Loads(*loadsFlag); err != nil {
+			log.Fatal(err)
+		}
 	}
 
 	base, err := cf.Options()
@@ -146,22 +149,4 @@ func main() {
 		}
 		fmt.Printf("# wrote %s\n", *svgOut)
 	}
-}
-
-func parseLoads(s string, env *experiments.Env, pat experiments.Pattern) ([]float64, error) {
-	if s == "" {
-		if pat.Kind == "local" {
-			return experiments.LocalLoads(env.Topo, env.Scale), nil
-		}
-		return experiments.DefaultLoads(env.Topo, env.Scale), nil
-	}
-	var loads []float64
-	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad load %q: %v", f, err)
-		}
-		loads = append(loads, v)
-	}
-	return loads, nil
 }

@@ -9,6 +9,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 	"strings"
 
 	"itbsim/internal/experiments"
@@ -83,6 +84,22 @@ func Schemes(names string) ([]routes.Scheme, error) {
 		return nil, fmt.Errorf("empty scheme list")
 	}
 	return out, nil
+}
+
+// Loads parses a comma-separated list of injection rates, one load per
+// field. A field that is not a number is an error that names it. The values
+// are the runner's to check: it refuses a NaN, negative, infinite or
+// descending grid with a *topology.ConfigError.
+func Loads(list string) ([]float64, error) {
+	var loads []float64
+	for _, f := range strings.Split(list, ",") {
+		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
+		if err != nil {
+			return nil, fmt.Errorf("bad load %q: %v", f, err)
+		}
+		loads = append(loads, v)
+	}
+	return loads, nil
 }
 
 // Profile are the pprof flags every tool accepts: -cpuprofile and

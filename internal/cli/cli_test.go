@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"math"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -90,6 +92,40 @@ func TestScheme(t *testing.T) {
 	for _, bad := range []string{"nope", "itb-rr,nope", ""} {
 		if _, err := Schemes(bad); err == nil {
 			t.Errorf("bad scheme list %q accepted", bad)
+		}
+	}
+}
+
+// TestLoads pins the -loads parser: one load per field, spaces around a
+// field ignored, and an error naming the first field that is not a number.
+// NaN, negative and infinite loads parse; the runner refuses them
+// (TestNonFiniteLoadsRejected in internal/runner).
+func TestLoads(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want []float64
+		bad  string // the field the error names, if the list is refused
+	}{
+		{in: "0.01", want: []float64{0.01}},
+		{in: "0.002, 0.004 ,0.008", want: []float64{0.002, 0.004, 0.008}},
+		{in: "1e-3,2E-3", want: []float64{0.001, 0.002}},
+		{in: "-0.5,NaN,+Inf", want: []float64{-0.5, math.NaN(), math.Inf(1)}},
+		{in: "", bad: `""`},
+		{in: "0.01,", bad: `""`},
+		{in: "0.01,,0.02", bad: `""`},
+		{in: "0.01,x,0.02", bad: `"x"`},
+		{in: "0.01;0.02", bad: `"0.01;0.02"`},
+		{in: "0.01, 5%", bad: `" 5%"`},
+	} {
+		got, err := Loads(tc.in)
+		if tc.bad != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.bad) {
+				t.Errorf("Loads(%q) = %v, %v; want an error naming %s", tc.in, got, err, tc.bad)
+			}
+			continue
+		}
+		if err != nil || !slices.EqualFunc(got, tc.want, func(a, b float64) bool { return a == b || (math.IsNaN(a) && math.IsNaN(b)) }) {
+			t.Errorf("Loads(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
 		}
 	}
 }
