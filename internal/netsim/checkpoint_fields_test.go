@@ -30,6 +30,7 @@ var checkpointedTypes = []interface{}{
 	outLane{},
 	swtch{},
 	nic{},
+	sender{},
 	injection{},
 	reinjState{},
 	packet{},
