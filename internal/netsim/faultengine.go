@@ -311,7 +311,7 @@ func (fe *faultEngine) killOnLink(s *Sim, lid int) {
 		// Inputs whose head packet is waiting for this output are
 		// committed to the dead link by their source route.
 		if ol.req != 0 {
-			sw := &s.switches[op.sw]
+			sw := &s.switches[op.tx.sw]
 			for idx := 0; idx < len(sw.ins); idx++ {
 				if ol.req&(1<<uint(idx)) == 0 {
 					continue
@@ -593,16 +593,16 @@ func (s *Sim) purgeInPort(ipIdx int) {
 		sw := &s.switches[ip.sw]
 		if in.conn >= 0 {
 			op := &s.outPorts[in.conn]
-			sw.disconnect(op, op.localIdx, 0, in)
+			sw.disconnect(op, 0, in)
 		} else if in.pendingOut >= 0 {
 			op := &s.outPorts[in.pendingOut]
 			if op.state == outSetup && op.inp == ipIdx {
 				op.state = outFree
-				sw.setupOuts &^= 1 << uint(op.localIdx)
+				sw.setupOuts &^= op.tx.bit
 			} else if ol := &op.one[0]; ol.req&(1<<uint(ip.localIdx)) != 0 {
 				ol.req &^= 1 << uint(ip.localIdx)
 				if ol.req == 0 {
-					sw.reqOuts &^= 1 << uint(op.localIdx)
+					sw.reqOuts &^= op.tx.bit
 				}
 			}
 			in.pendingOut = -1
