@@ -175,16 +175,6 @@ func (b *Builder) Build() (*Network, error) {
 	return n, nil
 }
 
-// MustBuild is Build for generators with statically correct wiring; it
-// panics on error.
-func (b *Builder) MustBuild() *Network {
-	n, err := b.Build()
-	if err != nil {
-		panic(err)
-	}
-	return n
-}
-
 func (n *Network) init() error {
 	// Check the sizes before allocating by them: Decode feeds untrusted
 	// input through here.
