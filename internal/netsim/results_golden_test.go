@@ -216,9 +216,18 @@ func enqueueDrain(t *testing.T, loop func(*Config)) (*Sim, *Result) {
 // bytes). Every case runs under both step loops. Beside each active-set
 // Result line, a work line pins the work counters of that run, which no
 // Result field shows: a change to how senders commit or settle that moves
-// the same flits with more visits changes it.
-func goldenResults(t *testing.T) []byte {
+// the same flits with more visits changes it. filtered reports that a
+// subtest filter (-run or -skip) left at least one case out.
+func goldenResults(t *testing.T) (lines []byte, filtered bool) {
 	var b bytes.Buffer
+	run := func(name string, f func(t *testing.T)) {
+		ran := false
+		t.Run(name, func(t *testing.T) {
+			ran = true
+			f(t)
+		})
+		filtered = filtered || !ran
+	}
 	result := func(name, loop string, s *Sim, res *Result) {
 		fmt.Fprintf(&b, "%s/%s %s\n", name, loop, valueDigest(t, res))
 		if loop == "active-set" {
@@ -229,7 +238,7 @@ func goldenResults(t *testing.T) []byte {
 	// runCase pins one case; each check, when given, must pass on the
 	// Result of both loops.
 	runCase := func(name string, mk func(t *testing.T) Config, checks ...func(*Result) error) {
-		t.Run(name, func(t *testing.T) {
+		run(name, func(t *testing.T) {
 			for _, loop := range stepLoops {
 				cfg := mk(t)
 				loop.apply(&cfg)
@@ -270,7 +279,7 @@ func goldenResults(t *testing.T) []byte {
 	}
 	runCase(df.Name+"/VC2", func(t *testing.T) Config { return vcConfig(t, df, 2) })
 
-	t.Run("enqueue-drain", func(t *testing.T) {
+	run("enqueue-drain", func(t *testing.T) {
 		for _, loop := range stepLoops {
 			s, res := enqueueDrain(t, loop.apply)
 			result("enqueue-drain", loop.name, s, res)
@@ -287,7 +296,7 @@ func goldenResults(t *testing.T) []byte {
 	// resuming them all adds about two minutes on a 2-vCPU host, which takes
 	// the package to go test's ten-minute timeout.
 	snapshots := func(name string, every int64, mk func(t *testing.T) Config) {
-		t.Run("snapshot/"+name, func(t *testing.T) {
+		run("snapshot/"+name, func(t *testing.T) {
 			for _, loop := range stepLoops {
 				cfg := mk(t)
 				loop.apply(&cfg)
@@ -353,7 +362,7 @@ func goldenResults(t *testing.T) []byte {
 	// so the backpressure and stop & go idle counters (and their values in
 	// mid-run snapshots) are pinned. A run that records neither pins
 	// nothing, so the case fails then.
-	t.Run("backpressure", func(t *testing.T) {
+	run("backpressure", func(t *testing.T) {
 		const name = "torus-4x4/UP/DOWN/backpressure"
 		for _, loop := range stepLoops {
 			cfg := backpressureConfig(t)
@@ -457,7 +466,7 @@ func goldenResults(t *testing.T) []byte {
 		runCase(name, mk, creditStalls)
 		snapshots(name, tr.every, mk)
 	}
-	return b.Bytes()
+	return b.Bytes(), filtered
 }
 
 // torusVCRegimes are the 4×4 torus's two-lane regimes the credit-link
@@ -541,12 +550,15 @@ func regimeConfig(t testing.TB, apply func(*Config)) Config {
 // changed line here is a change in simulated behaviour. Regenerate with:
 // go test ./internal/netsim -run ResultGolden -update
 func TestResultGolden(t *testing.T) {
-	got := goldenResults(t)
+	got, filtered := goldenResults(t)
 	if t.Failed() {
 		return
 	}
 	path := filepath.Join("testdata", "results.golden")
 	if *updateGolden {
+		if filtered {
+			t.Fatal("-update under a subtest filter would drop the lines of the cases it skipped; run TestResultGolden unfiltered")
+		}
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -559,17 +571,38 @@ func TestResultGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (regenerate with -update)", err)
 	}
-	gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
-	for i := 0; i < len(gl) || i < len(wl); i++ {
-		var g, w []byte
-		if i < len(gl) {
-			g = gl[i]
+	// Each produced line is compared with the golden line of the same
+	// name, its first field, so a filtered run checks the cases it ran.
+	// An unfiltered run must reproduce the whole file.
+	byName := func(text []byte) (names []string, lines map[string][]byte) {
+		lines = map[string][]byte{}
+		for _, l := range bytes.Split(text, []byte("\n")) {
+			if len(l) > 0 {
+				name, _, _ := bytes.Cut(l, []byte(" "))
+				names = append(names, string(name))
+				lines[string(name)] = l
+			}
 		}
-		if i < len(wl) {
-			w = wl[i]
+		return names, lines
+	}
+	gotNames, gotLines := byName(got)
+	wantNames, wantLines := byName(want)
+	for _, name := range gotNames {
+		if w, ok := wantLines[name]; !ok {
+			t.Errorf("%s: no golden line\n got  %s", name, gotLines[name])
+		} else if !bytes.Equal(gotLines[name], w) {
+			t.Errorf("%s:\n got  %s\n want %s", name, gotLines[name], w)
 		}
-		if !bytes.Equal(g, w) {
-			t.Errorf("line %d:\n got  %s\n want %s", i+1, g, w)
+	}
+	if filtered {
+		return
+	}
+	for _, name := range wantNames {
+		if _, ok := gotLines[name]; !ok {
+			t.Errorf("%s: golden line not produced\n want %s", name, wantLines[name])
 		}
+	}
+	if !t.Failed() && !bytes.Equal(got, want) {
+		t.Error("results.golden holds the same lines in another order or with repeats; regenerate with -update")
 	}
 }
