@@ -67,137 +67,52 @@ func ParseStrategy(s string) (Strategy, error) {
 	return 0, fmt.Errorf("optimize: unknown strategy %q (want ripup or escape)", s)
 }
 
-// Config tunes the optimizer. The zero value of every field selects the
-// default, so Config{} is a valid "just optimize" request.
+// Config selects the optimizer. Config{} is a valid "just optimize"
+// request.
 type Config struct {
 	// Strategy selects the algorithm; the zero value is RipUpReroute.
 	Strategy Strategy
-	// MaxMoves caps accepted rip-up moves across the whole pass (0 = 256).
-	MaxMoves int
-	// Patience is the number of consecutive rounds without one accepted
-	// move after which the pass stops (0 = 3).
-	Patience int
-	// RipUp is the number of candidate routes examined per round, drawn
-	// from the most critical channels downwards (0 = 8).
-	RipUp int
-	// LoadFactor scales criticality into the congestion objective: each
-	// channel's load is boosted by 1 + LoadFactor*crit before being
-	// squared, so hot channels repel reroutes proportionally (0 = 4).
-	LoadFactor float64
-	// MaxStretch is the extra hops a rerouted up*/down* path may take over
-	// the route it replaces (0 = 2; minimal-path schemes ignore it, their
+}
+
+// The optimizer's tuning.
+const (
+	// maxMoves caps accepted rip-up moves across the whole pass.
+	maxMoves = 256
+	// patience is the number of consecutive rounds without one accepted
+	// move after which the pass stops.
+	patience = 3
+	// ripUp is the number of candidate routes examined per round, drawn
+	// from the most critical channels downwards.
+	ripUp = 8
+	// loadFactor scales criticality into the congestion objective: each
+	// channel's load is boosted by 1 + loadFactor*crit before being
+	// squared, so hot channels repel reroutes proportionally.
+	loadFactor = 4
+	// maxStretch is the extra hops a rerouted up*/down* path may take over
+	// the route it replaces (minimal-path schemes ignore it, their
 	// reroutes stay minimal by construction).
-	MaxStretch int
-	// MaxExtraITBs is the extra in-transit buffers a rerouted ITB split may
-	// spend over the route it replaces, trading one ejection for a detour
-	// around a hot channel (0 = 1).
-	MaxExtraITBs int
-	// ITBPenalty prices one in-transit buffer in congestion-cost units so
-	// the minimal-split search does not scatter free ejections; 0 derives
-	// it as the mean per-channel add cost (one average hop).
-	ITBPenalty float64
-	// EscapeSlack is EscapePrune's keep band, in the caller's criticality
-	// units: an alternative is dropped only when the hottest criticality it
-	// meets exceeds the pair's best alternative by more than EscapeSlack,
-	// so round-robin spreading is preserved among comparably cool paths
-	// (0 = 0.25, a quarter of the normalized scale).
-	EscapeSlack float64
-	// ProfileLoad is the offered load of the profiling pre-pass the runner
-	// simulates to measure criticality before optimizing (0 = the highest
-	// load of the sweep). The optimizer itself never reads it.
-	ProfileLoad float64
-	// ProfileCycles is the measurement window of the profiling pre-pass in
-	// cycles (0 = the runner's default). The optimizer itself never reads
-	// it.
-	ProfileCycles int
-}
+	maxStretch = 2
+	// maxExtraITBs is the extra in-transit buffers a rerouted ITB split
+	// may spend over the route it replaces, trading one ejection for a
+	// detour around a hot channel.
+	maxExtraITBs = 1
+	// escapeSlack is EscapePrune's keep band, in the caller's criticality
+	// units: an alternative is dropped only when the hottest criticality
+	// it meets exceeds the pair's best alternative by more than
+	// escapeSlack, so round-robin spreading is preserved among comparably
+	// cool paths (a quarter of the normalized scale).
+	escapeSlack = 0.25
+)
 
-// DefaultConfig returns the defaults the zero Config resolves to, spelled
-// out for callers that want to tweak one knob.
-func DefaultConfig() Config {
-	return Config{
-		Strategy:     RipUpReroute,
-		MaxMoves:     256,
-		Patience:     3,
-		RipUp:        8,
-		LoadFactor:   4,
-		MaxStretch:   2,
-		MaxExtraITBs: 1,
-		EscapeSlack:  0.25,
-	}
-}
-
-// Validate rejects nonsensical knob values with a typed
-// *topology.ConfigError naming the offending field. Zero values are always
-// valid (they select defaults); only negatives and a non-finite
-// LoadFactor/ITBPenalty/EscapeSlack/ProfileLoad are refused. Optimize
-// validates internally; the runner also calls this up front so a bad sweep
-// spec fails before any table is built.
+// Validate rejects an unknown Strategy with a typed *topology.ConfigError.
+// Optimize validates internally; the runner also calls this up front so a
+// bad sweep spec fails before any table is built.
 func (c Config) Validate() error {
 	if c.Strategy != RipUpReroute && c.Strategy != EscapePrune {
 		return &topology.ConfigError{Field: "Optimize.Strategy", Value: int(c.Strategy),
 			Reason: "unknown strategy; want RipUpReroute or EscapePrune"}
 	}
-	ints := []struct {
-		name string
-		v    int
-	}{
-		{"Optimize.MaxMoves", c.MaxMoves},
-		{"Optimize.Patience", c.Patience},
-		{"Optimize.RipUp", c.RipUp},
-		{"Optimize.MaxStretch", c.MaxStretch},
-		{"Optimize.MaxExtraITBs", c.MaxExtraITBs},
-		{"Optimize.ProfileCycles", c.ProfileCycles},
-	}
-	for _, f := range ints {
-		if f.v < 0 {
-			return &topology.ConfigError{Field: f.name, Value: f.v,
-				Reason: "must be >= 0 (0 selects the default)"}
-		}
-	}
-	floats := []struct {
-		name string
-		v    float64
-	}{
-		{"Optimize.LoadFactor", c.LoadFactor},
-		{"Optimize.ITBPenalty", c.ITBPenalty},
-		{"Optimize.EscapeSlack", c.EscapeSlack},
-		{"Optimize.ProfileLoad", c.ProfileLoad},
-	}
-	for _, f := range floats {
-		if f.v < 0 || math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			return &topology.ConfigError{Field: f.name, Value: f.v,
-				Reason: "must be finite and >= 0 (0 selects the default)"}
-		}
-	}
 	return nil
-}
-
-// withDefaults resolves zero fields to their defaults.
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.MaxMoves == 0 {
-		c.MaxMoves = d.MaxMoves
-	}
-	if c.Patience == 0 {
-		c.Patience = d.Patience
-	}
-	if c.RipUp == 0 {
-		c.RipUp = d.RipUp
-	}
-	if c.LoadFactor == 0 {
-		c.LoadFactor = d.LoadFactor
-	}
-	if c.MaxStretch == 0 {
-		c.MaxStretch = d.MaxStretch
-	}
-	if c.MaxExtraITBs == 0 {
-		c.MaxExtraITBs = d.MaxExtraITBs
-	}
-	if c.EscapeSlack == 0 {
-		c.EscapeSlack = d.EscapeSlack
-	}
-	return c
 }
 
 // Stats summarises one optimization pass.
@@ -210,7 +125,7 @@ type Stats struct {
 	// Pruned counts alternatives dropped by EscapePrune.
 	Pruned int
 	// InitialCost and FinalCost are the quadratic congestion objective
-	// before and after: sum over channels of (load * (1+LoadFactor*crit))^2
+	// before and after: sum over channels of (load * (1+loadFactor*crit))^2
 	// with load in expected uniform-traffic route-shares.
 	InitialCost, FinalCost float64
 	// InitialMaxLoad and FinalMaxLoad are the hottest channel's expected
@@ -226,12 +141,11 @@ type state struct {
 	alts   [][][]*routes.Route
 	load   []float64                 // expected route-share per channel
 	crit   []float64                 // the caller's criticality, as given
-	boost  []float64                 // 1 + LoadFactor*crit
+	boost  []float64                 // 1 + loadFactor*crit
 	boost2 []float64                 // boost^2, the add-cost weight
 	layers []*updown.DependencyGraph // per-VC-layer dependency graphs (one layer if NumVCs==0)
 	ws     *updown.Workspace         // the pass's route-kernel workspace
 	addw   []float64                 // per-channel add cost of the route being proposed
-	cfg    Config
 }
 
 // Optimize runs one optimization pass over a built table and returns the
@@ -256,13 +170,12 @@ func Optimize(tab *routes.Table, rcfg routes.Config, crit []float64, cfg Config)
 				Reason: "criticality must be finite and non-negative"}
 		}
 	}
-	cfg = cfg.withDefaults()
 	a, err := updown.NewAssignment(net, rcfg.Root)
 	if err != nil {
 		return nil, nil, err
 	}
 
-	st := &state{net: net, a: a, ws: updown.NewWorkspace(a), scheme: tab.Scheme, cfg: cfg, crit: crit}
+	st := &state{net: net, a: a, ws: updown.NewWorkspace(a), scheme: tab.Scheme, crit: crit}
 	st.alts = make([][][]*routes.Route, len(tab.Alts))
 	for s := range tab.Alts {
 		st.alts[s] = make([][]*routes.Route, len(tab.Alts[s]))
@@ -273,7 +186,7 @@ func Optimize(tab *routes.Table, rcfg routes.Config, crit []float64, cfg Config)
 	st.boost = make([]float64, len(crit))
 	st.boost2 = make([]float64, len(crit))
 	for c, v := range crit {
-		b := 1 + cfg.LoadFactor*v
+		b := 1 + loadFactor*v
 		st.boost[c] = b
 		st.boost2[c] = b * b
 	}
@@ -373,11 +286,11 @@ type routeRef struct{ s, d, i int }
 
 // ripUpReroute runs the iterative optimization loop: each round ranks the
 // channels by boosted load, collects the routes crossing the hottest ones,
-// and tries to re-route each; the pass ends after MaxMoves accepted moves
-// or Patience consecutive rounds without one.
+// and tries to re-route each; the pass ends after maxMoves accepted moves
+// or patience consecutive rounds without one.
 func (st *state) ripUpReroute(stats *Stats) {
 	stale := 0
-	for stats.Accepted < st.cfg.MaxMoves && stale < st.cfg.Patience {
+	for stats.Accepted < maxMoves && stale < patience {
 		stats.Rounds++
 		accepted := 0
 		for _, ref := range st.candidates() {
@@ -388,7 +301,7 @@ func (st *state) ripUpReroute(stats *Stats) {
 			} else {
 				stats.Rejected++
 			}
-			if stats.Accepted >= st.cfg.MaxMoves {
+			if stats.Accepted >= maxMoves {
 				break
 			}
 		}
@@ -400,7 +313,7 @@ func (st *state) ripUpReroute(stats *Stats) {
 	}
 }
 
-// candidates returns up to RipUp distinct routes crossing the most critical
+// candidates returns up to ripUp distinct routes crossing the most critical
 // channels, hottest channel first, routes per channel in (src, dst, alt)
 // order. Everything is index-driven, so the pick is deterministic.
 func (st *state) candidates() []routeRef {
@@ -441,8 +354,8 @@ func (st *state) candidates() []routeRef {
 		}
 	}
 
-	seen := make(map[routeRef]bool, st.cfg.RipUp)
-	out := make([]routeRef, 0, st.cfg.RipUp)
+	seen := make(map[routeRef]bool, ripUp)
+	out := make([]routeRef, 0, ripUp)
 	for _, sc := range order {
 		for _, ref := range byChan[sc.c] {
 			if seen[ref] {
@@ -450,7 +363,7 @@ func (st *state) candidates() []routeRef {
 			}
 			seen[ref] = true
 			out = append(out, ref)
-			if len(out) >= st.cfg.RipUp {
+			if len(out) >= ripUp {
 				return out
 			}
 		}

@@ -3,7 +3,7 @@ package optimize
 // escapePrune is the OutFlank-style adaptive-escape baseline: for every
 // pair with several route alternatives, score each alternative by the
 // hottest criticality it meets along its channels and keep only those
-// within EscapeSlack (additive, in the caller's criticality units) of the
+// within escapeSlack (additive, in the caller's criticality units) of the
 // pair's best score — so round-robin selection escapes around hotspots
 // instead of marching through them. It
 // never computes a new path: the kept set is a subset of the routes the
@@ -11,7 +11,6 @@ package optimize
 // shrink the dependency graphs. Load accounting and the layer CDGs are
 // updated so Stats costs stay exact.
 func (st *state) escapePrune(stats *Stats) {
-	slack := st.cfg.EscapeSlack
 	for s := range st.alts {
 		for d := range st.alts[s] {
 			if s == d || len(st.alts[s][d]) < 2 {
@@ -34,7 +33,7 @@ func (st *state) escapePrune(stats *Stats) {
 					best = max
 				}
 			}
-			cut := best + slack
+			cut := best + escapeSlack
 			w := 1 / float64(len(alts))
 			kept := alts[:0:0]
 			for i, r := range alts {

@@ -12,15 +12,16 @@ import (
 // the network's port order; acceptance (cost strictly below the old
 // route's, CDG admission) stays with the caller. The searches are the
 // route kernel's (internal/updown), pricing every channel at its add cost:
-// the hop-layered DP for up*/down* paths within MaxStretch, the
-// minimal-DAG DP with breaks at ITBPenalty for ITB re-splits, and the same
+// the hop-layered DP for up*/down* paths within maxStretch, the
+// minimal-DAG DP with breaks priced at the mean add cost for ITB
+// re-splits, and the same
 // DP with the phase rule off for VC's raw minimal paths.
 func (st *state) propose(ref routeRef, old *routes.Route, w float64) (*routes.Route, bool) {
 	for c := range st.addw {
 		st.addw[c] = st.chanAddCost(c, w)
 	}
 	cost := updown.Cost{Factor: 1, Weight: st.addw}
-	maxHops := old.Hops + st.cfg.MaxStretch
+	maxHops := old.Hops + maxStretch
 	switch st.scheme {
 	case routes.UpDown, routes.UpDownMin:
 		path, ok := st.ws.BoundedPath(ref.s, ref.d, maxHops, cost)
@@ -29,12 +30,8 @@ func (st *state) propose(ref routeRef, old *routes.Route, w float64) (*routes.Ro
 		}
 		return st.buildRoute(ref, itbroute.Split{Path: path}, 0)
 	case routes.ITBSP, routes.ITBRR:
-		pen := st.cfg.ITBPenalty
-		if pen == 0 {
-			pen = st.meanAddCost()
-		}
-		path, breaks, ok := st.ws.MinimalSplit(ref.s, ref.d, cost, pen, true)
-		if !ok || len(breaks) > old.NumITBs()+st.cfg.MaxExtraITBs {
+		path, breaks, ok := st.ws.MinimalSplit(ref.s, ref.d, cost, st.meanAddCost(), true)
+		if !ok || len(breaks) > old.NumITBs()+maxExtraITBs {
 			return nil, false
 		}
 		return st.buildRoute(ref, itbroute.Split{Path: path, Breaks: breaks}, 0)
@@ -87,8 +84,9 @@ func (st *state) vcLayerFor(p []int) (int, bool) {
 	return 0, false
 }
 
-// meanAddCost is the mean of st.addw, the auto ITBPenalty: spending an
-// ejection must save more than one average hop.
+// meanAddCost is the mean of st.addw, the price of one in-transit buffer
+// in the ITB re-split search: spending an ejection must save more than one
+// average hop.
 func (st *state) meanAddCost() float64 {
 	if len(st.addw) == 0 {
 		return 0

@@ -119,23 +119,23 @@ func TestOptimizeWithFaults(t *testing.T) {
 	}
 }
 
-// TestOptimizeSpecValidation: nonsense optimizer knobs must be refused up
-// front with a typed *topology.ConfigError, before any table is built.
+// TestOptimizeSpecValidation: an unknown optimizer strategy must be
+// refused up front with a typed *topology.ConfigError, before any table is
+// built.
 func TestOptimizeSpecValidation(t *testing.T) {
 	net := testNet(t)
 	spec := optimizeSpec(t, net)
-	spec.Optimize = &optimize.Config{ProfileLoad: -0.5}
+	spec.Optimize = &optimize.Config{Strategy: optimize.Strategy(99)}
+	spec.Cache = NewTableCache()
 	_, err := Run(spec)
 	if err == nil {
-		t.Fatal("negative ProfileLoad accepted")
+		t.Fatal("unknown Strategy accepted")
 	}
 	var ce *topology.ConfigError
-	if !errors.As(err, &ce) {
-		t.Errorf("error is %T (%v), want *topology.ConfigError", err, err)
+	if !errors.As(err, &ce) || ce.Field != "Optimize.Strategy" {
+		t.Errorf("error is %T (%v), want a *topology.ConfigError naming Optimize.Strategy", err, err)
 	}
-	spec = optimizeSpec(t, net)
-	spec.Optimize = &optimize.Config{MaxMoves: -1}
-	if _, err := Run(spec); err == nil {
-		t.Fatal("negative MaxMoves accepted")
+	if n := spec.Cache.Builds(); n != 0 {
+		t.Errorf("%d tables built before the refusal", n)
 	}
 }

@@ -112,9 +112,9 @@ type Spec struct {
 
 	// Optimize, when non-nil, runs the congestion-aware rip-up/reroute
 	// pass (internal/optimize) on every job's routing table before its
-	// load walk: a short profiling simulation at Optimize.ProfileLoad
-	// (0 = the sweep's top load) measures per-channel utilization, the
-	// optimizer reroutes around the measured hotspots, and the job sweeps
+	// load walk: a short profiling simulation at the sweep's top load
+	// measures per-channel utilization, the optimizer (Optimize.Strategy)
+	// reroutes around the measured hotspots, and the job sweeps
 	// on the optimized table. With a fault plan, the job's reconfiguration
 	// controller applies the same optimizer (on a static criticality
 	// estimate) to every degraded table it recomputes. Optimized tables
@@ -488,41 +488,31 @@ func (s *Spec) executeJob(j Job, reporter *lockedReporter, jl *journal, done map
 	return cr
 }
 
-// defaultProfileCycles caps the optimizer's profiling pre-pass when the
-// spec does not set Optimize.ProfileCycles: long enough for utilization
-// to settle on the fabrics this repo sweeps, far shorter than a full
-// load point.
-const defaultProfileCycles = 200_000
+// profileCycles caps the optimizer's profiling pre-pass: long enough for
+// utilization to settle on the fabrics this repo sweeps, far shorter than
+// a full load point.
+const profileCycles = 200_000
 
 // optimizeTable runs the congestion-aware optimizer for one job: a short
-// profiling simulation on the pristine table measures per-channel busy
-// fractions, which become the criticality input of the rip-up/reroute
-// (or escape-prune) pass. The profiling seed derives from the job's
-// stable coordinates with point -1 — a coordinate no real load point
-// uses — so the optimized table, and every result computed on it, is
-// identical at every Parallel count. Profiling always runs on
+// profiling simulation at the sweep's top load on the pristine table
+// measures per-channel busy fractions, which become the criticality input
+// of the rip-up/reroute (or escape-prune) pass. The profiling seed derives
+// from the job's stable coordinates with point -1 — a coordinate no real
+// load point uses — so the optimized table, and every result computed on
+// it, is identical at every Parallel count. Profiling always runs on
 // the healthy fabric: degraded tables are optimized by the job's
 // reconfiguration controller instead, from a static estimate.
 func (s *Spec) optimizeTable(j Job, table *routes.Table, dest netsim.DestFn) (*routes.Table, error) {
-	ocfg := *s.Optimize
-	load := ocfg.ProfileLoad
-	if load == 0 {
-		load = s.Loads[len(s.Loads)-1] // the top load: normalized keeps the grid ascending
-	}
-	maxCycles := int64(ocfg.ProfileCycles)
-	if maxCycles == 0 {
-		maxCycles = defaultProfileCycles
-	}
 	cfg := netsim.Config{
 		Net:             s.Net,
 		Table:           table,
 		Dest:            dest,
-		Load:            load,
+		Load:            s.Loads[len(s.Loads)-1], // the top load: normalized keeps the grid ascending
 		MessageBytes:    s.MessageBytes,
 		Seed:            s.pointSeed(j, -1),
 		WarmupMessages:  s.WarmupMessages,
 		MeasureMessages: s.MeasureMessages,
-		MaxCycles:       maxCycles,
+		MaxCycles:       profileCycles,
 		CollectLinkUtil: true,
 		Params:          s.Params,
 	}
@@ -542,7 +532,7 @@ func (s *Spec) optimizeTable(j Job, table *routes.Table, dest netsim.DestFn) (*r
 			crit[i] /= peak
 		}
 	}
-	opt, _, err := optimize.Optimize(table, s.RouteConfig(j.Scheme), crit, ocfg)
+	opt, _, err := optimize.Optimize(table, s.RouteConfig(j.Scheme), crit, *s.Optimize)
 	if err != nil {
 		return nil, fmt.Errorf("runner: optimizing %s table: %w", j.Scheme, err)
 	}
