@@ -70,14 +70,15 @@ faults:
 # The checkpoint/resume acceptance suite under the race detector: every
 # snapshot and resume test (both step loops x faults byte-identical after
 # a mid-run snapshot+restore), every restore refusal and FuzzRestore's
-# seeds, the journal round-trip, the in-process mid-job interrupt, the
-# re-run of a snapshot another format version wrote, and the end-to-end
+# seeds, the record round trip, the refusal of records written under
+# another spec, the in-process mid-job interrupt, the re-run of a
+# snapshot another format version wrote, and the end-to-end
 # SIGKILL-and-resume test that kills a child sweep and requires the
 # resumed report to match an uninterrupted run's JSON exactly. See
 # docs/CHECKPOINT.md.
 checkpoint:
 	$(GO) test -race -count=1 -run 'Checkpoint|Snapshot|Resume|Restore' ./internal/netsim/
-	$(GO) test -race -count=1 -run 'KillAndResume|ResumeMidJob|ResumeOtherFormatVersion|SweepJournalRoundTrip|PanicContained' ./internal/runner/
+	$(GO) test -race -count=1 -run 'KillAndResume|ResumeMidJob|ResumeOtherFormatVersion|ResumeRejectsForeign|SweepJournalRoundTrip|PanicContained' ./internal/runner/
 
 # Coverage-guided fuzzing, 15 s per target: the topology and route-table
 # JSON decoders, checkpoint restore, the metrics histogram and collector

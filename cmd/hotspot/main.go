@@ -8,8 +8,8 @@
 // -parallel N spreads them over N workers, -progress streams per-point
 // progress to stderr, -json emits the table as JSON, and -metrics <file>
 // writes the sweeps' windowed telemetry (docs/METRICS.md). -checkpoint-dir
-// journals the location × scheme jobs so a killed battery can be picked
-// back up with -resume (see docs/CHECKPOINT.md).
+// keeps one crash-safe record per location × scheme job so a killed
+// battery can be picked back up with -resume (see docs/CHECKPOINT.md).
 //
 // Examples:
 //

@@ -5,8 +5,9 @@
 // the text output with the full report as JSON. -metrics <file> collects
 // windowed per-link/switch/host telemetry and writes it in the schema of
 // docs/METRICS.md (.csv for CSV, anything else JSON). -checkpoint-dir
-// journals the jobs and snapshots in-flight simulations so a killed run
-// can be picked up with -resume (see docs/CHECKPOINT.md). -trace N prints
+// keeps one crash-safe record per job, snapshotting in-flight simulations,
+// so a killed run can be picked up with -resume (see docs/CHECKPOINT.md).
+// -trace N prints
 // the last N packet life-cycle events of a single-scheme run after its
 // point (on stderr with -json); the traced point is the untraced one.
 //

@@ -11,10 +11,10 @@
 // -metrics <file> additionally collects windowed per-link/switch/host
 // telemetry on every point and writes it in the schema of docs/METRICS.md
 // (.csv for CSV, anything else JSON). -checkpoint-dir makes the sweep
-// crash-safe — finished jobs are journaled and in-flight simulations
-// snapshot periodically — and -resume picks a killed sweep back up from
-// that directory, reproducing the uninterrupted report exactly (see
-// docs/CHECKPOINT.md).
+// crash-safe — each job keeps one record there, holding its finished
+// points and a periodic snapshot of the simulation in flight — and -resume
+// picks a killed sweep back up from that directory, reproducing the
+// uninterrupted report exactly (see docs/CHECKPOINT.md).
 //
 // Examples:
 //

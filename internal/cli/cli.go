@@ -170,8 +170,8 @@ type Run struct {
 	// optimizer on every curve (see docs/OPTIMIZE.md).
 	Optimize         *bool
 	OptimizeStrategy *string
-	// CheckpointDir, CheckpointEvery and Resume are the crash-safe sweep
-	// journal flags (see docs/CHECKPOINT.md).
+	// CheckpointDir, CheckpointEvery and Resume are the crash-safe
+	// per-job record flags (see docs/CHECKPOINT.md).
 	CheckpointDir   *string
 	CheckpointEvery *int64
 	Resume          *bool
@@ -221,7 +221,7 @@ func AddCommonFlags(fs *flag.FlagSet) *CommonFlags {
 // run, which experiments.SpecFor completes with what to run. Setting
 // -metrics turns the observability collector on for every point; -faults
 // schedules failures on every point and enables online reconfiguration;
-// -checkpoint-dir/-checkpoint-every/-resume drive the crash-safe journal;
+// -checkpoint-dir/-checkpoint-every/-resume drive the crash-safe records;
 // and -vcs sets the VC scheme's lane count in the route configuration.
 func (cf *CommonFlags) Options() (runner.Spec, error) {
 	vcs := *cf.VCs

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -24,7 +25,7 @@ import (
 func reportJSON(t *testing.T, rep *Report) []byte {
 	t.Helper()
 	stripTiming(rep)
-	rep.TableBuilds = 0 // a resume legitimately serves cached/journaled jobs
+	rep.TableBuilds = 0 // a resume legitimately serves cached/recorded jobs
 	var buf bytes.Buffer
 	if err := rep.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -32,7 +33,7 @@ func reportJSON(t *testing.T, rep *Report) []byte {
 	return buf.Bytes()
 }
 
-// checkpointSpec is a small sweep used by the journal tests: two schemes,
+// checkpointSpec is a small sweep used by the record tests: two schemes,
 // one pattern, two loads, snapshotting frequently enough that every point
 // writes in-flight checkpoints.
 func checkpointSpec(t *testing.T, net *topology.Network) Spec {
@@ -44,9 +45,41 @@ func checkpointSpec(t *testing.T, net *topology.Network) Spec {
 	return s
 }
 
-// TestSweepJournalRoundTrip: checkpointing must not perturb results, and a
-// resume over a fully journaled sweep must reproduce the report without
-// re-simulating (zero table builds).
+// doneRecords counts the finished records in dir. Every file there must be
+// a job record, and a finished one must carry no snapshot.
+func doneRecords(dir string) (int, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return 0, err
+	}
+	done := 0
+	for _, e := range entries {
+		name := e.Name()
+		if strings.HasSuffix(name, ".ckpt.tmp") {
+			continue // a record being written
+		}
+		if ok, _ := filepath.Match("job-*.ckpt", name); !ok {
+			return 0, fmt.Errorf("%s is not a job record", name)
+		}
+		rec, snap, err := readRecord(filepath.Join(dir, name))
+		if err != nil || rec == nil {
+			return 0, fmt.Errorf("%s: unreadable record (%v)", name, err)
+		}
+		if rec.Done {
+			if len(snap) != 0 {
+				return 0, fmt.Errorf("%s: finished record carries a %d-byte snapshot", name, len(snap))
+			}
+			done++
+		}
+	}
+	return done, nil
+}
+
+// TestSweepJournalRoundTrip: checkpointing must not perturb results, it
+// must leave one finished record per job, and a resume over finished
+// records must reproduce the report without re-simulating (zero table
+// builds). A record without a digest, as an older build wrote, is ignored
+// and its job re-runs.
 func TestSweepJournalRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation too slow for -short")
@@ -71,8 +104,8 @@ func TestSweepJournalRoundTrip(t *testing.T) {
 	if got := reportJSON(t, repCkpt); !bytes.Equal(ref, got) {
 		t.Errorf("checkpointing perturbed the sweep:\nwant %s\ngot  %s", ref, got)
 	}
-	if stale, _ := filepath.Glob(filepath.Join(dir, "job-*.ckpt")); len(stale) != 0 {
-		t.Errorf("in-flight checkpoints not cleaned up after journaling: %v", stale)
+	if done, err := doneRecords(dir); err != nil || done != len(repCkpt.Curves) {
+		t.Errorf("checkpointed run left %d finished records (%v); want one per job, %d", done, err, len(repCkpt.Curves))
 	}
 
 	res := checkpointSpec(t, net)
@@ -83,10 +116,30 @@ func TestSweepJournalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if repRes.TableBuilds != 0 {
-		t.Errorf("resume of a complete journal built %d tables; want 0 (every job served from the journal)", repRes.TableBuilds)
+		t.Errorf("resume of finished records built %d tables; want 0 (every job served from its record)", repRes.TableBuilds)
 	}
 	if got := reportJSON(t, repRes); !bytes.Equal(ref, got) {
-		t.Errorf("journal round trip diverges:\nwant %s\ngot  %s", ref, got)
+		t.Errorf("record round trip diverges:\nwant %s\ngot  %s", ref, got)
+	}
+
+	path := filepath.Join(dir, "job-1.ckpt")
+	rec, _, err := readRecord(path)
+	if err != nil || rec == nil {
+		t.Fatalf("job 1 has no record: %v", err)
+	}
+	rec.Digest = ""
+	if err := writeRecord(dir, rec, nil); err != nil {
+		t.Fatal(err)
+	}
+	repOld, err := Run(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if repOld.TableBuilds != 1 {
+		t.Errorf("resume over a record without a digest built %d tables; want 1 (that job re-run)", repOld.TableBuilds)
+	}
+	if got := reportJSON(t, repOld); !bytes.Equal(ref, got) {
+		t.Errorf("resume over a record without a digest diverges:\nwant %s\ngot  %s", ref, got)
 	}
 }
 
@@ -196,9 +249,10 @@ func TestResumeOtherFormatVersion(t *testing.T) {
 	}
 }
 
-// TestResumeRejectsForeignJournal: resuming a journal under a spec that
-// expands different jobs must fail with the identity error, not silently
-// serve the wrong curves.
+// TestResumeRejectsForeignJournal: resuming a finished directory under a
+// spec whose jobs would simulate other points (other schemes, another load
+// grid, another seed) must fail with the identity error, not silently
+// serve the stored curves.
 func TestResumeRejectsForeignJournal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation too slow for -short")
@@ -212,16 +266,26 @@ func TestResumeRejectsForeignJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	other := checkpointSpec(t, net)
-	other.Schemes = []routes.Scheme{routes.ITBSP, routes.UpDownMin}
-	other.CheckpointDir = dir
-	other.Resume = true
-	_, err := Run(other)
-	if err == nil {
-		t.Fatal("foreign journal accepted")
-	}
-	if !strings.Contains(err.Error(), "different spec") {
-		t.Errorf("unexpected error for foreign journal: %v", err)
+	for _, tc := range []struct {
+		name string
+		mut  func(*Spec)
+	}{
+		{"schemes", func(s *Spec) { s.Schemes = []routes.Scheme{routes.ITBSP, routes.UpDownMin} }},
+		{"loads", func(s *Spec) { s.Loads = []float64{0.03, 0.06} }},
+		{"seed", func(s *Spec) { s.Seed = 99 }},
+	} {
+		other := checkpointSpec(t, net)
+		tc.mut(&other)
+		other.CheckpointDir = dir
+		other.Resume = true
+		_, err := Run(other)
+		if err == nil {
+			t.Errorf("%s: foreign records accepted", tc.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), "different spec") {
+			t.Errorf("%s: unexpected error for foreign records: %v", tc.name, err)
+		}
 	}
 }
 
@@ -369,10 +433,10 @@ func TestKillAndResumeChild(t *testing.T) {
 	}
 }
 
-// TestKillAndResume is the acceptance test of the crash-safe journal: a
-// child process running a checkpointed sweep is SIGKILLed once its journal
-// holds at least one finished job, and a resumed run must skip the
-// journaled jobs yet reproduce the uninterrupted sweep's report.
+// TestKillAndResume is the acceptance test of the crash-safe records: a
+// child process running a checkpointed sweep is SIGKILLed once at least
+// one job's record is finished, and a resumed run must skip the finished
+// jobs yet reproduce the uninterrupted sweep's report.
 func TestKillAndResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation too slow for -short")
@@ -390,17 +454,17 @@ func TestKillAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Kill -9 as soon as one job is journaled; the next job is then
-	// mid-flight with an in-flight checkpoint on disk.
+	// Kill -9 as soon as one job's record is finished; the next job is
+	// then mid-flight with an in-flight record on disk.
 	deadline := time.Now().Add(2 * time.Minute)
 	for {
-		if recs, err := loadJournal(dir); err == nil && len(recs) >= 1 {
+		if done, err := doneRecords(dir); err == nil && done >= 1 {
 			break
 		}
 		if time.Now().After(deadline) {
 			cmd.Process.Kill()
 			cmd.Wait()
-			t.Fatal("child never journaled a job")
+			t.Fatal("child never finished a job")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -409,15 +473,15 @@ func TestKillAndResume(t *testing.T) {
 	}
 	cmd.Wait() //lint:ignore errcheck-lite the kill is the expected exit
 
-	recs, err := loadJournal(dir)
+	done, err := doneRecords(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) == 0 {
-		t.Fatal("no journal records survived the kill")
+	if done == 0 {
+		t.Fatal("no finished record survived the kill")
 	}
-	if len(recs) == 3 {
-		t.Log("child finished before the kill landed; resume degenerates to journal-only replay")
+	if done == 3 {
+		t.Log("child finished before the kill landed; resume only serves finished records")
 	}
 
 	ref := killResumeSpec(net, t.TempDir())
@@ -435,7 +499,7 @@ func TestKillAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	if repRes.TableBuilds >= int64(len(res.Schemes)) {
-		t.Errorf("resume built %d tables for %d schemes; journaled jobs were re-run", repRes.TableBuilds, len(res.Schemes))
+		t.Errorf("resume built %d tables for %d schemes; finished jobs were re-run", repRes.TableBuilds, len(res.Schemes))
 	}
 
 	want, got := reportJSON(t, repRef), reportJSON(t, repRes)

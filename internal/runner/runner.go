@@ -104,7 +104,7 @@ type Spec struct {
 	// point (see netsim.Config.Tracer). A tracer is stateful, so a traced
 	// spec must expand to exactly one job, whose points run in load order
 	// on one goroutine; the optimizer's profiling run is not traced, and
-	// points served from a resume journal emit no events.
+	// points a resume serves from a job's record emit no events.
 	Tracer netsim.Tracer
 
 	// Params overrides the Myrinet timing constants; zero means defaults.
@@ -136,21 +136,24 @@ type Spec struct {
 
 	// Parallel is the worker-goroutine count; 0 means GOMAXPROCS.
 	Parallel int
-	// CheckpointDir enables the crash-safe sweep journal (see
-	// docs/CHECKPOINT.md): completed jobs are recorded in
-	// <dir>/journal.ndjson, and each in-flight job periodically writes a
-	// restorable snapshot to <dir>/job-<index>.ckpt. A fresh Run clears
-	// the directory's previous journal; set Resume to reuse it instead.
+	// CheckpointDir makes the Run crash-safe (see docs/CHECKPOINT.md):
+	// each job keeps one record, <dir>/job-<index>.ckpt, which holds its
+	// finished points and a restorable snapshot of the point in flight,
+	// rewritten every CheckpointEvery cycles, and the whole curve once the
+	// job finishes. A fresh Run removes the directory's previous records;
+	// set Resume to reuse them instead.
 	CheckpointDir string
 	// CheckpointEvery is the in-flight snapshot period in simulated
 	// cycles. Zero with a CheckpointDir set means 250,000; setting it
 	// requires a CheckpointDir.
 	CheckpointEvery int64
-	// Resume picks up a killed or crashed Run from CheckpointDir:
-	// journaled jobs are served from their records without re-simulating,
-	// a job with an in-flight snapshot restarts mid-point, and the Report
-	// matches the uninterrupted run's. Requires a CheckpointDir holding a
-	// journal written by the same spec.
+	// Resume picks up a killed or crashed Run from CheckpointDir: finished
+	// jobs are served from their records without re-simulating, a job with
+	// an in-flight record restarts mid-point, and the Report matches the
+	// uninterrupted run's. A record written under a different spec (its
+	// digest of the fields that fix the job's points differs) fails the
+	// job; one an older build wrote, without a digest, is ignored and its
+	// job re-runs.
 	Resume bool
 
 	// Context cancels in-flight simulations between cycles and skips
@@ -365,18 +368,10 @@ func Run(spec Spec) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	var jl *journal
-	done := map[int]journalRecord{}
 	if ns.CheckpointDir != "" {
-		if ns.Resume {
-			if done, err = loadJournal(ns.CheckpointDir); err != nil {
-				return nil, err
-			}
-		}
-		if jl, err = openJournal(ns.CheckpointDir, ns.Resume); err != nil {
+		if err := prepareCheckpointDir(ns.CheckpointDir, ns.Resume); err != nil {
 			return nil, err
 		}
-		defer jl.close() //lint:ignore errcheck-lite every record was already synced by append
 	}
 	rep := &Report{Curves: make([]CurveResult, len(jobs)), Parallel: ns.Parallel}
 	reporter := newLockedReporter(ns.Reporter)
@@ -399,7 +394,7 @@ func Run(spec Spec) (*Report, error) {
 				// the caller profiles (cmd/* -cpuprofile); it costs one
 				// context allocation per curve, nothing per cycle.
 				pprof.Do(context.Background(), pprof.Labels("job", j.Label), func(context.Context) {
-					rep.Curves[j.Index] = ns.executeJob(j, reporter, jl, done)
+					rep.Curves[j.Index] = ns.executeJob(j, reporter)
 				})
 			}
 		}()
@@ -450,40 +445,56 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("job panicked: %v\n%s", e.Value, e.Stack)
 }
 
-// executeJob runs one job with panic containment and journal integration:
-// a job already in the resume journal is served from its record, a freshly
-// finished job is journaled (and its in-flight checkpoint dropped), and a
-// panic anywhere inside becomes a PanicError result instead of a crash.
-func (s *Spec) executeJob(j Job, reporter *lockedReporter, jl *journal, done map[int]journalRecord) (cr CurveResult) {
+// executeJob runs one job with panic containment and its crash-safe
+// record: on Resume, a job whose record is finished is served from it and
+// a job with an in-flight record continues from it; with a CheckpointDir,
+// a finished job's record is rewritten with the whole curve. A panic
+// anywhere inside becomes a PanicError result instead of a crash.
+func (s *Spec) executeJob(j Job, reporter *lockedReporter) (cr CurveResult) {
 	defer func() {
 		if v := recover(); v != nil {
 			cr = CurveResult{Job: j, Err: &PanicError{Value: v, Stack: debug.Stack()}}
 			cr.Curve.Label = j.Label
 		}
 	}()
-	if rec, ok := done[j.Index]; ok {
-		res, err := resultFromRecord(rec, j)
+	var rec *jobRecord
+	var snap []byte
+	if s.CheckpointDir != "" {
+		digest, err := s.digest(j)
 		if err != nil {
 			return CurveResult{Job: j, Err: err}
 		}
-		reporter.jobStarted(j)
-		for _, p := range res.Curve.Points {
-			reporter.pointDone(j, p.Load, p.Result)
+		rec = &jobRecord{Index: j.Index, Label: j.Label, Digest: digest}
+		if s.Resume {
+			old, oldSnap, err := readRecord(ckptPath(s.CheckpointDir, j.Index))
+			switch {
+			case err != nil:
+				return CurveResult{Job: j, Err: err}
+			case old == nil || old.Digest == "":
+				// No record, or one an older build wrote: run from scratch.
+			case old.Digest != digest:
+				return CurveResult{Job: j, Err: fmt.Errorf(
+					"runner: the record of job %d (%s) was written by a different spec", j.Index, old.Label)}
+			case old.Done:
+				cr = resultFromRecord(old, j)
+				if cr.Err == nil {
+					reporter.jobStarted(j)
+					for _, p := range cr.Curve.Points {
+						reporter.pointDone(j, p.Load, p.Result)
+					}
+					reporter.jobDone(&cr)
+				}
+				return cr
+			default:
+				rec, snap = old, oldSnap
+			}
 		}
-		reporter.jobDone(&res)
-		return res
 	}
-	cr = s.runJob(j, reporter, jl)
-	if jl != nil && cr.Err == nil {
-		rec, err := recordFromResult(&cr)
-		if err == nil {
-			err = jl.append(rec)
-		}
-		if err != nil {
-			cr.Err = err
-		} else {
-			jl.removeCkpt(j.Index)
-		}
+	cr = s.runJob(j, reporter, rec, snap)
+	if rec != nil && cr.Err == nil {
+		rec.Done = true
+		rec.TableBuildUs, rec.SimUs = cr.TableBuild.Microseconds(), cr.Sim.Microseconds()
+		cr.Err = writeRecord(s.CheckpointDir, rec, nil)
 	}
 	return cr
 }
@@ -540,14 +551,15 @@ func (s *Spec) optimizeTable(j Job, table *routes.Table, dest netsim.DestFn) (*r
 }
 
 // runJob walks one curve's load grid in order, early-stopping past
-// saturation. With a journal it also checkpoints the walk: each point's
-// simulation periodically snapshots into <dir>/job-<index>.ckpt alongside
-// the finished points, and on Resume the walk reuses finished points and
-// restarts the interrupted point from its snapshot mid-simulation.
+// saturation. With a record (rec non-nil) it also checkpoints the walk:
+// each point's simulation periodically rewrites <dir>/job-<index>.ckpt
+// with the finished points and its snapshot. A record loaded on Resume
+// makes the walk reuse its finished points and restart the interrupted
+// point from resume, its snapshot, mid-simulation.
 //
 // The result is named so that the deferred Sim timer writes the value the
 // caller receives.
-func (s *Spec) runJob(j Job, reporter *lockedReporter, jl *journal) (cr CurveResult) {
+func (s *Spec) runJob(j Job, reporter *lockedReporter, rec *jobRecord, resume []byte) (cr CurveResult) {
 	cr = CurveResult{Job: j}
 	cr.Curve.Label = j.Label
 	reporter.jobStarted(j)
@@ -588,26 +600,6 @@ func (s *Spec) runJob(j Job, reporter *lockedReporter, jl *journal) (cr CurveRes
 		reconf = ctrl
 	}
 
-	// On resume, load the job's in-flight checkpoint: the points finished
-	// before the kill plus a snapshot of the point that was simulating.
-	var resumeHdr *ckptHeader
-	var resumeSnap []byte
-	if jl != nil && s.Resume {
-		hdr, snap, err := loadCkpt(jl.dir, j.Index)
-		if err != nil {
-			cr.Err = err
-			return cr
-		}
-		if hdr != nil {
-			if !jobIdentityMatches(hdr.Index, hdr.Label, hdr.Scheme, hdr.Pattern, hdr.Replica, j) {
-				cr.Err = fmt.Errorf("runner: checkpoint for job %d (%s %s %s r%d) does not match this spec: it was written by a different run",
-					j.Index, hdr.Scheme, hdr.Pattern, hdr.Label, hdr.Replica)
-				return cr
-			}
-			resumeHdr, resumeSnap = hdr, snap
-		}
-	}
-
 	simStart := time.Now() //lint:ignore noclock wall-clock bookkeeping only
 	//lint:ignore noclock wall-clock bookkeeping only
 	defer func() { cr.Sim = time.Since(simStart) }()
@@ -618,20 +610,13 @@ func (s *Spec) runJob(j Job, reporter *lockedReporter, jl *journal) (cr CurveRes
 			return cr
 		}
 		var res *netsim.Result
-		if resumeHdr != nil && i < len(resumeHdr.Points) {
+		if rec != nil && i < len(rec.Points) {
 			// The point finished before the kill: reuse its result.
-			//lint:ignore floateq both sides are the same stored spec value, not recomputed; any difference means a foreign checkpoint
-			if resumeHdr.Points[i].Load != load {
-				cr.Err = fmt.Errorf("runner: checkpoint for job %d has load %g at point %d, spec has %g: it was written by a different run",
-					j.Index, resumeHdr.Points[i].Load, i, load)
+			var err error
+			if res, err = decodePoint(rec.Points[i]); err != nil {
+				cr.Err = err
 				return cr
 			}
-			pts, derr := decodePoints(resumeHdr.Points[i : i+1])
-			if derr != nil {
-				cr.Err = derr
-				return cr
-			}
-			res = pts[0].Result
 		} else {
 			cfg := netsim.Config{
 				Net:             s.Net,
@@ -650,26 +635,20 @@ func (s *Spec) runJob(j Job, reporter *lockedReporter, jl *journal) (cr CurveRes
 				Faults:          s.Faults,
 				Reconfigurer:    reconf,
 			}
-			if jl != nil {
-				// The sink header carries everything a resumed walk needs
-				// besides the snapshot itself; the finished points are
-				// encoded once per point, not once per snapshot.
-				prior, eerr := encodePoints(cr.Curve.Points)
-				if eerr != nil {
-					cr.Err = eerr
-					return cr
-				}
-				hdr := ckptHeader{Index: j.Index, Label: j.Label, Scheme: j.Scheme.String(),
-					Pattern: j.Pattern.String(), Replica: j.Replica, Point: i, Points: prior}
+			if rec != nil {
+				// The record holds the finished points already encoded, so
+				// a snapshot re-encodes none of them.
 				cfg.CheckpointEvery = s.CheckpointEvery
-				cfg.CheckpointSink = func(cycle int64, snap []byte) error {
-					hdr.Cycle = cycle
-					return jl.writeCkpt(hdr, snap)
+				cfg.CheckpointSink = func(_ int64, snap []byte) error {
+					return writeRecord(s.CheckpointDir, rec, snap)
 				}
 			}
 			var rerr error
-			if resumeHdr != nil && i == resumeHdr.Point && len(resumeSnap) > 0 {
-				res, rerr = netsim.ResumeContext(s.Context, cfg, resumeSnap)
+			if len(resume) > 0 {
+				// The first point left to simulate is the one the
+				// snapshot interrupted.
+				res, rerr = netsim.ResumeContext(s.Context, cfg, resume)
+				resume = nil
 				if errors.Is(rerr, netsim.ErrCheckpointVersion) {
 					// Another build wrote the snapshot: re-run the point.
 					res, rerr = netsim.RunContext(s.Context, cfg)
@@ -680,6 +659,14 @@ func (s *Spec) runJob(j Job, reporter *lockedReporter, jl *journal) (cr CurveRes
 			if rerr != nil {
 				cr.Err = fmt.Errorf("load %g: %w", load, rerr)
 				return cr
+			}
+			if rec != nil {
+				pr, err := encodePoint(load, res)
+				if err != nil {
+					cr.Err = err
+					return cr
+				}
+				rec.Points = append(rec.Points, pr)
 			}
 		}
 		cr.Curve.Points = append(cr.Curve.Points, stats.SweepPoint{Load: load, Result: res})
