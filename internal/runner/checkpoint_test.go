@@ -122,8 +122,7 @@ func TestSweepJournalRoundTrip(t *testing.T) {
 		t.Errorf("record round trip diverges:\nwant %s\ngot  %s", ref, got)
 	}
 
-	path := filepath.Join(dir, "job-1.ckpt")
-	rec, _, err := readRecord(path)
+	rec, _, err := readRecord(filepath.Join(dir, "job-1.ckpt"))
 	if err != nil || rec == nil {
 		t.Fatalf("job 1 has no record: %v", err)
 	}

@@ -466,15 +466,15 @@ func (s *Spec) executeJob(j Job, reporter *lockedReporter) (cr CurveResult) {
 		}
 		rec = &jobRecord{Index: j.Index, Label: j.Label, Digest: digest}
 		if s.Resume {
-			old, oldSnap, err := readRecord(ckptPath(s.CheckpointDir, j.Index))
+			path := ckptPath(s.CheckpointDir, j.Index)
+			old, oldSnap, err := readRecord(path)
 			switch {
 			case err != nil:
 				return CurveResult{Job: j, Err: err}
 			case old == nil || old.Digest == "":
 				// No record, or one an older build wrote: run from scratch.
 			case old.Digest != digest:
-				return CurveResult{Job: j, Err: fmt.Errorf(
-					"runner: the record of job %d (%s) was written by a different spec", j.Index, old.Label)}
+				return CurveResult{Job: j, Err: fmt.Errorf("runner: %s was written by a different spec", path)}
 			case old.Done:
 				cr = resultFromRecord(old, j)
 				if cr.Err == nil {
