@@ -466,6 +466,24 @@ func goldenResults(t *testing.T) (lines []byte, filtered bool) {
 		runCase(name, mk, creditStalls)
 		snapshots(name, tr.every, mk)
 	}
+
+	// The backpressure case on two lanes: source queues stay full while
+	// injections wait for credits, so the backpressure counted for NICs
+	// that wait with a full queue, and the credit-starved idle time, are
+	// pinned, with snapshots every 2,000 cycles. A run that records either
+	// as zero pins nothing, so the case fails then.
+	vcBackpressure := func(t *testing.T) Config {
+		cfg := backpressureConfig(t)
+		cfg.Table = makeVCTable(t, cfg.Net, 2)
+		return cfg
+	}
+	runCase(vcTorus.Name+"/VC2/backpressure", vcBackpressure, func(res *Result) error {
+		if bp, stopped := stallTotals(res); bp == 0 || stopped == 0 {
+			return fmt.Errorf("backpressure cycles %d, credit-starved fraction sum %g; the case pins no stall", bp, stopped)
+		}
+		return nil
+	})
+	snapshots(vcTorus.Name+"/VC2/backpressure", 2_000, vcBackpressure)
 	return b.Bytes(), filtered
 }
 
