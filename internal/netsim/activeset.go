@@ -25,20 +25,25 @@ func trailingZeros(w uint64) int { return bits.TrailingZeros64(w) }
 //   - the arrival wheel: a ring of ringSize(2*LinkFlightCycles) slots, one
 //     per cycle of two flights, each three link bitsets. A link sits on the
 //     slot of every cycle at which something that acts arrives on it: every
-//     signal or credit (pushSignal, pushCredit, pushCreditAt, in the signal
-//     set) and every flit whose arrival could have an effect (pushFlit or a
-//     commitment's pushAhead by link.acts, in the flit set: a packet's
-//     first flit at a switch input or lane, a flit pushed while the lane
-//     holds more than the stop threshold or the VC buffer depth, and at a
-//     NIC a packet's first flit, its tail and a flit that starts a run, or
-//     every flit under VC flow control); and on the slot after the last
-//     departure its committed sender makes (commit, in the wake set). A committed flit, or a settled credit
-//     return, arrives up to 2*LinkFlightCycles-1 cycles ahead, so no push
-//     lands in the slot being walked. Each slot
-//     also keeps a summary bitset with one bit per word of its link sets
-//     (live), which every schedule sets. Stage 1 walks the current cycle's
-//     slot over the live words, waking the committed senders and
-//     delivering the signals and the flits it names, and empties it.
+//     stop & go signal (pushSignal) and every credit return a sender parked
+//     on credits waits for (pushCreditAt while it is parked, and parkStarved
+//     for the first return already on the ring), in the signal set; every
+//     flit whose arrival could have an effect (pushFlit or a commitment's
+//     pushAhead by link.acts, in the flit set: a packet's first flit at a
+//     switch input or lane, a flit pushed while the lane holds more than
+//     the stop threshold or the VC buffer depth, and at a NIC a packet's
+//     first flit, its tail and a flit that starts a run, or every flit
+//     under VC flow control); and the slot after the last departure its
+//     committed sender makes (commit, in the wake set). Every other credit
+//     return waits on the link's signal ring for the next reader of the
+//     link's credit count, which takes the returns that have arrived
+//     (link.absorb). A committed flit, or a settled credit return, arrives
+//     up to 2*LinkFlightCycles-1 cycles ahead, so no push lands in the slot
+//     being walked. Each slot also keeps a summary bitset with one bit per
+//     word of its link sets (live), which every schedule sets. Stage 1
+//     walks the current cycle's slot over the live words, waking the
+//     committed senders and delivering the signals and the flits it names,
+//     and empties it.
 //     Every other flit only joins a switch input's buffer, which reads its
 //     occupancy and head packet from the arrival stamps (see cable.go), or
 //     waits on a NIC's lane for the next settle of its reception
@@ -68,7 +73,7 @@ func trailingZeros(w uint64) int { return bits.TrailingZeros64(w) }
 // (sender) each keeps in the same form, found by link ID (Sim.sender). A
 // sender sleeps off its transfer walk (park: an output joins its switch's
 // sleepOuts, which the walk skips, and a NIC leaves nicSet; Sim.sleepers
-// holds the link of every sleeping sender) in one of two ways:
+// holds the link of every sleeping sender) in one of three ways:
 //
 //   - parked on a stopped stop & go link, when its only work is waiting for
 //     the go signal: its visit would only add one to the link's idle count
@@ -79,6 +84,16 @@ func trailingZeros(w uint64) int { return bits.TrailingZeros64(w) }
 //     to the counters in one step. A parked NIC with room in its queue also
 //     wakes at its next generation time, on genTimers if it is armed there
 //     and on parkTimers otherwise.
+//   - parked on a credit link, when its only work is waiting for a credit
+//     (parkStarved): an output whose connected lanes all have a ready flit
+//     and no credit (outPort.nextSender; a lane in a bubble keeps it
+//     awake, as a flit that joins its buffer does not act), an injecting
+//     NIC with no credit for its packet's lane and no DMA pending. The
+//     arrival of a credit return wakes it (link.deliverCredits), and so
+//     does a setup that connects another lane onto a parked output
+//     (endForConnect); the wake counts the skipped cycles as
+//     credit-starved idle time, and a NIC wakes at its generation time and
+//     counts its backpressure as on a stopped link.
 //   - committed, while it streams: its departures up to one flight ahead
 //     are already decided, because a stop, a go or a credit sent from now
 //     on reaches it a flight later and every flit its source receives by
@@ -112,8 +127,9 @@ func trailingZeros(w uint64) int { return bits.TrailingZeros64(w) }
 // before Snapshot and finalize read the counters; a wake ends a commitment
 // and revokes the departures still ahead (endCommit). settleCommits and
 // settleParked also hand every NIC the flits its down-link has delivered
-// (settleReceptions). The dense loop never puts a sender to sleep, and a
-// restored run starts with none asleep.
+// (settleReceptions), and settleParked takes every credit return that has
+// arrived into its link's count (absorb). The dense loop never puts a
+// sender to sleep, and a restored run starts with none asleep.
 //
 // Purge and kill paths otherwise only remove work, so they never need to
 // add members; the stale bits they leave behind self-clean on the next
@@ -366,8 +382,8 @@ func (s *Sim) unpark(sd *sender, through int64) {
 
 // wake wakes sleeping sender sd through cycle through. A committed sender
 // ends its commitment (endCommit). A parked one counts each skipped
-// measured cycle as stop & go idle time on its link, as its visit would
-// have, and rejoins its transfer walk.
+// measured cycle as idle time on its link, stopped or credit-starved, as
+// its visit would have, and rejoins its transfer walk.
 func (s *Sim) wake(sd *sender, through int64) {
 	if sd.commitMask != 0 {
 		s.endCommit(sd, through)
@@ -375,6 +391,19 @@ func (s *Sim) wake(sd *sender, through int64) {
 	}
 	s.links[sd.link].idleStopped += s.measuredCycles(sd.parkedAt, through)
 	s.unpark(sd, through)
+}
+
+// parkStarved parks sender sd, which has a flit ready and no credit on its
+// credit link l to send it with, until a credit return reaches l: the
+// first return already on l's ring goes on the arrival wheel, and each
+// return pushed while sd stays parked goes there as it is pushed
+// (pushCreditAt). Its arrival wakes sd (link.deliverCredits), and so does a
+// setup that connects another lane onto a parked output (endForConnect).
+func (s *Sim) parkStarved(sd *sender, l *link) {
+	s.park(sd)
+	if l.signals.n > 0 {
+		s.scheduleSignal(l.id, l.signals.front().arrive)
+	}
 }
 
 // commitOut commits the departures that output op makes on link l in the
@@ -516,10 +545,13 @@ type flightScan struct {
 }
 
 // newScan starts the departure scan of a sender about to commit on lane v
-// of link l, up to cycle limit.
+// of link l, up to cycle limit. On a credit link the held credits include
+// every return that has arrived (absorb), so the ring holds the returns
+// still ahead.
 func (s *Sim) newScan(l *link, v uint8, limit int64) flightScan {
 	c := flightScan{v: v, limit: limit, now: s.now, t: s.now}
 	if l.credits != nil {
+		l.absorb(s, s.now)
 		c.l, c.held = l, int(l.credits[v])
 	}
 	return c
@@ -632,9 +664,13 @@ func (s *Sim) settleDrain(l *link) {
 // setup connecting output op from VC input ip would break: op's own, whose
 // output gains a second connected lane, and the one draining ip through
 // another lane, whose input gains one. The connect's header strip then
-// returns its credit behind every return of the ended commitment.
+// returns its credit behind every return of the ended commitment. An op
+// parked on credits wakes too (wake): the new lane may have a credit, or a
+// bubble no arrival would wake it for.
 func (s *Sim) endForConnect(op *outPort, ip *inPort) {
-	s.endCommit(&op.tx, s.now-1)
+	if s.sleepers.has(op.tx.link) {
+		s.wake(&op.tx, s.now-1)
+	}
 	for _, in := range ip.vcs {
 		if in.conn >= 0 {
 			s.endCommit(&s.outPorts[in.conn].tx, s.now-1)
@@ -689,6 +725,7 @@ func (s *Sim) settle(sd *sender, through int64) {
 	sd.commitMask &^= m
 	n := bits.OnesCount64(m)
 	if l.credits != nil {
+		l.absorb(s, through)
 		s.spend(l, int(sd.lane), n)
 	}
 	if sd.sw < 0 {
@@ -717,8 +754,8 @@ func (s *Sim) settle(sd *sender, through int64) {
 
 // spend spends the credits of n settled departures on lane v of credit link
 // l. The settle comes at or after the departures, whose credits have
-// arrived by then, so a count below zero fails the credit conservation
-// check.
+// arrived by then and been absorbed, so a count below zero fails the
+// credit conservation check.
 //
 //sim:hotpath
 func (s *Sim) spend(l *link, v, n int) {
@@ -777,14 +814,21 @@ func (s *Sim) settleCommits(through int64) {
 }
 
 // settleParked wakes every sleeping sender through cycle through, ending
-// every commitment, and hands every NIC the flits its down-link has
-// delivered by then (settleReceptions). It runs before any cycle-edge code
-// that could change what a sleeping sender waits on or read what it counts
-// or receives: plan events, the end-of-cycle kill and purge (through the
-// current cycle, whose visits were skipped too), the stall dump, Snapshot,
-// whose walk then finds no arrived flit on a NIC's cable, and finalize.
+// every commitment, hands every NIC the flits its down-link has delivered
+// by then (settleReceptions), and takes every credit return that has
+// arrived by then into its link's count (absorb). It runs before any
+// cycle-edge code that could change what a sleeping sender waits on or
+// read what it counts or receives: plan events, the end-of-cycle kill and
+// purge (through the current cycle, whose visits were skipped too), the
+// stall dump, Snapshot, whose walk then finds no arrived flit on a NIC's
+// cable and no arrived credit on a signal ring, and finalize.
 func (s *Sim) settleParked(through int64) {
 	s.settleReceptions(through)
+	if s.vcMode {
+		for i := range s.links {
+			s.links[i].absorb(s, through)
+		}
+	}
 	for w, word := range s.sleepers.words {
 		for ; word != 0; word &= word - 1 {
 			s.wake(s.sender(w<<6+trailingZeros(word)), through)

@@ -93,12 +93,15 @@ func TestActiveSetMatchesDense(t *testing.T) {
 // its set, asleep with its next generation time on the generation timer
 // heap (a NIC whose only pending work is message generation), or a
 // sleeping sender: parked on a stopped link until the go signal wakes it,
-// or committed (checkCommit). An output sleeps exactly when it is in its
-// switch's sleepOuts, a sleeping NIC is out of the NIC set, and a sender
-// that holds a commitment sleeps. A parked NIC is injecting on a live,
-// stopped stop & go up-link with no DMA pending, and its source queue is
-// full or a wake-up fires by its next generation time; a parked switch
-// output is a connection on a stopped link whose input holds flits.
+// parked on a credit link until a credit return wakes it, or committed
+// (checkCommit). An output sleeps exactly when it is in its switch's
+// sleepOuts, a sleeping NIC is out of the NIC set, and a sender that holds
+// a commitment sleeps. A parked NIC is injecting with no DMA pending, on a
+// live, stopped stop & go up-link or on a credit up-link with no credit
+// for its packet's lane (heldCredits), and its source queue is full or a
+// wake-up fires by its next generation time; a parked switch output is a
+// connection on a stopped link whose input holds flits, or on a credit
+// link every connected lane of which has a ready head and no credit.
 // Below the component sets, every switch's port masks must equal what its
 // output ports' states imply (lane requests and connections included).
 // Every cable's flits in flight must arrive in strictly increasing cycles
@@ -163,10 +166,25 @@ func checkActiveCover(t *testing.T, s *Sim, cycle int64) {
 				t.Fatalf("cycle %d: switch %d output %d is asleep in its switch (%v) but not among the sleepers, or the other way round",
 					cycle, i, k, asleep)
 			}
-			if asleep && s.sender(op.tx.link).commitMask == 0 && (!s.links[op.tx.link].stopped || op.nconn != 1 ||
-				len(op.lanes()) != 1 || s.inPorts[op.one[0].conn].one[0].buf.occ(s.seen) == 0) {
-				t.Fatalf("cycle %d: switch %d output %d is parked but its link is not stopped or its input is empty",
-					cycle, i, k)
+			if !asleep || s.sender(op.tx.link).commitMask != 0 {
+				continue
+			}
+			l := &s.links[op.tx.link]
+			if l.credits == nil {
+				if !l.stopped || op.nconn != 1 || len(op.lanes()) != 1 || s.inPorts[op.one[0].conn].one[0].buf.occ(s.seen) == 0 {
+					t.Fatalf("cycle %d: switch %d output %d is parked but its link is not stopped or its input is empty",
+						cycle, i, k)
+				}
+				continue
+			}
+			for v, ol := range op.lanes() {
+				if ol.conn < 0 {
+					continue
+				}
+				if hs := bufferHead(s.inPorts[ol.conn].lanes()[v].buf, s.seen); hs == nil || !hs.ready(s.seen) || heldCredits(s, l, v) > 0 {
+					t.Fatalf("cycle %d: switch %d output %d is parked on credits but its connected lane %d has no ready head or %d credits",
+						cycle, i, k, v, heldCredits(s, l, v))
+				}
 			}
 		}
 	}
@@ -202,7 +220,12 @@ func checkActiveCover(t *testing.T, s *Sim, cycle int64) {
 			l := &s.links[n.tx.link]
 			if s.sender(n.tx.link).commitMask != 0 {
 				continue // checkCommit
-			} else if !n.active || l.credits != nil || l.down || !l.stopped || len(n.pending) > 0 {
+			} else if l.credits != nil {
+				if !n.active || len(n.pending) > 0 || heldCredits(s, l, int(n.cur.pkt.vc)) > 0 {
+					t.Fatalf("cycle %d: host %d is parked on credits but not injecting with no credit for its lane and no DMA pending",
+						cycle, h)
+				}
+			} else if !n.active || l.down || !l.stopped || len(n.pending) > 0 {
 				t.Fatalf("cycle %d: host %d is parked but not injecting on a live, stopped stop & go up-link with no DMA pending",
 					cycle, h)
 			}
@@ -454,11 +477,15 @@ func undeparted(s *Sim, i int) int {
 // first flit, its tail and a flit that starts a run act. The check cannot
 // tell the start of the front run from the rest of a run the NIC has
 // partly taken, so there it requires only a packet's first flit. Every
-// arrival that acts must sit on the wheel slot of its cycle. The flits of
+// arrival that acts must sit on the wheel slot of its cycle: every stop &
+// go signal, and on a credit link whose sender is parked on credits the
+// first return on the ring, whose arrival wakes it (the readers of a
+// credit link's count take its returns without a visit). The flits of
 // departures committed from the current cycle on (checkCommit) arrive up
 // to a flight later than the rest. The link's signals must arrive in
 // non-decreasing cycles, as the per-cycle loop pushes them, and on a
-// credit link every lane holds between 0 and VCBufFlits credits.
+// credit link every lane holds at least 0 credits, and at most VCBufFlits
+// with the returns that have arrived (heldCredits).
 func checkCable(t *testing.T, s *Sim, cycle int64, i int) {
 	t.Helper()
 	l := &s.links[i]
@@ -468,16 +495,22 @@ func checkCable(t *testing.T, s *Sim, cycle int64, i int) {
 			t.Fatalf("cycle %d: link %d has %s arriving at cycle %d but is not on that wheel slot", cycle, i, what, at)
 		}
 	}
+	parked := l.credits != nil && s.sleepers.has(i) && s.sender(i).commitMask == 0
 	for j := 0; j < l.signals.n; j++ {
-		onWheel(signalSet, l.signals.at(j).arrive, "a signal")
+		if l.credits == nil {
+			onWheel(signalSet, l.signals.at(j).arrive, "a signal")
+		} else if parked && j == 0 {
+			onWheel(signalSet, l.signals.at(j).arrive, "the first credit return its parked sender waits for")
+		}
 		if j > 0 && l.signals.at(j).arrive < l.signals.at(j-1).arrive {
 			t.Fatalf("cycle %d: link %d's signal %d arrives at cycle %d, before the one ahead of it at %d",
 				cycle, i, j, l.signals.at(j).arrive, l.signals.at(j-1).arrive)
 		}
 	}
 	for v, c := range l.credits {
-		if c < 0 || int(c) > s.p.VCBufFlits {
-			t.Fatalf("cycle %d: link %d lane %d holds %d credits, outside [0, %d]", cycle, i, v, c, s.p.VCBufFlits)
+		if have := heldCredits(s, l, v); c < 0 || have > s.p.VCBufFlits {
+			t.Fatalf("cycle %d: link %d lane %d holds %d credits, %d with the returns that have arrived, outside [0, %d]",
+				cycle, i, v, c, have, s.p.VCBufFlits)
 		}
 	}
 	var stamps []int64
@@ -652,8 +685,9 @@ func TestActiveSetNeverStrandsWork(t *testing.T) {
 }
 
 // creditStarved reports whether a sender on a credit link has a flit ready
-// and no credit for its lane: a switch output's connected lane whose input
-// holds an arrived flit at its head, or an injecting NIC.
+// and no credit for its lane, counting the returns that have arrived
+// (heldCredits): a switch output's connected lane whose input holds an
+// arrived flit at its head, or an injecting NIC.
 func creditStarved(s *Sim) bool {
 	for i := range s.outPorts {
 		op := &s.outPorts[i]
@@ -662,7 +696,7 @@ func creditStarved(s *Sim) bool {
 			continue
 		}
 		for v, ol := range op.lanes() {
-			if ol.conn < 0 || l.credits[v] > 0 {
+			if ol.conn < 0 || heldCredits(s, l, v) > 0 {
 				continue
 			}
 			if hs := bufferHead(s.inPorts[ol.conn].lanes()[v].buf, s.seen); hs != nil && hs.ready(s.seen) {
@@ -672,11 +706,25 @@ func creditStarved(s *Sim) bool {
 	}
 	for h := range s.nics {
 		n := &s.nics[h]
-		if l := &s.links[n.tx.link]; n.active && l.credits != nil && l.credits[n.cur.pkt.vc] == 0 {
+		if l := &s.links[n.tx.link]; n.active && l.credits != nil && heldCredits(s, l, int(n.cur.pkt.vc)) == 0 {
 			return true
 		}
 	}
 	return false
+}
+
+// heldCredits is the count of lane v's credits on credit link l that a
+// per-cycle visit would read at a cycle boundary: the credits the link
+// holds plus the returns for the lane on its signal ring that have
+// arrived, which a reader of the count takes first (link.absorb).
+func heldCredits(s *Sim, l *link, v int) int {
+	n := int(l.credits[v])
+	for k := 0; k < l.signals.n; k++ {
+		if g := l.signals.at(k); int(g.vc) == v && g.arrive <= s.seen {
+			n++
+		}
+	}
+	return n
 }
 
 // multiAltPair finds a host pair whose switch pair keeps several route

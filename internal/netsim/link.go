@@ -29,15 +29,19 @@ type link struct {
 	down    bool // out of service (fault injection); senders must not push
 
 	// credits is the sender-side per-VC credit count in virtual-channel
-	// mode (nil under stop & go). The sender spends one credit per flit
-	// pushed on a lane; the receiver returns one per flit it consumes from
-	// that lane's buffer, via the same signal pipeline stop & go uses.
+	// mode (nil under stop & go): the credits taken so far. The sender
+	// spends one credit per flit pushed on a lane; the receiver returns one
+	// per flit it consumes from that lane's buffer, via the same signal
+	// pipeline stop & go uses. A return that has arrived stays on the signal
+	// ring until a reader of the count takes it (absorb), so the count a
+	// per-cycle visit would read is credits plus the returns for the lane
+	// that have arrived.
 	credits []int16
 
 	// lanes holds the flits towards the receiver, in flight and buffered,
 	// one run queue per virtual channel (one under stop & go); signals holds
-	// the control flits (stop/go or credits) back to the sender, oldest
-	// first.
+	// the control flits back to the sender, oldest first: stop/go flits
+	// until they arrive, credit returns until a reader absorbs them.
 	lanes   []runQueue
 	signals ring[signalInFlight]
 
@@ -141,12 +145,43 @@ func (l *link) pushCredit(s *Sim, vc int) {
 // pushCreditAt is pushCredit for a credit arriving at cycle at, which lies
 // ahead and no earlier than every credit already on l: a committed
 // output's settle returns its input lane's credits at their departures
-// plus the flight (Sim.settle).
+// plus the flight (Sim.settle). The readers of the count take the return
+// when they read (absorb), so the link goes on the arrival wheel only when
+// its sender is parked on credits, for the arrival to wake it.
 //
 //sim:hotpath
 func (l *link) pushCreditAt(s *Sim, vc int, at int64) {
 	l.signals.push(signalInFlight{vc: uint8(vc), arrive: at})
-	s.scheduleSignal(l.id, at)
+	if s.sleepers.has(l.id) && s.sender(l.id).commitMask == 0 {
+		s.scheduleSignal(l.id, at)
+	}
+}
+
+// absorb moves the credit returns on l's signal ring that have arrived by
+// cycle through into its held credits. Every reader of a credit link's
+// count calls it first, so it reads what a per-cycle visit would: the
+// lane round robin (outPort.nextSender), an injecting NIC's credit check,
+// a commitment's departure scan (Sim.newScan), a settle before it spends,
+// and settleParked for every credit link. A count above the buffer depth
+// fails the credit conservation check; the per-cycle loop runs it at each
+// return's arrival, a lazy read at the read that takes the return.
+//
+//sim:hotpath
+func (l *link) absorb(s *Sim, through int64) {
+	for l.signals.n > 0 && l.signals.front().arrive <= through {
+		g := l.signals.pop()
+		if l.credits[g.vc]++; int(l.credits[g.vc]) > s.p.VCBufFlits {
+			l.overCredit(g.vc)
+		}
+	}
+}
+
+// overCredit fails absorb's credit conservation check, kept out of line so
+// absorb holds no allocation site.
+//
+//go:noinline
+func (l *link) overCredit(vc uint8) {
+	panic(fmt.Sprintf("netsim: link %d VC %d credits above buffer depth", l.id, vc))
 }
 
 // noCredit fails the credit conservation check of a push or of a settled
@@ -159,24 +194,37 @@ func (l *link) noCredit(vc int) {
 }
 
 // deliverSignals applies arrived control flits to the sender-side state. A
-// go signal wakes the sender if it parked on the stopped link.
+// go signal wakes the sender if it parked on the stopped link; on a credit
+// link the arrival of a return is handled by deliverCredits.
 //
 //sim:hotpath
 func (l *link) deliverSignals(s *Sim) {
 	wasStopped := l.stopped
 	for l.signals.n > 0 && l.signals.front().arrive <= s.now {
-		g := l.signals.pop()
 		if l.credits != nil {
-			l.credits[g.vc]++
-			if int(l.credits[g.vc]) > s.p.VCBufFlits {
-				panic(fmt.Sprintf("netsim: link %d VC %d credits above buffer depth", l.id, g.vc))
-			}
-		} else {
-			l.stopped = g.stop
+			l.deliverCredits(s)
+			return
 		}
+		l.stopped = l.signals.pop().stop
 	}
 	if wasStopped && !l.stopped && s.sleepers.has(l.id) {
 		s.wake(s.sender(l.id), s.now-1)
+	}
+}
+
+// deliverCredits takes the credit returns that have arrived on l (absorb)
+// and wakes l's sender if it is parked on credits: a return may be the
+// credit it waits for. The dense loop takes every return on its arrival
+// cycle here; the active-set loop visits a credit link only at the returns
+// a parked sender waits for (pushCreditAt, Sim.parkStarved).
+//
+//sim:hotpath
+func (l *link) deliverCredits(s *Sim) {
+	l.absorb(s, s.now)
+	if s.sleepers.has(l.id) {
+		if sd := s.sender(l.id); sd.commitMask == 0 {
+			s.wake(sd, s.now-1)
+		}
 	}
 }
 

@@ -320,9 +320,10 @@ func (n *nic) sendQLen() int { return len(n.sendQ) - n.sendQH }
 
 // tickTransfer pushes one flit of the current injection onto the up-link.
 // Re-injections never outrun reception: flit k can only leave once flit k+1
-// (counting the stripped mark) has arrived. Under the active-set loop a
-// stop & go injection may then commit its next departures and sleep
-// (commitNIC).
+// (counting the stripped mark) has arrived. Under the active-set loop an
+// injection on a stopped up-link, or on a credit up-link with no credit for
+// its lane, parks; one that moved a flit may commit its next departures and
+// sleep (commitNIC).
 //
 //sim:hotpath
 func (n *nic) tickTransfer(s *Sim) {
@@ -335,9 +336,12 @@ func (n *nic) tickTransfer(s *Sim) {
 		return
 	}
 	if l.credits != nil {
-		if l.credits[n.cur.pkt.vc] <= 0 {
+		if l.absorb(s, s.now); l.credits[n.cur.pkt.vc] <= 0 {
 			if s.measuring {
 				l.idleStopped++
+			}
+			if !s.dense && len(n.pending) == 0 {
+				s.parkStarved(&n.tx, l)
 			}
 			return
 		}

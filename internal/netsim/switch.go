@@ -287,8 +287,9 @@ type swtch struct {
 
 	// sleepOuts is the subset of connOuts off the transfer walk: the
 	// outputs whose sender sleeps (Sim.park), parked on a stopped link with
-	// flits waiting in their input until the go signal, or committed until
-	// their wake. Never set by the dense loop.
+	// flits waiting in their input until the go signal, parked on a credit
+	// link with a flit waiting on every connected lane until a credit
+	// return, or committed until their wake. Never set by the dense loop.
 	sleepOuts uint32
 }
 
@@ -354,7 +355,7 @@ func (sw *swtch) tickRouting(s *Sim) {
 		in := &ip.lanes()[v]
 		hs := in.buf.head(s.seen)
 		if hs == nil || !hs.ready(s.seen) {
-			panic("netsim: header flit vanished during routing setup")
+			headerVanished()
 		}
 		pkt := hs.pkt
 		in.buf.take()
@@ -401,6 +402,13 @@ func (sw *swtch) tickRouting(s *Sim) {
 	}
 }
 
+// headerVanished fails tickRouting's check that a finished setup finds its
+// header flit at the head of the input lane, kept out of line so
+// tickRouting holds no allocation site.
+//
+//go:noinline
+func headerVanished() { panic("netsim: header flit vanished during routing setup") }
+
 // tickTransfer streams at most one flit per connected output, tearing a
 // connection down when its tail flit leaves; the lane's next buffered
 // packet, if any, then registers its routing request. An output on a
@@ -408,9 +416,9 @@ func (sw *swtch) tickRouting(s *Sim) {
 // count as the link's stopped time (the paper's §4.7.1 statistic). On a
 // credit link the output's connected lanes take turns (nextSender); on a
 // stop & go link its one lane sends whenever its buffer has a flit at the
-// head. Under the active-set loop an output on a stopped link parks, and
-// an output that moved a flit may commit its next departures and sleep
-// (commitOut).
+// head. Under the active-set loop an output on a stopped link parks, so
+// does an output starved of credits (nextSender), and an output that moved
+// a flit may commit its next departures and sleep (commitOut).
 //
 //sim:hotpath
 func (sw *swtch) tickTransfer(s *Sim) {
@@ -462,14 +470,19 @@ func (sw *swtch) tickTransfer(s *Sim) {
 // nextSender picks the lane an output on a credit link sends from this
 // cycle, and records it as the last sender: the first connected lane after
 // the last sender, round robin, whose buffer has a flit at the head and
-// whose link lane holds a credit for it. It returns -1 when no lane can
-// send; a cycle in which a lane had a flit but no credit then counts as
-// credit-starved idle time on the link, the VC analogue of a stopped link.
+// whose link lane holds a credit for it, counting the returns that have
+// arrived (absorb). It returns -1 when no lane can send; a cycle in which a
+// lane had a flit but no credit then counts as credit-starved idle time on
+// the link, the VC analogue of a stopped link. Under the active-set loop
+// the output then parks until a credit return reaches the link
+// (Sim.parkStarved), unless a connected lane is in a bubble: a flit that
+// joins its buffer does not act, so nothing would wake the output for it.
 //
 //sim:hotpath
 func (op *outPort) nextSender(s *Sim, l *link) int {
+	l.absorb(s, s.now)
 	lanes := op.lanes()
-	v, starved := op.txRR, false
+	v, starved, bubble := op.txRR, false, false
 	for range lanes {
 		if v++; v == len(lanes) {
 			v = 0
@@ -479,6 +492,7 @@ func (op *outPort) nextSender(s *Sim, l *link) int {
 			continue
 		}
 		if hs := s.inPorts[inp].lanes()[v].buf.head(s.seen); hs == nil || !hs.ready(s.seen) {
+			bubble = true
 			continue
 		}
 		if l.credits[v] > 0 {
@@ -487,8 +501,13 @@ func (op *outPort) nextSender(s *Sim, l *link) int {
 		}
 		starved = true
 	}
-	if starved && s.measuring {
-		l.idleStopped++
+	if starved {
+		if s.measuring {
+			l.idleStopped++
+		}
+		if !bubble && !s.dense {
+			s.parkStarved(&op.tx, l)
+		}
 	}
 	return -1
 }

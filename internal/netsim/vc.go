@@ -21,7 +21,8 @@ import "fmt"
 // leaves a buffer (a credit return, not a go check), on arrival (the lane
 // depth, not the stop threshold) and in what counts as a link's idle time
 // (exhausted credits, not a stopped link); credit returns ride the same
-// signal pipeline as stop/go flits.
+// signal pipeline as stop/go flits, and the sender reads them where it
+// spends them (link.absorb).
 
 // vcRx is one lane's reception state at a NIC: packets on different lanes
 // interleave flits on the host down-link, so reception is tracked per lane.
@@ -34,12 +35,13 @@ type vcRx struct {
 // returning the buffer credit immediately (the NIC drains its per-lane
 // receive buffer at link speed). In-transit ejection cannot occur: VC
 // routes are single-segment by construction.
+//
+//sim:hotpath
 func (n *nic) receiveVC(s *Sim, pkt *packet, tail bool) {
 	r := &n.rxVC[pkt.vc]
 	if r.pkt != pkt {
 		if r.pkt != nil {
-			panic(fmt.Sprintf("netsim: host %d lane %d: new packet while %d/%d flits of previous outstanding",
-				n.host, pkt.vc, r.count, r.pkt.wireFlits))
+			n.rxVCOverlap(r, pkt.vc)
 		}
 		r.pkt = pkt
 		r.count = 0
@@ -49,9 +51,23 @@ func (n *nic) receiveVC(s *Sim, pkt *packet, tail bool) {
 	s.progress++
 	if tail {
 		if r.count != pkt.wireFlits {
-			panic(fmt.Sprintf("netsim: host %d: delivered %d flits, expected %d", n.host, r.count, pkt.wireFlits))
+			n.rxVCMismatch(r.count, pkt.wireFlits)
 		}
 		s.deliver(pkt)
 		r.pkt = nil
 	}
+}
+
+// rxVCOverlap and rxVCMismatch fail receiveVC's conservation checks, kept
+// out of line so receiveVC holds no allocation site.
+//
+//go:noinline
+func (n *nic) rxVCOverlap(r *vcRx, vc uint8) {
+	panic(fmt.Sprintf("netsim: host %d lane %d: new packet while %d/%d flits of previous outstanding",
+		n.host, vc, r.count, r.pkt.wireFlits))
+}
+
+//go:noinline
+func (n *nic) rxVCMismatch(count, want int) {
+	panic(fmt.Sprintf("netsim: host %d: delivered %d flits, expected %d", n.host, count, want))
 }
