@@ -484,7 +484,32 @@ func goldenResults(t *testing.T) (lines []byte, filtered bool) {
 		return nil
 	})
 	snapshots(vcTorus.Name+"/VC2/backpressure", 2_000, vcBackpressure)
+
+	// Switch outputs parked credit-starved on NIC down-links (nicParks), on
+	// one lane and on two, with snapshots every 40,000 cycles.
+	for _, vcs := range []int{1, 2} {
+		name := fmt.Sprintf("%s/VC%d/nic-parks", vcTorus.Name, vcs)
+		mk := func(t *testing.T) Config {
+			cfg := vcConfig(t, vcTorus, vcs)
+			nicParks(&cfg)
+			return cfg
+		}
+		runCase(name, mk)
+		snapshots(name, 40_000, mk)
+	}
 	return b.Bytes(), filtered
+}
+
+// nicParks makes switch outputs park credit-starved on NIC down-links, some
+// with no credit return on their ring: a one-cycle routing delay no longer
+// covers the credit round trip of 4-flit lanes, and half of all messages go
+// to host 31, which the two-lane routes of the 4×4 torus reach on both
+// lanes, so its down-link carries interleaved receptions.
+func nicParks(c *Config) {
+	c.Params = DefaultParams()
+	c.Params.RoutingCycles = 1
+	c.Params.VCBufFlits = 4
+	c.Dest = hotspot(c.Net.NumHosts(), 31, 0.5)
 }
 
 // torusVCRegimes are the 4×4 torus's two-lane regimes the credit-link
