@@ -36,7 +36,7 @@ var checkpointedTypes = []interface{}{
 	packet{},
 	msgState{},
 	timer{},
-	vcRx{},
+	rxLane{},
 	bitset{},
 	faultEngine{},
 	RNG{},

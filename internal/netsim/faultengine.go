@@ -350,8 +350,10 @@ func (fe *faultEngine) reviveLink(s *Sim, lid int) {
 // killNICCustody destroys every in-transit packet held by a NIC on a dying
 // switch (being received, awaiting DMA, or queued for re-injection).
 func (fe *faultEngine) killNICCustody(s *Sim, n *nic) {
-	if n.rxPkt != nil && !n.rxPkt.dead {
-		fe.kill(s, n.rxPkt, DropDeadSwitch)
+	for v := range n.rx {
+		if p := n.rx[v].pkt; p != nil && !p.dead {
+			fe.kill(s, p, DropDeadSwitch)
+		}
 	}
 	for _, r := range n.pending {
 		if !r.pkt.dead {
@@ -554,7 +556,6 @@ func (s *Sim) dispatch(m *msgState) {
 		genCycle: m.genCycle,
 		measured: m.measured,
 		msg:      m,
-		attempt:  m.attempts - 1,
 	}
 	p.wireFlits = m.payload + headerFlits(r)
 	m.pkt = p

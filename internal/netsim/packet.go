@@ -38,10 +38,8 @@ type packet struct {
 	measured bool // generated inside the measurement window
 
 	// Fault machinery (nil/zero when Config.Faults is empty).
-	msg      *msgState // the message this packet is one attempt of
-	attempt  int       // 0 for the first transmission
-	dead     bool      // killed by a fault; remaining flits are discarded
-	injected bool      // injection has started at the source NIC
+	msg  *msgState // the message this packet is one attempt of
+	dead bool      // killed by a fault; remaining flits are discarded
 }
 
 // headerFlits returns the wire overhead of a route: one route byte per

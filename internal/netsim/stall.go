@@ -110,9 +110,12 @@ func (s *Sim) stallDump(k int) *StallDump {
 	}
 	for h := range s.nics {
 		n := &s.nics[h]
-		note(n.rxPkt, fmt.Sprintf("host %d receiving", h), -1, -1)
-		for v := range n.rxVC {
-			note(n.rxVC[v].pkt, fmt.Sprintf("host %d receiving lane %d", h, v), -1, -1)
+		for v := range n.rx {
+			where := fmt.Sprintf("host %d receiving", h)
+			if s.vcMode {
+				where = fmt.Sprintf("host %d receiving lane %d", h, v)
+			}
+			note(n.rx[v].pkt, where, -1, -1)
 		}
 		if n.active {
 			note(n.cur.pkt, fmt.Sprintf("host %d injecting", h), -1, -1)
