@@ -297,22 +297,6 @@ func (q *runQueue) inFlight(now int64) bool {
 	return q.runs.n > 0 && q.runs.at(q.runs.n-1).inFlight(now-1)
 }
 
-// popFlit removes the first flit of the front run, which arrives at the
-// current cycle, for a receiver without a buffer (a NIC), and reports
-// whether it was the packet's tail.
-//
-//sim:hotpath
-func (q *runQueue) popFlit() (tail bool) {
-	r := q.runs.front()
-	q.n--
-	if !r.dropFirst() {
-		return false
-	}
-	tail = r.tail
-	q.runs.pop()
-	return tail
-}
-
 // deadBuffered reports whether the buffer holds a run of a dead packet at
 // cycle seen, stale runs aside.
 func (q *runQueue) deadBuffered(seen int64) bool {

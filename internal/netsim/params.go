@@ -31,10 +31,10 @@
 // A cable and its receiver's input buffer are one queue of packet runs per
 // lane, each stamped with the arrival cycle of its first flit (cable.go):
 // a switch reads its buffer's occupancy and head packet from the stamps,
-// so a flit needs no delivery step to join the buffer, and a NIC under
-// stop & go takes the flits that have arrived a run at a time, when a
-// packet's first flit, its tail or a new run arrives or a reader of its
-// reception needs them.
+// so a flit needs no delivery step to join the buffer, and a NIC takes the
+// flits that have arrived on each lane a run at a time, when a packet's
+// first flit, its tail or a new run arrives or a reader of its reception
+// or of its down-link's credits needs them.
 //
 // Each stage visits only the components that currently have work: links
 // sit on an arrival wheel at the cycles their signals and the flit
