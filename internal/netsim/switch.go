@@ -158,7 +158,7 @@ func (ip *inPort) killDeadHeads(s *Sim) {
 //sim:hotpath
 func (ip *inPort) consumed(s *Sim, v int) {
 	if s.vcMode {
-		s.links[ip.link].pushCredit(s, v)
+		s.links[ip.link].pushCreditAt(s, v, s.now+int64(s.p.LinkFlightCycles))
 	} else if ip.lastSignalStop {
 		ip.relieve(s)
 	}
