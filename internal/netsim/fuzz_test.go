@@ -13,8 +13,10 @@ import (
 // of the 4×4 ITB-RR fault storm (retries, re-injections, table swaps), of
 // the two-lane VC dragonfly (lane buffers, credits, per-lane reception)
 // and of the fault storm under the adaptive selector (its EWMA table), plus
-// the storm seed with each of the cable corruptions of badCables; the first
-// argument picks the configuration an input is restored under.
+// the storm seed with each of the cable corruptions of badCables, and the
+// storm and VC seeds with each of the reception corruptions of
+// badReceptions; the first argument picks the configuration an input is
+// restored under.
 func FuzzRestore(f *testing.F) {
 	df, err := topology.NewDragonfly(4, 3, 1, 2, 8)
 	if err != nil {
@@ -44,6 +46,11 @@ func FuzzRestore(f *testing.F) {
 		if i == 0 {
 			for _, bc := range badCables {
 				f.Add(uint8(i), corruptCable(f, configs[i], seed, bc.mutate))
+			}
+		}
+		if i < 2 {
+			for _, br := range badReceptions {
+				f.Add(uint8(i), corruptReception(f, configs[i], seed, br.mutate))
 			}
 		}
 	}
