@@ -192,11 +192,11 @@ func AddRun(fs *flag.FlagSet) *Run {
 		OptimizeStrategy: fs.String("optimize-strategy", "ripup",
 			"route optimizer for -optimize: ripup (full rip-up/reroute) or escape (OutFlank-style alternative pruning)"),
 		CheckpointDir: fs.String("checkpoint-dir", "",
-			"journal finished jobs and periodic mid-run snapshots to this directory, making the sweep crash-safe (see docs/CHECKPOINT.md)"),
+			"keep one crash-safe record per job in this directory, job-<N>.ckpt, holding its finished points and a periodic snapshot of the point in flight (see docs/CHECKPOINT.md)"),
 		CheckpointEvery: fs.Int64("checkpoint-every", 0,
 			"mid-run snapshot period in simulated cycles (0 = 250000); requires -checkpoint-dir"),
 		Resume: fs.Bool("resume", false,
-			"resume a killed sweep from -checkpoint-dir: journaled jobs are reused, in-flight jobs restart from their snapshots"),
+			"resume a killed sweep from -checkpoint-dir: finished jobs are read from their job-<N>.ckpt records, in-flight jobs restart from their snapshots"),
 	}
 }
 

@@ -166,7 +166,7 @@ func TestProfileFlagsWriteFiles(t *testing.T) {
 const commonHelp = "  -bytes int\n" +
 	"    \tmessage payload size in bytes (default 512)\n" +
 	"  -checkpoint-dir string\n" +
-	"    \tjournal finished jobs and periodic mid-run snapshots to this directory, making the sweep crash-safe (see docs/CHECKPOINT.md)\n" +
+	"    \tkeep one crash-safe record per job in this directory, job-<N>.ckpt, holding its finished points and a periodic snapshot of the point in flight (see docs/CHECKPOINT.md)\n" +
 	"  -checkpoint-every int\n" +
 	"    \tmid-run snapshot period in simulated cycles (0 = 250000); requires -checkpoint-dir\n" +
 	"  -cpuprofile string\n" +
@@ -194,7 +194,7 @@ const commonHelp = "  -bytes int\n" +
 	"  -radius int\n" +
 	"    \tlocal traffic: max switches to destination (default 3)\n" +
 	"  -resume\n" +
-	"    \tresume a killed sweep from -checkpoint-dir: journaled jobs are reused, in-flight jobs restart from their snapshots\n" +
+	"    \tresume a killed sweep from -checkpoint-dir: finished jobs are read from their job-<N>.ckpt records, in-flight jobs restart from their snapshots\n" +
 	"  -scale string\n" +
 	"    \tscale: small, medium, or paper (512 hosts) (default \"medium\")\n" +
 	"  -seed int\n" +
