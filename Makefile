@@ -46,12 +46,14 @@ test:
 # go and, through the same switch pipeline, credits), the shared-table
 # round-robin isolation, the results golden (every scheme x topology x
 # faults x step loop pinned bit for bit), random parameter sets under
-# both step loops, and the deadlock watchdog's report under both loops.
+# both step loops, the deadlock watchdog's report under both loops, and
+# the slack-buffer, credit and reception conservation panics, which both
+# loops must raise alike (0.13 s together without the race detector).
 # The netsim package alone takes close to go test's 10-minute default
 # timeout under -race on a 2-vCPU host, so both lines set their own.
 race:
 	$(GO) test -race -timeout 30m ./...
-	$(GO) test -race -timeout 30m -count=1 -run 'ActiveSetNeverStrandsWork|ActiveSetMatchesDense|VCLoopEquivalence|SharedTableConcurrentRuns|ResultGolden|ConservationUnderRandomParams|DeadlockWatchdogFires' ./internal/netsim/
+	$(GO) test -race -timeout 30m -count=1 -run 'ActiveSetNeverStrandsWork|ActiveSetMatchesDense|VCLoopEquivalence|SharedTableConcurrentRuns|ResultGolden|ConservationUnderRandomParams|DeadlockWatchdogFires|PanicsUnderBothLoops' ./internal/netsim/
 
 # The parallel-correctness core: byte-identical results across worker
 # counts, single-flight table builds, and cancellation — all under -race.
